@@ -2,16 +2,18 @@
 
 The criterion keeps three terms: the squared first-order bias contrast,
 the squared second-order bias contrast, and the variance of the jump
-estimate.  It is minimized jointly over (h_plus, h_minus) by a coarse
-logarithmic grid followed by a simplex polish.  Closed-form optimal
-pairs exist in both curvature regimes and double as oracle and
-fallback.
+estimate.  It is minimized jointly over (h_plus, h_minus): a coarse
+logarithmic grid finds the basins, a box-projected Newton method with
+the criterion's closed-form derivatives polishes each one, and an exact
+solve along each coordinate (a degree-7 polynomial) checks the result.
+Closed-form optimal pairs exist in both curvature regimes and double as
+oracle and fallback.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     AssumptionViolated,
@@ -29,6 +31,22 @@ REGIMES = ("opposite_sign", "same_sign", "boundary_clamped")
 GRID_POINTS = 60
 # relative slack when deciding whether the optimum sits on the bound box
 _EDGE_RTOL = 1e-8
+# a log-bandwidth this close to its bound sits on it (the bound is active)
+_ACTIVE_TOL = 1e-12
+# Newton stops once its step in log-bandwidth is this small
+_STEP_TOL = 1e-13
+# below this step length, where the Hessian is positive definite, Newton
+# takes the full step without a line search
+_TRUST_STEP = 1e-6
+_NEWTON_MAXITER = 100
+_LINE_SEARCH_HALVINGS = 40
+# sufficient-decrease fraction of the line search
+_ARMIJO = 1e-4
+# a polynomial root counts as real when its imaginary part is this small
+_ROOT_IMAG_TOL = 1e-8
+# relative margin by which a per-coordinate candidate must beat Newton
+_CHECK_RTOL = 1e-12
+_CHECK_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -178,14 +196,189 @@ def _classify(coeffs: AmseCoefficients) -> str:
     return "opposite_sign" if coeffs.phi_plus * coeffs.phi_minus < 0.0 else "same_sign"
 
 
+def _grid_starts(grid: np.ndarray, hp: np.ndarray, hm: np.ndarray):
+    """Local minima of the grid over 3 x 3 neighbourhoods, best first.
+
+    Ties in value break toward the smallest h_plus + h_minus.
+    """
+    pad = np.full((grid.shape[0] + 2, grid.shape[1] + 2), np.inf)
+    pad[1:-1, 1:-1] = grid
+    rows = np.minimum(np.minimum(pad[:, :-2], pad[:, 1:-1]), pad[:, 2:])
+    window = np.minimum(np.minimum(rows[:-2], rows[1:-1]), rows[2:])
+    i, j = np.nonzero(grid <= window)
+    order = np.lexsort((hp[i] + hm[j], grid[i, j]))
+    return [(float(hp[a]), float(hm[b])) for a, b in zip(i[order], j[order])]
+
+
+def _log_derivatives(c: AmseCoefficients, h_plus: float, h_minus: float):
+    """Gradient, Hessian and Gauss-Newton matrix of the criterion in
+    (u, w) = (log h_plus, log h_minus).
+
+    With X = phi_+ h_+^2, Y = phi_- h_-^2, P = psi_+ h_+^3,
+    Q = psi_- h_-^3, e1 = X - Y, e2 = P - Q and V_+- the two variance
+    terms, F_u = 4 X e1 + 6 P e2 - V_+, F_uu = 8 X e1 + 8 X^2 + 18 P e2
+    + 18 P^2 + V_+ and F_uw = -8 X Y - 18 P Q; F_w and F_ww mirror them.
+    The Gauss-Newton matrix drops the residual terms 8 X e1 + 18 P e2
+    and their mirror, which leaves it positive semidefinite.  Each
+    matrix is (uu, uw, ww, det).
+    """
+    k = c.v / (c.n * c.f)
+    x = c.phi_plus * h_plus**2
+    y = c.phi_minus * h_minus**2
+    p = c.psi_plus * h_plus**3
+    q = c.psi_minus * h_minus**3
+    e1 = x - y
+    e2 = p - q
+    var_p = k * c.omega_plus / h_plus
+    var_m = k * c.omega_minus / h_minus
+    grad = (4.0 * x * e1 + 6.0 * p * e2 - var_p, -4.0 * y * e1 - 6.0 * q * e2 - var_m)
+    uw = -8.0 * x * y - 18.0 * p * q
+    a = 8.0 * x * x + 18.0 * p * p
+    b = 8.0 * y * y + 18.0 * q * q
+    # the rank-one parts of the determinant cancel to 144 (XQ - PY)^2,
+    # which uu ww - uw^2 would lose to rounding in the narrow valley
+    cross = 144.0 * (x * q - p * y) ** 2
+
+    def matrix(d_u, d_w):
+        return d_u + a, uw, d_w + b, cross + d_u * b + d_w * a + d_u * d_w
+
+    hess = matrix(8.0 * x * e1 + 18.0 * p * e2 + var_p, -8.0 * y * e1 - 18.0 * q * e2 + var_m)
+    return grad, hess, matrix(var_p, var_m)
+
+
+def _newton_direction(grad, hess, gauss_newton, free):
+    """Descent step on the free coordinates, and whether it is a Newton
+    step on a positive definite Hessian.  Where the Hessian is not
+    positive definite, the Gauss-Newton matrix takes its place."""
+    if free[0] and free[1]:
+        convex = hess[0] > 0.0 and hess[3] > 0.0
+        uu, uw, ww, det = hess if convex else gauss_newton
+        if det > 0.0:
+            return (
+                (uw * grad[1] - ww * grad[0]) / det,
+                (uw * grad[0] - uu * grad[1]) / det,
+            ), convex
+        return (-grad[0], -grad[1]), False
+    i = 0 if free[0] else 1
+    convex = hess[2 * i] > 0.0
+    curv = hess[2 * i] if convex else gauss_newton[2 * i]
+    step = [0.0, 0.0]
+    step[i] = -grad[i] / curv if curv > 0.0 else -grad[i]
+    return (step[0], step[1]), convex
+
+
+def _to_box(z: float, bound, log_bound):
+    """Bandwidth and log-bandwidth of z clipped to one side of the box.
+
+    Within _ACTIVE_TOL of a bound, z lands exactly on it.
+    """
+    if z <= log_bound[0] + _ACTIVE_TOL:
+        return bound[0], log_bound[0]
+    if z >= log_bound[1] - _ACTIVE_TOL:
+        return bound[1], log_bound[1]
+    return min(max(math.exp(z), bound[0]), bound[1]), z
+
+
+def _newton(coeffs: AmseCoefficients, h, value: float, bounds):
+    """Damped, box-projected Newton descent in log-bandwidth from h.
+
+    A coordinate on its bound stays fixed while the gradient pushes it
+    outward.  Steps are halved until the criterion decreases, except
+    short steps where the Hessian is positive definite: there the
+    decrease is below the criterion's rounding, so the full step is
+    taken on the gradient's word, until such steps stop halving.
+    Returns the final pair and its criterion value.
+    """
+    log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in bounds]
+    last_trusted = math.inf
+    for _ in range(_NEWTON_MAXITER):
+        grad, hess, gauss_newton = _log_derivatives(coeffs, h[0], h[1])
+        z = [math.log(h[0]), math.log(h[1])]
+        free = [
+            not (
+                (z[i] <= log_bounds[i][0] + _ACTIVE_TOL and grad[i] > 0.0)
+                or (z[i] >= log_bounds[i][1] - _ACTIVE_TOL and grad[i] < 0.0)
+            )
+            for i in (0, 1)
+        ]
+        if not (free[0] or free[1]):
+            break
+        step, convex = _newton_direction(grad, hess, gauss_newton, free)
+        size = max(abs(step[0]), abs(step[1]))
+        trusted = convex and size <= _TRUST_STEP
+        if size <= _STEP_TOL or (trusted and size > 0.5 * last_trusted):
+            break
+        t = 1.0
+        for _ in range(_LINE_SEARCH_HALVINGS):
+            (hp, zp), (hm, zm) = (
+                _to_box(z[i] + t * step[i], bounds[i], log_bounds[i]) for i in (0, 1)
+            )
+            v = mmse_objective(hp, hm, coeffs)
+            slope = grad[0] * (zp - z[0]) + grad[1] * (zm - z[1])
+            if trusted or (v < value and v <= value + _ARMIJO * slope):
+                break
+            t *= 0.5
+        else:
+            break
+        h, value = (hp, hm), v
+        if trusted:
+            last_trusted = size
+    return h, value
+
+
+def _coordinate_best(coeffs: AmseCoefficients, h, side: int, bounds):
+    """Exact best value of one bandwidth with the other held fixed.
+
+    For h_minus at fixed h_plus, dF/dh_minus = 0 times h_minus^2 is
+    6 psi_-^2 h^7 + 4 phi_-^2 h^5 - 6 psi_- B h^4 - 4 phi_- A h^3 - D,
+    with A = phi_+ h_+^2, B = psi_+ h_+^3 and D = v omega_- / (n f); the
+    h_plus case mirrors it.  The candidates are the box ends and the
+    real roots inside the box; the polynomial is solved in h / h[side],
+    which keeps its coefficients free of the data's units.
+    """
+    c = coeffs
+    if side == 0:
+        phi, psi, omega = c.phi_plus, c.psi_plus, c.omega_plus
+        a, b = c.phi_minus * h[1] ** 2, c.psi_minus * h[1] ** 3
+    else:
+        phi, psi, omega = c.phi_minus, c.psi_minus, c.omega_minus
+        a, b = c.phi_plus * h[0] ** 2, c.psi_plus * h[0] ** 3
+    s = h[side]
+    q, r = phi * s**2, psi * s**3
+    roots = np.roots([6.0 * r * r, 0.0, 4.0 * q * q, -6.0 * r * b, -4.0 * q * a, 0.0, 0.0,
+                      -c.v * omega / (c.n * c.f * s)])
+    lo, hi = bounds[side]
+    candidates = [lo, hi]
+    for t in roots:
+        hc = s * t.real
+        if abs(t.imag) <= _ROOT_IMAG_TOL * abs(t) and lo < hc < hi:
+            candidates.append(hc)
+    best_h, best_v = None, math.inf
+    for hc in candidates:
+        pair = (hc, h[1]) if side == 0 else (h[0], hc)
+        v = mmse_objective(pair[0], pair[1], c)
+        if v < best_v:
+            best_h, best_v = pair, v
+    return best_h, best_v
+
+
 def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
     """Global minimizer of the criterion over a per-side bound box.
 
-    A 60 x 60 logarithmic grid locates the basin (the criterion mixes
-    h^2, h^3 and 1/h terms and can have two), then a bounded simplex
-    polish refines from the best node.  Ties on the grid break toward
-    the smallest h_plus + h_minus.  The returned value never exceeds
-    the best grid node.
+    A 60 x 60 logarithmic grid locates the basins (the criterion mixes
+    h^2, h^3 and 1/h terms and can have several).  From each local
+    minimum of the grid, a damped Newton method in log-bandwidth with
+    the criterion's closed-form gradient and Hessian, projected on the
+    box, descends to a stationary point.  The best of these then passes
+    an exact check along each coordinate: with the other bandwidth held
+    fixed, the criterion's stationary points are the roots of a
+    degree-7 polynomial, so the best value on that line is known
+    exactly; a better candidate restarts Newton.  Ties on the grid
+    break toward the smallest h_plus + h_minus.  The returned value
+    never exceeds the best grid node.  Every step is expressed in
+    unit-free quantities, so restating the coefficients and the box in
+    units of a x (phi / a^2, psi / a^3, f / a, a * bounds) returns a
+    times the pair.
 
     Parameters
     ----------
@@ -199,30 +392,26 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
         raise DegenerateObjective(
             "both variance numerators are zero; the criterion has no interior minimum"
         )
+    box = ((float(lo_p), float(hi_p)), (float(lo_m), float(hi_m)))
 
     hp = np.geomspace(lo_p, hi_p, GRID_POINTS)
     hm = np.geomspace(lo_m, hi_m, GRID_POINTS)
-    grid = _objective_grid(coeffs, hp, hm)
-    best = grid.min()
-    ties = np.argwhere(grid == best)
-    sums = hp[ties[:, 0]] + hm[ties[:, 1]]
-    i, j = ties[np.argmin(sums)]
-    h_best = np.array([hp[i], hm[j]])
-    v_best = float(grid[i, j])
+    h_best, v_best = None, math.inf
+    for start in _grid_starts(_objective_grid(coeffs, hp, hm), hp, hm):
+        h, v = _newton(coeffs, start, mmse_objective(start[0], start[1], coeffs), box)
+        if v < v_best:
+            h_best, v_best = h, v
 
-    log_bounds = [(np.log(lo_p), np.log(hi_p)), (np.log(lo_m), np.log(hi_m))]
-    res = optimize.minimize(
-        lambda z: mmse_objective(np.exp(z[0]), np.exp(z[1]), coeffs),
-        np.log(h_best),
-        method="Nelder-Mead",
-        bounds=log_bounds,
-        options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 4000},
-    )
-    if res.fun <= v_best:
-        h_best = np.exp(res.x)
-        v_best = float(res.fun)
+    for _ in range(_CHECK_ROUNDS):
+        for side in (1, 0):
+            h, v = _coordinate_best(coeffs, h_best, side, box)
+            if v < v_best * (1.0 - _CHECK_RTOL):
+                h_best, v_best = _newton(coeffs, h, v, box)
+                break
+        else:
+            break
 
-    h_p, h_m = float(h_best[0]), float(h_best[1])
+    h_p, h_m = h_best
     on_edge = (
         h_p <= lo_p * (1 + _EDGE_RTOL)
         or h_p >= hi_p * (1 - _EDGE_RTOL)
