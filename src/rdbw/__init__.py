@@ -9,7 +9,6 @@ from .errors import (
     DegenerateObjective,
     DegenerateSample,
     DenominatorNearZero,
-    EmptySide,
     InsufficientData,
     ParseError,
     RdbwError,
@@ -64,7 +63,6 @@ __all__ = [
     "DegenerateSample",
     "DenominatorNearZero",
     "DgpSpec",
-    "EmptySide",
     "FAMILIES",
     "FrdEstimate",
     "InsufficientData",

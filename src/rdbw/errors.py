@@ -5,10 +5,6 @@ class RdbwError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptySide(RdbwError):
-    """No observations on the requested side of the cutoff."""
-
-
 class SingularDesign(RdbwError):
     """Weighted design matrix is rank-deficient at the requested order."""
 

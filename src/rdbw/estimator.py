@@ -1,8 +1,9 @@
 """Point estimation of the jump ratio at the cutoff.
 
-Four order-1 boundary fits (outcome and treatment, each side) produce
-the numerator and denominator jumps; the estimate is their ratio.  The
-sharp variant keeps the numerator and fixes the denominator at 1.
+Two order-1 boundary fits, one per side, each solving for the outcome
+and the treatment at once, produce the numerator and denominator jumps;
+the estimate is their ratio.  The sharp variant keeps the numerator and
+fixes the denominator at 1.
 """
 
 from dataclasses import dataclass
@@ -43,15 +44,9 @@ def frd_estimate(
     DenominatorNearZero
         If |tauD| < 1e-6; the ratio would be numerically meaningless.
     """
-    fits = {
-        (resp, side): fit_boundary(
-            sample, resp, side, h_plus if side == "plus" else h_minus, order=1, kernel=kernel
-        )
-        for resp in ("Y", "D")
-        for side in ("plus", "minus")
-    }
-    tau_y = fits["Y", "plus"].value - fits["Y", "minus"].value
-    tau_d = fits["D", "plus"].value - fits["D", "minus"].value
+    plus = fit_boundary(sample, "YD", "plus", h_plus, order=1, kernel=kernel)
+    minus = fit_boundary(sample, "YD", "minus", h_minus, order=1, kernel=kernel)
+    tau_y, tau_d = (float(j) for j in plus.value - minus.value)
     if abs(tau_d) < _MIN_TAU_D:
         raise DenominatorNearZero(f"|tauD| = {abs(tau_d):.2e} < {_MIN_TAU_D:.0e}")
     return FrdEstimate(
@@ -60,8 +55,8 @@ def frd_estimate(
         tauD=tau_d,
         h_plus=h_plus,
         h_minus=h_minus,
-        n_plus=fits["Y", "plus"].effective_n,
-        n_minus=fits["Y", "minus"].effective_n,
+        n_plus=plus.effective_n,
+        n_minus=minus.effective_n,
     )
 
 

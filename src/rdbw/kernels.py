@@ -67,52 +67,23 @@ def eval_kernel(spec: KernelSpec, u):
     return w
 
 
-def _closed_form_moments(family: str):
+def compute_moments(spec: KernelSpec) -> KernelMoments:
+    """Compute one-sided moments and the derived constants for a kernel.
+
+    The moments come from closed forms, exact for the built-in families.
+    """
     j = np.arange(5, dtype=float)
     k = np.arange(3, dtype=float)
-    if family == "triangular":
+    if spec.family == "triangular":
         mu = 1.0 / ((j + 1) * (j + 2))
         nu = 2.0 / ((k + 1) * (k + 2) * (k + 3))
-    elif family == "uniform":
+    elif spec.family == "uniform":
         mu = 1.0 / (2.0 * (j + 1))
         nu = 1.0 / (4.0 * (k + 1))
     else:  # epanechnikov
         mu = 1.5 / ((j + 1) * (j + 3))
         nu = 4.5 / ((k + 1) * (k + 3) * (k + 5))
-    return tuple(mu), tuple(nu)
-
-
-def _quadrature_moments(spec: KernelSpec):
-    from scipy.integrate import quad
-
-    mu = tuple(
-        quad(lambda u, p=p: u**p * eval_kernel(spec, u), 0.0, 1.0, epsrel=1e-12)[0]
-        for p in range(5)
-    )
-    nu = tuple(
-        quad(lambda u, p=p: u**p * eval_kernel(spec, u) ** 2, 0.0, 1.0, epsrel=1e-12)[0]
-        for p in range(3)
-    )
-    return mu, nu
-
-
-def compute_moments(spec: KernelSpec, method: str = "closed") -> KernelMoments:
-    """Compute one-sided moments and the derived constants for a kernel.
-
-    Parameters
-    ----------
-    spec : KernelSpec
-    method : {"closed", "quadrature"}
-        Closed forms are exact for the built-in families; quadrature
-        (relative tolerance 1e-12) exists as an independent cross-check.
-    """
-    if method == "closed":
-        mu, nu = _closed_form_moments(spec.family)
-    elif method == "quadrature":
-        mu, nu = _quadrature_moments(spec)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    mu, nu = tuple(mu), tuple(nu)
     den = mu[0] * mu[2] - mu[1] ** 2
     c1 = (mu[2] ** 2 - mu[1] * mu[3]) / (2.0 * den)
     v = (mu[2] ** 2 * nu[0] - 2.0 * mu[1] * mu[2] * nu[1] + mu[1] ** 2 * nu[2]) / den**2

@@ -1,20 +1,28 @@
 """Kernel-weighted local polynomial regression fitted on one side of a cutoff.
 
-The boundary fit is the estimation primitive everywhere: order 1 for the
-level estimates entering the ratio estimator, and whatever order callers
-need for diagnostics.  Side convention: "plus" takes observations with
-x >= c (ties at the cutoff go to the plus side), "minus" takes x < c.
+The boundary fit is the one estimation primitive: order 1 for the level
+estimates entering the ratio estimator and the variance and jump pilots,
+order 4 with equal weights over a whole side for the curvature pilots.
+Side convention: "plus" takes observations with x >= c (ties at the
+cutoff go to the plus side), "minus" takes x < c.
+
+A fit gathers only the rows near the cutoff, regresses on powers of the
+unit-free coordinate (x - c)/h, and can solve for Y and D at once: the
+triangular factor of the weighted least-squares problem is accumulated
+over blocks of rows, so no full design matrix is ever formed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySide, SingularDesign
+from .errors import SingularDesign
 from .kernels import KernelSpec, eval_kernel
 
 # relative singular-value floor below which the weighted design is declared rank-deficient
 _SV_RTOL = 1e-10
+# rows per block of the QR accumulation; bounds the design's memory for any window
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,17 +83,24 @@ class BoundaryFit:
     """Result of a one-sided weighted polynomial fit.
 
     coefficients[k] estimates m^(k)(c) / k!; coefficients[0] is the fitted
-    value at the cutoff.
+    value at the cutoff.  A "YD" fit has one column per response, Y then
+    D.  rows indexes the sample's observations with positive weight.
     """
 
     coefficients: np.ndarray
     side: str
     h: float
-    effective_n: int
+    rows: np.ndarray
 
     @property
-    def value(self) -> float:
-        return float(self.coefficients[0])
+    def value(self):
+        """Fitted value at the cutoff: a float, or a (Y, D) array for a "YD" fit."""
+        v = self.coefficients[0]
+        return float(v) if v.ndim == 0 else v
+
+    @property
+    def effective_n(self) -> int:
+        return int(self.rows.size)
 
 
 def fit_boundary(
@@ -100,45 +115,68 @@ def fit_boundary(
 
     Weights are K((x_i - c)/h); only observations with strictly positive
     weight enter the solve, so points outside the bandwidth have no
-    influence at all.
+    influence at all.  The design holds the powers of (x - c)/h, built by
+    repeated multiplication, so its conditioning does not depend on the
+    units of x; the coefficients are rescaled by h^-k afterwards.
+
+    response "YD" solves for Y and D as two right-hand sides of one
+    design: R of the QR factorization of [sqrt(w) powers | sqrt(w) Y,
+    sqrt(w) D] is accumulated over blocks of rows, and the coefficients
+    come from a triangular solve with its leading block.
 
     Raises
     ------
-    EmptySide
-        If the requested side holds no observations.
     SingularDesign
         If fewer than order+1 distinct x values carry positive weight, or
-        the weighted design is numerically rank-deficient.
+        the weighted design is numerically rank-deficient (smallest
+        singular value of its R below 1e-10 of the largest).
     """
     if h <= 0.0:
         raise ValueError("bandwidth must be positive")
     if order < 1:
         raise ValueError("order must be at least 1")
+    targets = [sample.response(r) for r in (("Y", "D") if response == "YD" else (response,))]
 
-    mask = sample.side_mask(side)
-    if not np.any(mask):
-        raise EmptySide(f"no observations on the {side} side of c={sample.c}")
-
-    xs = sample.x[mask] - sample.c
-    ys = sample.response(response)[mask]
-    w = eval_kernel(kernel, xs / h)
-    keep = w > 0.0
-    xs, ys, w = xs[keep], ys[keep], w[keep]
-
-    if np.unique(xs).size < order + 1:
-        raise SingularDesign(
-            f"{np.unique(xs).size} distinct x values with positive weight; "
-            f"order {order} needs {order + 1}"
-        )
-
-    design = np.vander(xs, order + 1, increasing=True)
-    sw = np.sqrt(w)
-    coef, _, rank, sv = np.linalg.lstsq(design * sw[:, None], ys * sw, rcond=_SV_RTOL)
-    if rank < order + 1 or sv[-1] < _SV_RTOL * sv[0]:
+    # gather the rows of a slightly wider interval than |x - c| <= h, so no
+    # rounding in (x - c)/h can drop a point; the kernel decides the weights
+    x, c = sample.x, sample.c
+    reach = h + 1e-12 * (abs(c) + h)
+    near = sample.side_mask(side)
+    near &= x <= c + reach if side == "plus" else x >= c - reach
+    candidates = np.flatnonzero(near)
+    p = order + 1
+    kept, r = [], None
+    for start in range(0, candidates.size, _BLOCK_ROWS):
+        rows = candidates[start : start + _BLOCK_ROWS]
+        u = (x[rows] - c) / h
+        w = eval_kernel(kernel, u)
+        keep = w > 0.0
+        rows, u, sw = rows[keep], u[keep], np.sqrt(w[keep])
+        kept.append(rows)
+        a = np.empty((rows.size, p + len(targets)), order="F")
+        a[:, 0] = sw
+        for k in range(1, p):
+            np.multiply(a[:, k - 1], u, out=a[:, k])
+        for j, t in enumerate(targets):
+            np.multiply(sw, t[rows], out=a[:, p + j])
+        r = np.linalg.qr(a if r is None else np.vstack((r, a)), mode="r")
+    rows = np.concatenate(kept) if kept else candidates
+    if rows.size >= p:
+        design, rhs = r[:p, :p], r[:p, p:]
+        sv = np.linalg.svd(design, compute_uv=False)
+    if rows.size < p or not sv[-1] >= _SV_RTOL * sv[0]:
+        distinct = np.unique(x[rows]).size
+        if distinct < p:
+            raise SingularDesign(
+                f"{distinct} distinct x values with positive weight; order {order} needs {p}"
+            )
         raise SingularDesign(
             f"weighted design is rank-deficient (singular values {sv[0]:.3e}..{sv[-1]:.3e})"
         )
-    return BoundaryFit(coefficients=coef, side=side, h=float(h), effective_n=int(xs.size))
+
+    # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
+    coef = np.linalg.solve(design, rhs) / float(h) ** np.arange(p)[:, None]
+    return BoundaryFit(coef if response == "YD" else coef[:, 0], side, float(h), rows)
 
 
 def estimate_level(

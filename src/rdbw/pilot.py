@@ -6,6 +6,11 @@ side; variances and the covariance from local linear residuals under a
 rule-of-thumb bandwidth; the denominator jump from a sharp-design level
 contrast on the treatment indicator.  Each is a standard consistent
 estimator of its target.
+
+Every regression is a `fit_boundary` call on powers of the unit-free
+(x - c)/h, so no pilot depends on the units of x.  The quartic and the
+variance fits solve for Y and D at once (response "YD"): one fit per
+side serves both responses.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,7 @@ from .errors import (
     SingularDesign,
     WeakDiscontinuity,
 )
-from .kernels import KernelSpec, eval_kernel
+from .kernels import KernelSpec
 from .local_poly import Sample, estimate_level, fit_boundary
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -86,21 +91,23 @@ def estimate_derivatives(sample: Sample, response: str, side: str):
     """Second and third derivative pilots at the cutoff, one side.
 
     Ordinary least squares of the response on a quartic in (x - c) over
-    every observation of the side; returns (2 b2, 6 b3).
+    every observation of the side: `fit_boundary` at order 4 under the
+    uniform kernel with h the side's largest |x - c|, which gives every
+    observation of the side the same weight.  Returns (2 b2, 6 b3), two
+    floats; for response "YD" each is a (Y, D) array.
     """
-    mask = sample.side_mask(side)
-    xs = sample.x[mask] - sample.c
-    ys = sample.response(response)[mask]
-    if xs.size < 6:
+    n_side = int(np.count_nonzero(sample.side_mask(side)))
+    if n_side < 6:
         raise InsufficientData(
-            f"derivative pilot needs >= 6 observations on the {side} side, got {xs.size}"
+            f"derivative pilot needs >= 6 observations on the {side} side, got {n_side}"
         )
-    if np.unique(xs).size < 5:
-        raise SingularDesign(
-            f"derivative pilot needs 5 distinct x values on the {side} side"
-        )
-    coef, *_ = np.linalg.lstsq(np.vander(xs, 5, increasing=True), ys, rcond=None)
-    return 2.0 * float(coef[2]), 6.0 * float(coef[3])
+    span = sample.x.max() - sample.c if side == "plus" else sample.c - sample.x.min()
+    if span == 0.0:
+        raise SingularDesign(f"derivative pilot needs 5 distinct x values on the {side} side")
+    fit = fit_boundary(sample, response, side, span, order=4, kernel=KernelSpec("uniform"))
+    coef = fit.coefficients
+    m2, m3 = 2.0 * coef[2], 6.0 * coef[3]
+    return (m2, m3) if response == "YD" else (float(m2), float(m3))
 
 
 def _pilot_bandwidth(x: np.ndarray) -> float:
@@ -110,9 +117,10 @@ def _pilot_bandwidth(x: np.ndarray) -> float:
 def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpec()):
     """Conditional variance and covariance pilots at the cutoff, one side.
 
-    Local linear fits for Y and D under a rule-of-thumb bandwidth; the
-    moments are averages of residual products over the positive-weight
-    observations with a two-parameter degrees-of-freedom correction.
+    One local linear "YD" fit under a rule-of-thumb bandwidth gives the
+    Y and D residuals on its kernel window; the moments are averages of
+    residual products over those positive-weight observations with a
+    two-parameter degrees-of-freedom correction.
     The covariance is shrunk into the Cauchy-Schwarz bound and a
     near-sharp side (sig2D ~ 0) zeroes both treatment moments so the
     downstream variance combination stays nonnegative.
@@ -121,24 +129,20 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     -------
     (sig2Y, sig2D, sigYD) : tuple of floats
     """
-    mask = sample.side_mask(side)
-    xs = sample.x[mask]
+    xs = sample.x[sample.side_mask(side)]
     if xs.size < 10:
         raise InsufficientData(
             f"variance pilot needs >= 10 observations on the {side} side, got {xs.size}"
         )
-    h = _pilot_bandwidth(xs)
-
-    fit_y = fit_boundary(sample, "Y", side, h, order=1, kernel=kernel)
-    fit_d = fit_boundary(sample, "D", side, h, order=1, kernel=kernel)
-    n_v = fit_y.effective_n
+    fit = fit_boundary(sample, "YD", side, _pilot_bandwidth(xs), order=1, kernel=kernel)
+    n_v = fit.effective_n
     if n_v < 4:
         raise InsufficientData(f"only {n_v} observations carry weight on the {side} side")
 
-    keep = eval_kernel(kernel, (xs - sample.c) / h) > 0.0
-    xc = xs[keep] - sample.c
-    ey = sample.y[mask][keep] - (fit_y.coefficients[0] + fit_y.coefficients[1] * xc)
-    ed = sample.d[mask][keep] - (fit_d.coefficients[0] + fit_d.coefficients[1] * xc)
+    (y0, d0), (y1, d1) = fit.coefficients
+    xc = sample.x[fit.rows] - sample.c
+    ey = sample.y[fit.rows] - (y0 + y1 * xc)
+    ed = sample.d[fit.rows] - (d0 + d1 * xc)
 
     dof = n_v - 2
     sig2y = float(ey @ ey) / dof
@@ -169,10 +173,8 @@ def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()) -> float:
 def assemble_pilots(sample: Sample, kernel: KernelSpec = KernelSpec()) -> PilotEstimates:
     """Run every pilot estimator and combine them into one record."""
     f, f1 = estimate_density(sample)
-    m2y_p, m3y_p = estimate_derivatives(sample, "Y", "plus")
-    m2y_m, m3y_m = estimate_derivatives(sample, "Y", "minus")
-    m2d_p, m3d_p = estimate_derivatives(sample, "D", "plus")
-    m2d_m, m3d_m = estimate_derivatives(sample, "D", "minus")
+    (m2y_p, m2d_p), (m3y_p, m3d_p) = estimate_derivatives(sample, "YD", "plus")
+    (m2y_m, m2d_m), (m3y_m, m3d_m) = estimate_derivatives(sample, "YD", "minus")
     s2y_p, s2d_p, syd_p = estimate_variances(sample, "plus", kernel)
     s2y_m, s2d_m, syd_m = estimate_variances(sample, "minus", kernel)
     tau_d = estimate_tauD(sample, kernel)
@@ -184,14 +186,14 @@ def assemble_pilots(sample: Sample, kernel: KernelSpec = KernelSpec()) -> PilotE
     return PilotEstimates(
         f=f,
         f1=f1,
-        m2Y_plus=m2y_p,
-        m2Y_minus=m2y_m,
-        m3Y_plus=m3y_p,
-        m3Y_minus=m3y_m,
-        m2D_plus=m2d_p,
-        m2D_minus=m2d_m,
-        m3D_plus=m3d_p,
-        m3D_minus=m3d_m,
+        m2Y_plus=float(m2y_p),
+        m2Y_minus=float(m2y_m),
+        m3Y_plus=float(m3y_p),
+        m3Y_minus=float(m3y_m),
+        m2D_plus=float(m2d_p),
+        m2D_minus=float(m2d_m),
+        m3D_plus=float(m3d_p),
+        m3D_minus=float(m3d_m),
         sig2Y_plus=s2y_p,
         sig2Y_minus=s2y_m,
         sig2D_plus=s2d_p,

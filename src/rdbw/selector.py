@@ -480,17 +480,20 @@ def default_bounds(sample: Sample):
 
     The lower bound keeps the order-1 boundary fit solvable at
     estimation time; boundary hits are reported by the minimizer rather
-    than silently accepted.
+    than silently accepted.  The 3rd-smallest distinct |x - c| comes from
+    three masked minimum passes, with no sort.
     """
     out = []
     for side in ("plus", "minus"):
         xs = sample.x[sample.side_mask(side)]
-        dist = np.unique(np.abs(xs - sample.c))
-        if dist.size < 3:
+        dist = np.abs(xs - sample.c)
+        lo = -np.inf
+        for _ in range(3):
+            lo = float(np.min(dist, where=dist > lo, initial=np.inf))
+        if lo == np.inf:
             raise InsufficientData(
                 f"need at least 3 distinct support distances on the {side} side"
             )
-        lo = float(dist[2])
         hi = float(np.ptp(xs))
         if not lo < hi:
             raise DegenerateSample(

@@ -11,6 +11,7 @@ produces bit-identical summaries.
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -169,10 +170,6 @@ def _run_rep(spec: DgpSpec, method: str, kernel: KernelSpec, rep_index: int):
     return pair.h_plus, pair.h_minus, est.tau - TRUE_TAU[spec.design]
 
 
-def _run_rep_star(args):
-    return _run_rep(*args)
-
-
 def run_monte_carlo(
     spec: DgpSpec,
     method: str,
@@ -200,12 +197,12 @@ def run_monte_carlo(
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
 
-    tasks = ((spec, method, kernel, r) for r in range(reps))
+    rep = partial(_run_rep, spec, method, kernel)
     if jobs is not None and jobs > 1 and reps > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_rep_star, tasks, chunksize=max(1, reps // (8 * jobs))))
+            raw = list(pool.map(rep, range(reps), chunksize=max(1, reps // (8 * jobs))))
     else:
-        raw = [_run_rep_star(t) for t in tasks]
+        raw = [rep(r) for r in range(reps)]
 
     results = [r for r in raw if r is not None]
     failed = reps - len(results)

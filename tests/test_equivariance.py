@@ -1,0 +1,103 @@
+"""Unit equivariance of select-then-estimate, and estimation at a selected pair.
+
+Rescaling x by a (cutoff included) must rescale both selected bandwidths
+by a and leave the estimate unchanged; rescaling y by b must leave the
+bandwidths unchanged and rescale the estimate by b.  Once selection
+succeeds, estimation at its pair must not fail for a rank reason, which
+the lower bandwidth bounds exist to rule out.
+"""
+
+import numpy as np
+import pytest
+
+from rdbw.errors import RdbwError, SingularDesign
+from rdbw.estimator import frd_estimate
+from rdbw.local_poly import Sample
+from rdbw.selector import select_bandwidths
+from rdbw.simlab import DgpSpec, draw_sample
+
+SCALES = (1e-6, 1e-3, 10.0, 1e4, 1e6)
+REPS = 25
+RTOL = 1e-8
+
+
+def _analysis(sample):
+    pair = select_bandwidths(sample).bandwidths
+    return pair.h_plus, pair.h_minus, frd_estimate(sample, pair.h_plus, pair.h_minus).tau
+
+
+@pytest.fixture(scope="module", params=("design1", "design2"))
+def draws(request):
+    out = []
+    for rep in range(REPS):
+        sample = draw_sample(DgpSpec(design=request.param, n=500, seed=42), rep)
+        out.append((sample, _analysis(sample)))
+    return out
+
+
+def test_bandwidths_scale_with_x_and_tau_does_not_move(draws):
+    worst_h = worst_tau = 0.0
+    for sample, (h_plus, h_minus, tau) in draws:
+        for a in SCALES:
+            hp, hm, t = _analysis(Sample(x=a * sample.x, y=sample.y, d=sample.d, c=a * sample.c))
+            worst_h = max(worst_h, abs(hp / (a * h_plus) - 1.0), abs(hm / (a * h_minus) - 1.0))
+            worst_tau = max(worst_tau, abs(t / tau - 1.0))
+    assert worst_h < RTOL
+    assert worst_tau < RTOL
+
+
+def test_tau_scales_with_y_and_bandwidths_do_not_move(draws):
+    worst_h = worst_tau = 0.0
+    for sample, (h_plus, h_minus, tau) in draws:
+        for b in SCALES:
+            hp, hm, t = _analysis(Sample(x=sample.x, y=b * sample.y, d=sample.d, c=sample.c))
+            worst_h = max(worst_h, abs(hp / h_plus - 1.0), abs(hm / h_minus - 1.0))
+            worst_tau = max(worst_tau, abs(t / (b * tau) - 1.0))
+    assert worst_h < RTOL
+    assert worst_tau < RTOL
+
+
+def _fuzzed_sample(rng):
+    n = int(rng.integers(12, 600))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        u = 2.0 * rng.beta(2.0, 4.0, n) - 1.0
+    elif kind == 1:
+        u = rng.standard_cauchy(n)
+    elif kind == 2:
+        # a rounded running variable: ties everywhere, the cutoff on a support point
+        u = np.round(rng.uniform(-1.0, 1.0, n), int(rng.integers(1, 4)))
+    else:
+        u = rng.uniform(-1.0, 1.0, n)
+    x = 10.0 ** rng.uniform(-12.0, 6.0) * u
+    d = (rng.uniform(size=n) < np.where(u >= 0.0, 0.85, 0.15)).astype(float)
+    t = np.tanh(u)
+    y = rng.normal(0.0, 30.0, 3) @ np.vstack([t, t * t, t**3]) + d
+    y = y + rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 0.0), n)
+    if not (np.any(x >= 0.0) and np.any(x < 0.0)):
+        return None
+    return Sample(x=x, y=y, d=d, c=0.0)
+
+
+def test_estimation_at_a_selected_pair_is_never_singular():
+    rng = np.random.default_rng(20150921)
+    selected = 0
+    singular = []
+    for case in range(300):
+        sample = _fuzzed_sample(rng)
+        if sample is None:
+            continue
+        for mode in ("fuzzy", "sharp"):
+            try:
+                pair = select_bandwidths(sample, mode=mode).bandwidths
+            except RdbwError:
+                continue
+            selected += 1
+            try:
+                frd_estimate(sample, pair.h_plus, pair.h_minus)
+            except SingularDesign:
+                singular.append((case, mode))
+            except RdbwError:
+                pass
+    assert selected > 300
+    assert not singular

@@ -51,13 +51,29 @@ class TestEvalKernel:
 class TestMoments:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_closed_form_matches_quadrature(self, family):
+        # independent cross-check: quadrature moments at relative tolerance
+        # 1e-12, pushed through the same formulas for the four constants
         spec = KernelSpec(family)
-        closed = compute_moments(spec, method="closed")
-        quad = compute_moments(spec, method="quadrature")
-        np.testing.assert_allclose(closed.mu, quad.mu, atol=1e-10)
-        np.testing.assert_allclose(closed.nu, quad.nu, atol=1e-10)
-        for name in ("c1", "v", "xi1", "xi2"):
-            assert abs(getattr(closed, name) - getattr(quad, name)) < 1e-10
+        closed = compute_moments(spec)
+
+        def quad(p, power):
+            return integrate.quad(
+                lambda u: u**p * eval_kernel(spec, u) ** power, 0.0, 1.0, epsrel=1e-12
+            )[0]
+
+        mu = [quad(p, 1) for p in range(5)]
+        nu = [quad(p, 2) for p in range(3)]
+        np.testing.assert_allclose(closed.mu, mu, atol=1e-10)
+        np.testing.assert_allclose(closed.nu, nu, atol=1e-10)
+        den = mu[0] * mu[2] - mu[1] ** 2
+        derived = {
+            "c1": (mu[2] ** 2 - mu[1] * mu[3]) / (2.0 * den),
+            "v": (mu[2] ** 2 * nu[0] - 2.0 * mu[1] * mu[2] * nu[1] + mu[1] ** 2 * nu[2]) / den**2,
+            "xi1": (mu[2] * mu[3] - mu[1] * mu[4]) / den,
+            "xi2": (mu[2] ** 2 - mu[1] * mu[3]) * (mu[0] * mu[3] - mu[1] * mu[2]) / den**2,
+        }
+        for name, value in derived.items():
+            assert abs(getattr(closed, name) - value) < 1e-10
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_moments_match_direct_integration(self, family):
@@ -107,7 +123,3 @@ class TestMoments:
                 abs(m.xi2 - (mu[2] ** 2 - mu[1] * mu[3]) * (mu[0] * mu[3] - mu[1] * mu[2]) / den**2)
                 < 1e-13
             )
-
-    def test_bad_method_rejected(self):
-        with pytest.raises(ValueError):
-            compute_moments(KernelSpec("triangular"), method="series")

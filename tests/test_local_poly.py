@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rdbw.errors import SingularDesign
-from rdbw.kernels import KernelSpec
+from rdbw.kernels import FAMILIES, KernelSpec, eval_kernel
 from rdbw.local_poly import BoundaryFit, Sample, estimate_level, fit_boundary
 
 
@@ -106,11 +106,14 @@ class TestFitBoundary:
         assert estimate_level(s, "Y", "plus", 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_singular_when_too_few_distinct_points(self):
-        x = np.array([0.2, 0.2, 0.2, -0.5, -0.6])
-        y = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        s = make_sample(x, y)
-        with pytest.raises(SingularDesign):
-            fit_boundary(s, "Y", "plus", h=1.0, order=1)
+        # order distinct values, each repeated: one short of order + 1
+        for order in (1, 2, 3, 4):
+            xs = np.repeat(np.linspace(0.1, 0.5, order), 3)
+            x = np.concatenate([xs, [-0.5, -0.6]])
+            s = make_sample(x, np.ones_like(x))
+            for response in ("Y", "D", "YD"):
+                with pytest.raises(SingularDesign, match="distinct"):
+                    fit_boundary(s, response, "plus", h=1.0, order=order)
 
     def test_narrow_bandwidth_excludes_support(self):
         # only one support point inside h: order-1 fit must fail loudly
@@ -140,3 +143,71 @@ class TestFitBoundary:
         assert isinstance(fit, BoundaryFit)
         assert fit.side == "plus"
         assert fit.h == 1.0
+
+
+class TestWindow:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_are_exactly_the_positive_weight_points(self, family):
+        # points on and one ulp either side of |x - c| = h, where rounding
+        # in (x - c)/h decides the weight, plus a spread of interior points
+        kernel = KernelSpec(family)
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            c = float(rng.choice([0.0, rng.uniform(-5.0, 5.0), rng.uniform(-1e6, 1e6)]))
+            h = float(10.0 ** rng.uniform(-6.0, 3.0))
+            edges = np.array([c + h, c - h])
+            x = np.concatenate(
+                [
+                    edges,
+                    np.nextafter(edges, np.inf),
+                    np.nextafter(edges, -np.inf),
+                    c + h * rng.uniform(-1.5, 1.5, 40),
+                    [c, c + 2.0 * h, c - 2.0 * h],
+                ]
+            )
+            s = make_sample(x, rng.normal(size=x.size), d=rng.integers(0, 2, x.size), c=c)
+            w = eval_kernel(kernel, (x - c) / h)
+            for side in ("plus", "minus"):
+                want = np.flatnonzero(s.side_mask(side) & (w > 0.0))
+                fit = fit_boundary(s, "YD", side, h, order=1, kernel=kernel)
+                np.testing.assert_array_equal(fit.rows, want)
+                assert fit.effective_n == want.size
+
+
+class TestJointResponses:
+    def test_yd_fit_equals_separate_fits(self):
+        rng = np.random.default_rng(23)
+        for order in (1, 2, 4):
+            for family in FAMILIES:
+                x = 2.0 * rng.beta(2.0, 4.0, 3000) - 1.0
+                d = (rng.uniform(size=x.size) < np.where(x >= 0, 0.8, 0.3)).astype(float)
+                y = np.sin(4.0 * x) + 0.7 * d + rng.normal(0.0, 0.2, x.size)
+                s = make_sample(x, y, d=d)
+                for side in ("plus", "minus"):
+                    kernel = KernelSpec(family)
+                    joint = fit_boundary(s, "YD", side, 0.4, order=order, kernel=kernel)
+                    fy = fit_boundary(s, "Y", side, 0.4, order=order, kernel=kernel)
+                    fd = fit_boundary(s, "D", side, 0.4, order=order, kernel=kernel)
+                    assert joint.coefficients.shape == (order + 1, 2)
+                    tol = dict(rtol=1e-12, atol=1e-12)
+                    np.testing.assert_allclose(joint.coefficients[:, 0], fy.coefficients, **tol)
+                    np.testing.assert_allclose(joint.coefficients[:, 1], fd.coefficients, **tol)
+                    np.testing.assert_allclose(joint.value, [fy.value, fd.value], **tol)
+                    np.testing.assert_array_equal(joint.rows, fy.rows)
+
+    def test_blocked_accumulation_matches_one_weighted_solve(self):
+        # 150k rows in the window: the triangular factor is built over
+        # several blocks; the weighted normal-equation solve is the reference
+        rng = np.random.default_rng(29)
+        x = rng.uniform(-1.0, 1.0, 400_000)
+        d = (rng.uniform(size=x.size) < 0.5).astype(float)
+        y = np.exp(x) + d + rng.normal(0.0, 0.1, x.size)
+        s = make_sample(x, y, d=d)
+        fit = fit_boundary(s, "YD", "plus", 0.75, order=3)
+        xs = x[fit.rows]
+        assert xs.size > 140_000
+        w = eval_kernel(KernelSpec(), xs / 0.75)
+        design = np.vander(xs, 4, increasing=True)
+        gram = design.T @ (w[:, None] * design)
+        ref = np.linalg.solve(gram, design.T @ (w[:, None] * np.column_stack([y, d])[fit.rows]))
+        np.testing.assert_allclose(fit.coefficients, ref, rtol=1e-9, atol=1e-10)

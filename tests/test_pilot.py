@@ -86,6 +86,24 @@ class TestEstimateDerivatives:
         assert abs(m2 - 2.0 * beta[2]) < 1e-3 * abs(2.0 * beta[2])
         assert abs(m3 - 6.0 * beta[3]) < 1e-3 * abs(6.0 * beta[3])
 
+    def test_matches_polyfit_on_both_sides_and_responses(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            x = rng.uniform(-1.0, 1.0, 800)
+            d = (rng.uniform(size=x.size) < np.where(x >= 0, 0.7, 0.2)).astype(float)
+            y = np.cos(3.0 * x) + d + rng.normal(0.0, 0.3, x.size)
+            s = two_sided(x, y, d=d)
+            for side, mask in (("plus", x >= 0), ("minus", x < 0)):
+                ref = np.polynomial.polynomial.polyfit(x[mask], np.column_stack([y, d])[mask], 4)
+                (m2y, m2d), (m3y, m3d) = estimate_derivatives(s, "YD", side)
+                for resp, col in (("Y", 0), ("D", 1)):
+                    m2, m3 = estimate_derivatives(s, resp, side)
+                    assert isinstance(m2, float) and isinstance(m3, float)
+                    assert m2 == pytest.approx(2.0 * ref[2, col], rel=1e-10, abs=1e-10)
+                    assert m3 == pytest.approx(6.0 * ref[3, col], rel=1e-10, abs=1e-10)
+                np.testing.assert_allclose([m2y, m2d], 2.0 * ref[2], rtol=1e-10, atol=1e-10)
+                np.testing.assert_allclose([m3y, m3d], 6.0 * ref[3], rtol=1e-10, atol=1e-10)
+
     def test_needs_six_observations(self):
         s = two_sided([-0.5, 0.1, 0.2, 0.3, 0.4, 0.5], np.zeros(6))
         with pytest.raises(InsufficientData):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rdbw.errors import AssumptionViolated, DegenerateObjective, ZeroCurvature
+from rdbw.errors import (
+    AssumptionViolated,
+    DegenerateObjective,
+    DegenerateSample,
+    InsufficientData,
+    ZeroCurvature,
+)
 from rdbw.kernels import KernelSpec, compute_moments
+from rdbw.local_poly import Sample
 from rdbw.pilot import PilotEstimates
 from rdbw.selector import (
     AmseCoefficients,
@@ -319,3 +326,23 @@ class TestSelectBandwidths:
         assert hi_p == pytest.approx(np.ptp(xp))
         assert lo_m == pytest.approx(np.sort(np.unique(np.abs(xm)))[2])
         assert hi_m == pytest.approx(np.ptp(xm))
+
+    def test_default_bounds_counts_distinct_distances(self):
+        # ties count once: three distinct distances on each side
+        x = np.array([0.0, 0.0, 0.1, 0.1, 0.3, 0.5, -0.2, -0.2, -0.4, -0.6, -0.6, -0.9])
+        s = Sample(x=x, y=np.zeros_like(x), d=(x >= 0).astype(float), c=0.0)
+        (lo_p, hi_p), (lo_m, hi_m) = default_bounds(s)
+        assert (lo_p, hi_p) == (0.3, 0.5)
+        assert (lo_m, hi_m) == (0.6, pytest.approx(0.7))
+
+    def test_default_bounds_errors(self):
+        # two distinct distances on the plus side, however many ties
+        x = np.array([0.1, 0.1, 0.2, 0.2, -0.1, -0.2, -0.3, -0.5])
+        s = Sample(x=x, y=np.zeros_like(x), d=(x >= 0).astype(float), c=0.0)
+        with pytest.raises(InsufficientData):
+            default_bounds(s)
+        # the 3rd distance equals the plus side's range: an empty box
+        x = np.array([0.0, 0.1, 0.2, -0.1, -0.2, -0.3, -0.5])
+        s = Sample(x=x, y=np.zeros_like(x), d=(x >= 0).astype(float), c=0.0)
+        with pytest.raises(DegenerateSample):
+            default_bounds(s)
