@@ -9,13 +9,14 @@ flows from an explicit seed.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -27,6 +28,11 @@ from .selector import select_bandwidths
 from .simlab import DgpSpec, draw_sample, run_monte_carlo
 
 _COLUMNS = ("x", "y", "d")
+
+# CSV is read and written in blocks of about this many characters or rows,
+# so the memory it takes beyond the data does not grow with the file
+_BLOCK_CHARS = 1 << 20
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -159,65 +165,155 @@ def parse_args(argv) -> RunConfig:
 def load_csv(path: str, cutoff: float) -> Sample:
     """Read observations from a headered CSV file.
 
-    The header must name columns x, y and d (case-insensitive, any
-    order, extras ignored).  Error messages carry 1-based file line
-    numbers.
+    The file is UTF-8 text.  The header must name columns x, y and d
+    (case-insensitive, any order, extras ignored).  A row is skipped when
+    every cell is empty or whitespace (an empty line, ``" "``, ``,,``,
+    ``"",""``); every other row must have at least as many fields as the
+    header.  Cells may be quoted with ``"``; a quoted cell cannot span
+    lines.  Numbers are read by numpy: ASCII decimal or exponent notation
+    with optional sign and surrounding whitespace, plus ``inf``,
+    ``infinity`` and ``nan`` in any case.  Underscores (``1_0``),
+    non-ASCII digits and hex are rejected, although Python's ``float``
+    accepts the first two.  Error messages carry 1-based file line
+    numbers and name the first bad row in file order.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot open {path}: {e.strerror}") from e
-    with fh:
-        reader = csv.reader(fh)
+    blocks = []
+    with fh:  # universal newlines turn \r\n and \r into \n, the line ends csv knows
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty") from None
-        names = [cell.strip().lower() for cell in header]
-        try:
-            idx = {col: names.index(col) for col in _COLUMNS}
-        except ValueError:
+            header = fh.readline()
+            if not header:
+                raise ParseError(f"{path}: file is empty")
+            names = [cell.strip().lower() for cell in _csv_cells(path, header, 1)]
             missing = [c for c in _COLUMNS if c not in names]
-            raise ParseError(f"{path}: header lacks column(s) {', '.join(missing)}") from None
+            if missing:
+                raise ParseError(f"{path}: header lacks column(s) {', '.join(missing)}")
+            usecols = [names.index(col) for col in _COLUMNS]
+            line_no = 2
+            while lines := fh.readlines(_BLOCK_CHARS):
+                blocks.append(_parse_block(path, lines, line_no, names, usecols))
+                line_no += len(lines)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
 
-        cols = {col: [] for col in _COLUMNS}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(names):
-                raise ParseError(f"{path}: row {line_no} has {len(row)} fields, expected {len(names)}")
-            for col in _COLUMNS:
-                cell = row[idx[col]].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {line_no} column {col} is not a number: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise ValidationError(f"{path}: row {line_no} column {col} is not finite")
-                cols[col].append(value)
-            d_val = cols["d"][-1]
-            if d_val not in (0.0, 1.0):
-                raise ValidationError(f"{path}: row {line_no}: d must be 0 or 1, got {d_val:g}")
-
+    x, y, d = np.concatenate(blocks, axis=1) if blocks else np.empty((3, 0))
     try:
-        return Sample(
-            x=np.array(cols["x"]),
-            y=np.array(cols["y"]),
-            d=np.array(cols["d"]),
-            c=cutoff,
-        )
+        return Sample(x=x, y=y, d=d, c=cutoff)
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _parse_block(path: str, lines, first_line_no: int, names, usecols) -> np.ndarray:
+    """The x, y, d columns of a block of lines as a (3, n) array, or the error of its first bad row."""
+    kept = [
+        i
+        for i, line in enumerate(lines)
+        if line.replace(",", "").strip()
+        and ('"' not in line or any(map(str.strip, _csv_cells(path, line, first_line_no + i))))
+    ]
+    rows = [lines[i] for i in kept]
+    width = len(names)
+    try:
+        data, bad = _checked(rows, usecols, width)
+        if not bad.any():
+            return data.T
+    except (ValueError, csv.Error):
+        pass
+    k = _first_bad_row(rows, usecols, width)
+    _raise_row_error(path, first_line_no + kept[k], rows[k], names, usecols)
+
+
+def _parse(rows, usecols) -> np.ndarray:
+    """The one numeric parse: the used columns of `rows` as an (n, k) float array."""
+    return np.loadtxt(rows, delimiter=",", usecols=usecols, quotechar='"', comments=None, ndmin=2)
+
+
+def _csv_cells(path: str, line: str, line_no: int) -> list:
+    """The cells of one line as the csv module splits them."""
+    try:
+        return next(csv.reader([line]), [])
+    except csv.Error as e:
+        raise ParseError(f"{path}: row {line_no}: {e}") from None
+
+
+def _field_count(row: str) -> int:
+    return len(next(csv.reader([row]))) if '"' in row else row.count(",") + 1
+
+
+def _checked(rows, usecols, width):
+    """Parse `rows`; return the data and a mask of the rows that fail a check.
+
+    Raises ValueError (or csv.Error) when numpy cannot parse some row.
+    """
+    if not rows:  # np.loadtxt warns on empty input
+        return np.empty((0, len(usecols))), np.zeros(0, dtype=bool)
+    data = _parse(rows, usecols)
+    d = data[:, -1]
+    bad = ~np.isfinite(data).all(axis=1) | ((d != 0.0) & (d != 1.0))
+    # numpy rejects a row that lacks a used column; one that lacks only
+    # an ignored trailing column has to be counted
+    if width > max(usecols) + 1:
+        bad |= np.fromiter(map(_field_count, rows), dtype=int, count=len(rows)) < width
+    return data, bad
+
+
+def _first_bad_row(rows, usecols, width) -> int:
+    """Index of the first row of `rows` that fails a check; some row must.
+
+    Runs only on a file that fails.  It bisects with the checks of the
+    fast path, so the two agree on every row, at the cost of about two
+    more passes over the data.
+    """
+    lo, hi = 0, len(rows)  # rows[:lo] pass; rows[lo:hi] hold a failing row
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            passes = not _checked(rows[lo:mid], usecols, width)[1].any()
+        except (ValueError, csv.Error):
+            passes = False
+        if passes:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _raise_row_error(path: str, line_no: int, row: str, names, usecols) -> NoReturn:
+    """Raise the error for the first bad cell of one failing row."""
+    cells = _csv_cells(path, row, line_no)
+    if len(cells) < len(names):
+        raise ParseError(f"{path}: row {line_no} has {len(cells)} fields, expected {len(names)}")
+    for col, j in zip(_COLUMNS, usecols):
+        try:
+            value = _parse([row], [j])[0, 0]
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {line_no} column {col} is not a number: {cells[j].strip()!r}"
+            ) from None
+        if not np.isfinite(value):
+            raise ValidationError(f"{path}: row {line_no} column {col} is not finite")
+    if value not in (0.0, 1.0):
+        raise ValidationError(f"{path}: row {line_no}: d must be 0 or 1, got {value:g}")
+    # csv and numpy split this row differently
+    raise ParseError(f"{path}: row {line_no} cannot be parsed")
+
+
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """Text stream for a command's output: the file at `path`, else stdout."""
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            yield fh
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    with _output(path) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _to_json(obj) -> str:
@@ -287,10 +383,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_dgp_sample(cfg: RunConfig) -> int:
     spec = DgpSpec(design=cfg.design, n=cfg.n, error_sd=cfg.error_sd, seed=cfg.seed)
     sample = draw_sample(spec, cfg.rep_index)
-    lines = ["x,y,d"]
-    for xi, yi, di in zip(sample.x, sample.y, sample.d):
-        lines.append(f"{xi:.17g},{yi:.17g},{di:.0f}")
-    _emit("\n".join(lines), cfg.output_path)
+    x, y, d = sample.x, sample.y, sample.d.astype(int)
+    with _output(cfg.output_path) as fh:
+        fh.write("x,y,d\n")
+        for i in range(0, sample.n, _BLOCK_ROWS):
+            part = slice(i, i + _BLOCK_ROWS)
+            rows = zip(x[part].tolist(), y[part].tolist(), d[part].tolist())
+            fh.write("".join(map("%.17g,%.17g,%d\n".__mod__, rows)))
     return 0
 
 
