@@ -4,8 +4,8 @@ Four subcommands: `select` picks bandwidths from a data file, `estimate`
 computes the jump ratio (with given or auto-selected bandwidths),
 `simulate` runs the Monte Carlo engine on a built-in design, and
 `dgp-sample` emits one raw simulated data set.  Every command exits 0 on
-success and nonzero with a single-line error otherwise; all randomness
-flows from an explicit seed.
+success, 1 on a domain error and 2 on a usage error, the last two with a
+single-line error; all randomness flows from an explicit seed.
 """
 
 import argparse
@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 import numpy as np
@@ -25,7 +24,7 @@ from .estimator import frd_estimate
 from .kernels import FAMILIES, KernelSpec
 from .local_poly import Sample
 from .selector import select_bandwidths
-from .simlab import DgpSpec, draw_sample, run_monte_carlo
+from .simlab import DEFAULT_ERROR_SD, DgpSpec, draw_sample, run_monte_carlo
 
 _COLUMNS = ("x", "y", "d")
 
@@ -33,30 +32,6 @@ _COLUMNS = ("x", "y", "d")
 # so the memory it takes beyond the data does not grow with the file
 _BLOCK_CHARS = 1 << 20
 _BLOCK_ROWS = 1 << 15
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus everything it needs."""
-
-    command: str
-    input_path: Optional[str] = None
-    cutoff: float = 0.0
-    kernel: KernelSpec = KernelSpec()
-    mode: str = "fuzzy"
-    output_path: Optional[str] = None
-    seed: int = 42
-    reps: int = 1000
-    n: int = 500
-    design: Optional[str] = None
-    method: str = "mmse_f"
-    h_plus: Optional[float] = None
-    h_minus: Optional[float] = None
-    auto: bool = False
-    error_sd: float = 0.1295
-    rep_index: int = 0
-    out_dir: str = "."
-    jobs: Optional[int] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,109 +51,93 @@ def _build_parser() -> _Parser:
         p.add_argument("--mode", choices=("fuzzy", "sharp"), default="fuzzy")
         p.add_argument("--output", default=None, help="JSON output path (default: stdout)")
 
+    def add_design_flags(p, output_help):
+        p.add_argument("--design", choices=("1", "2"), required=True)
+        p.add_argument("--n", type=int, default=500)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--error-sd", type=float, default=DEFAULT_ERROR_SD)
+        p.add_argument("--output", default=None, help=output_help)
+
     p_sel = sub.add_parser("select", help="select bandwidths from a data file")
     add_data_flags(p_sel)
+    p_sel.set_defaults(run=_cmd_select)
 
     p_est = sub.add_parser("estimate", help="estimate the jump ratio from a data file")
     add_data_flags(p_est)
     p_est.add_argument("--h-plus", type=float, default=None, help="right-side bandwidth")
     p_est.add_argument("--h-minus", type=float, default=None, help="left-side bandwidth")
     p_est.add_argument("--auto", action="store_true", help="select bandwidths first")
+    p_est.set_defaults(run=_cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run on a built-in design")
-    p_sim.add_argument("--design", choices=("1", "2"), required=True)
+    add_design_flags(p_sim, "summary JSON path (default: stdout)")
     p_sim.add_argument("--method", choices=("mmse-f", "mmse-s"), default="mmse-f")
-    p_sim.add_argument("--n", type=int, default=500)
     p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=42)
     p_sim.add_argument("--kernel", choices=FAMILIES, default="triangular")
-    p_sim.add_argument("--error-sd", type=float, default=0.1295)
     p_sim.add_argument("--jobs", type=int, default=None, help="parallel worker processes")
     p_sim.add_argument("--out-dir", default=".", help="directory for cdf.csv and table.csv")
-    p_sim.add_argument("--output", default=None, help="summary JSON path (default: stdout)")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_dgp = sub.add_parser("dgp-sample", help="emit one simulated data set as CSV")
-    p_dgp.add_argument("--design", choices=("1", "2"), required=True)
-    p_dgp.add_argument("--n", type=int, default=500)
-    p_dgp.add_argument("--seed", type=int, default=42)
-    p_dgp.add_argument("--error-sd", type=float, default=0.1295)
+    add_design_flags(p_dgp, "CSV output path (default: stdout)")
     p_dgp.add_argument("--rep-index", type=int, default=0)
-    p_dgp.add_argument("--output", default=None, help="CSV output path (default: stdout)")
+    p_dgp.set_defaults(run=_cmd_dgp_sample)
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse and validate a command line into a RunConfig."""
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and validate a command line.
+
+    The namespace holds argparse's fields, with flag strings turned into
+    library values here and nowhere else: `kernel` is a KernelSpec,
+    `method` a simlab method name, and `simulate` and `dgp-sample` get
+    `spec`, the DgpSpec of their design flags.  `run` is the command.
+    """
     ns = _build_parser().parse_args(argv)
-    cmd = ns.command
+    if "kernel" in ns:
+        ns.kernel = KernelSpec(ns.kernel)
 
-    if cmd in ("select", "estimate"):
-        cfg = RunConfig(
-            command=cmd,
-            input_path=ns.input,
-            cutoff=ns.cutoff,
-            kernel=KernelSpec(ns.kernel),
-            mode=ns.mode,
-            output_path=ns.output,
-            h_plus=getattr(ns, "h_plus", None),
-            h_minus=getattr(ns, "h_minus", None),
-            auto=getattr(ns, "auto", False),
-        )
-        if cmd == "estimate":
-            manual = cfg.h_plus is not None or cfg.h_minus is not None
-            if cfg.auto and manual:
-                raise UsageError("--auto excludes --h-plus/--h-minus")
-            if not cfg.auto and (cfg.h_plus is None or cfg.h_minus is None):
-                raise UsageError("estimate needs --auto or both --h-plus and --h-minus")
-            if manual and (cfg.h_plus <= 0 or cfg.h_minus <= 0):
-                raise UsageError("bandwidths must be positive")
-        return cfg
-
-    design = f"design{ns.design}"
-    if cmd == "simulate":
+    if ns.command == "estimate":
+        manual = ns.h_plus is not None or ns.h_minus is not None
+        if ns.auto and manual:
+            raise UsageError("--auto excludes --h-plus/--h-minus")
+        if not ns.auto and (ns.h_plus is None or ns.h_minus is None):
+            raise UsageError("estimate needs --auto or both --h-plus and --h-minus")
+        if manual and (ns.h_plus <= 0 or ns.h_minus <= 0):
+            raise UsageError("bandwidths must be positive")
+    elif ns.command == "simulate":
         if ns.reps < 1:
             raise UsageError("--reps must be at least 1")
-        return RunConfig(
-            command=cmd,
-            design=design,
-            method=ns.method.replace("-", "_"),
-            n=ns.n,
-            reps=ns.reps,
-            seed=ns.seed,
-            kernel=KernelSpec(ns.kernel),
-            error_sd=ns.error_sd,
-            jobs=ns.jobs,
-            out_dir=ns.out_dir,
-            output_path=ns.output,
-        )
-    return RunConfig(
-        command=cmd,
-        design=design,
-        n=ns.n,
-        seed=ns.seed,
-        error_sd=ns.error_sd,
-        rep_index=ns.rep_index,
-        output_path=ns.output,
-    )
+        ns.method = ns.method.replace("-", "_")
+    elif ns.command == "dgp-sample" and ns.rep_index < 0:
+        raise UsageError("--rep-index must be at least 0")
+
+    if "design" in ns:
+        try:
+            ns.spec = DgpSpec(design=f"design{ns.design}", n=ns.n, error_sd=ns.error_sd, seed=ns.seed)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+    return ns
 
 
 def load_csv(path: str, cutoff: float) -> Sample:
     """Read observations from a headered CSV file.
 
-    The file is UTF-8 text.  The header must name columns x, y and d
-    (case-insensitive, any order, extras ignored).  A row is skipped when
-    every cell is empty or whitespace (an empty line, ``" "``, ``,,``,
-    ``"",""``); every other row must have at least as many fields as the
-    header.  Cells may be quoted with ``"``; a quoted cell cannot span
-    lines.  Numbers are read by numpy: ASCII decimal or exponent notation
-    with optional sign and surrounding whitespace, plus ``inf``,
-    ``infinity`` and ``nan`` in any case.  Underscores (``1_0``),
-    non-ASCII digits and hex are rejected, although Python's ``float``
-    accepts the first two.  Error messages carry 1-based file line
-    numbers and name the first bad row in file order.
+    The file is UTF-8 text, with or without a byte-order mark.  The
+    header must name columns x, y and d (case-insensitive, any order,
+    extras ignored).  A row is skipped when every cell is empty or
+    whitespace (an empty line, ``" "``, ``,,``, ``"",""``); every other
+    row must have at least as many fields as the header.  Cells may be
+    quoted with ``"``; a quoted cell cannot span lines.  Numbers are read
+    by numpy: ASCII decimal or exponent notation with optional sign and
+    surrounding whitespace, plus ``inf``, ``infinity`` and ``nan`` in any
+    case.  Underscores (``1_0``), non-ASCII digits and hex are rejected,
+    although Python's ``float`` accepts the first two.  Error messages
+    carry 1-based file line numbers and name the first bad row in file
+    order.
     """
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as e:
         raise ParseError(f"cannot open {path}: {e.strerror}") from e
     blocks = []
@@ -311,13 +270,10 @@ def _output(path: Optional[str]):
             yield fh
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(payload, path: Optional[str]) -> None:
+    """Write `payload` as indented JSON to `path`, else stdout."""
     with _output(path) as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _select_payload(result) -> dict:
@@ -332,37 +288,34 @@ def _select_payload(result) -> dict:
     }
 
 
-def _cmd_select(cfg: RunConfig) -> int:
-    sample = load_csv(cfg.input_path, cfg.cutoff)
-    result = select_bandwidths(sample, cfg.kernel, cfg.mode)
-    _emit(_to_json(_select_payload(result)), cfg.output_path)
-    return 0
+def _cmd_select(ns: argparse.Namespace) -> None:
+    sample = load_csv(ns.input, ns.cutoff)
+    result = select_bandwidths(sample, ns.kernel, ns.mode)
+    _emit(_select_payload(result), ns.output)
 
 
-def _cmd_estimate(cfg: RunConfig) -> int:
-    sample = load_csv(cfg.input_path, cfg.cutoff)
-    if cfg.auto:
-        pair = select_bandwidths(sample, cfg.kernel, cfg.mode).bandwidths
+def _cmd_estimate(ns: argparse.Namespace) -> None:
+    sample = load_csv(ns.input, ns.cutoff)
+    if ns.auto:
+        pair = select_bandwidths(sample, ns.kernel, ns.mode).bandwidths
         h_plus, h_minus = pair.h_plus, pair.h_minus
     else:
-        h_plus, h_minus = cfg.h_plus, cfg.h_minus
-    est = frd_estimate(sample, h_plus, h_minus, cfg.kernel)
-    _emit(_to_json(dataclasses.asdict(est)), cfg.output_path)
-    return 0
+        h_plus, h_minus = ns.h_plus, ns.h_minus
+    est = frd_estimate(sample, h_plus, h_minus, ns.kernel)
+    _emit(dataclasses.asdict(est), ns.output)
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    spec = DgpSpec(design=cfg.design, n=cfg.n, error_sd=cfg.error_sd, seed=cfg.seed)
-    summary = run_monte_carlo(spec, cfg.method, cfg.reps, cfg.kernel, jobs=cfg.jobs)
-    _emit(_to_json(dataclasses.asdict(summary)), cfg.output_path)
+def _cmd_simulate(ns: argparse.Namespace) -> None:
+    summary = run_monte_carlo(ns.spec, ns.method, ns.reps, ns.kernel, jobs=ns.jobs)
+    _emit(dataclasses.asdict(summary), ns.output)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "cdf.csv"), "w", newline="", encoding="utf-8") as fh:
+    os.makedirs(ns.out_dir, exist_ok=True)
+    with open(os.path.join(ns.out_dir, "cdf.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "fraction"])
         for t, frac in summary.cdf:
             writer.writerow([f"{t:.17g}", f"{frac:.17g}"])
-    with open(os.path.join(cfg.out_dir, "table.csv"), "w", newline="", encoding="utf-8") as fh:
+    with open(os.path.join(ns.out_dir, "table.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         fields = [
             "method",
@@ -377,47 +330,28 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         ]
         writer.writerow(fields)
         writer.writerow([getattr(summary, f) for f in fields])
-    return 0
 
 
-def _cmd_dgp_sample(cfg: RunConfig) -> int:
-    spec = DgpSpec(design=cfg.design, n=cfg.n, error_sd=cfg.error_sd, seed=cfg.seed)
-    sample = draw_sample(spec, cfg.rep_index)
+def _cmd_dgp_sample(ns: argparse.Namespace) -> None:
+    sample = draw_sample(ns.spec, ns.rep_index)
     x, y, d = sample.x, sample.y, sample.d.astype(int)
-    with _output(cfg.output_path) as fh:
+    with _output(ns.output) as fh:
         fh.write("x,y,d\n")
         for i in range(0, sample.n, _BLOCK_ROWS):
             part = slice(i, i + _BLOCK_ROWS)
             rows = zip(x[part].tolist(), y[part].tolist(), d[part].tolist())
             fh.write("".join(map("%.17g,%.17g,%d\n".__mod__, rows)))
-    return 0
-
-
-_COMMANDS = {
-    "select": _cmd_select,
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
-    "dgp-sample": _cmd_dgp_sample,
-}
 
 
 def main(argv=None) -> int:
     """Entry point; returns the process exit status."""
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        cfg = parse_args(list(argv))
-        return _COMMANDS[cfg.command](cfg)
-    except UsageError as e:
-        print(f"error: {_one_line(e)}", file=sys.stderr)
-        return 2
+        ns = parse_args(argv)
+        ns.run(ns)
     except RdbwError as e:
-        print(f"error: {_one_line(e)}", file=sys.stderr)
-        return 1
-
-
-def _one_line(e: Exception) -> str:
-    return " ".join(str(e).split())
+        print(f"error: {' '.join(str(e).split())}", file=sys.stderr)
+        return 2 if isinstance(e, UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -67,8 +67,10 @@ class DgpSpec:
             raise ValueError(f"design must be one of {DESIGNS}, got {self.design!r}")
         if self.n < 50:
             raise ValueError(f"n must be at least 50, got {self.n}")
-        if not self.error_sd > 0.0:
-            raise ValueError("error_sd must be positive")
+        if not 0.0 < self.error_sd < math.inf:
+            raise ValueError(f"error_sd must be positive and finite, got {self.error_sd}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

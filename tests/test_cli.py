@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from rdbw import cli
-from rdbw.cli import RunConfig, load_csv, main, parse_args
+from rdbw.cli import load_csv, main, parse_args
 from rdbw.errors import ParseError, RdbwError, UsageError, ValidationError
+from rdbw.kernels import KernelSpec
 from rdbw.local_poly import Sample
-from rdbw.simlab import DgpSpec, draw_sample
+from rdbw.simlab import DEFAULT_ERROR_SD, DgpSpec, draw_sample
 
 
 def write(path, text):
@@ -24,31 +25,25 @@ GOOD_CSV = "x,y,d\n-0.5,1.0,0\n-0.2,1.1,0\n0.3,2.0,1\n"
 
 class TestParseArgs:
     def test_select_defaults(self):
-        cfg = parse_args(["select", "--input", "data.csv", "--cutoff", "0"])
-        assert cfg.command == "select"
-        assert cfg.input_path == "data.csv"
-        assert cfg.cutoff == 0.0
-        assert cfg.kernel.family == "triangular"
-        assert cfg.mode == "fuzzy"
-        assert cfg.output_path is None
+        ns = parse_args(["select", "--input", "data.csv", "--cutoff", "0"])
+        assert ns.command == "select"
+        assert ns.input == "data.csv"
+        assert ns.cutoff == 0.0
+        assert ns.kernel == KernelSpec("triangular")
+        assert ns.mode == "fuzzy"
+        assert ns.output is None
 
     def test_simulate_config(self):
-        cfg = parse_args(
+        ns = parse_args(
             ["simulate", "--design", "2", "--reps", "1000", "--n", "500", "--seed", "7"]
         )
-        assert cfg == RunConfig(
-            command="simulate",
-            design="design2",
-            method="mmse_f",
-            n=500,
-            reps=1000,
-            seed=7,
-            out_dir=".",
-        )
+        assert ns.spec == DgpSpec(design="design2", n=500, error_sd=DEFAULT_ERROR_SD, seed=7)
+        assert (ns.method, ns.reps, ns.kernel) == ("mmse_f", 1000, KernelSpec())
+        assert (ns.jobs, ns.out_dir, ns.output) == (None, ".", None)
 
     def test_method_name_mapped(self):
-        cfg = parse_args(["simulate", "--design", "1", "--method", "mmse-s"])
-        assert cfg.method == "mmse_s"
+        ns = parse_args(["simulate", "--design", "1", "--method", "mmse-s"])
+        assert ns.method == "mmse_s"
 
     def test_estimate_requires_input(self):
         with pytest.raises(UsageError):
@@ -63,10 +58,10 @@ class TestParseArgs:
             parse_args(["tabulate"])
 
     def test_estimate_bandwidth_flags(self):
-        cfg = parse_args(
+        ns = parse_args(
             ["estimate", "--input", "a.csv", "--h-plus", "0.2", "--h-minus", "0.3"]
         )
-        assert cfg.h_plus == 0.2 and cfg.h_minus == 0.3
+        assert ns.h_plus == 0.2 and ns.h_minus == 0.3
         with pytest.raises(UsageError):
             parse_args(["estimate", "--input", "a.csv", "--h-plus", "0.2"])
         with pytest.raises(UsageError):
@@ -77,6 +72,27 @@ class TestParseArgs:
     def test_reps_validated(self):
         with pytest.raises(UsageError):
             parse_args(["simulate", "--design", "1", "--reps", "0"])
+
+    @pytest.mark.parametrize("command", ["simulate", "dgp-sample"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--n", "49"],
+            ["--error-sd", "0"],
+            ["--error-sd", "-1"],
+            ["--error-sd", "nan"],
+            ["--error-sd", "inf"],
+            ["--seed", "-1"],
+        ],
+        ids="=".join,
+    )
+    def test_design_flags_validated(self, command, flags):
+        with pytest.raises(UsageError):
+            parse_args([command, "--design", "1", *flags])
+
+    def test_rep_index_validated(self):
+        with pytest.raises(UsageError, match="--rep-index must be at least 0"):
+            parse_args(["dgp-sample", "--design", "1", "--rep-index", "-1"])
 
 
 class TestLoadCsv:
@@ -199,6 +215,17 @@ class TestLoadCsv:
         path.write_bytes("x,y,d\n-0.5,1.0,0\n0.3,2.0,1 \u00e9\n".encode("latin-1"))
         with pytest.raises(ParseError, match="not UTF-8"):
             load_csv(str(path), 0.0)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # spreadsheet programs start UTF-8 files with a byte-order mark
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(GOOD_CSV.encode())
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + GOOD_CSV.encode())
+        got, want = load_csv(str(marked), 0.0), load_csv(str(plain), 0.0)
+        for col in "xyd":
+            a, b = getattr(got, col), getattr(want, col)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_first_bad_row_wins_in_a_long_file(self, tmp_path):
         # numpy rejects row 1802, so the row is found by bisection; the
@@ -494,6 +521,58 @@ class TestCommands:
         assert code == 1
         assert captured.err.count("\n") == 1
         assert "row 3" in captured.err
+
+
+# boundary values of each numeric flag, plus an ordinary one; every --n and
+# --reps here is small, so a vector that passes validation runs in milliseconds
+FUZZ_VALUES = {
+    "--n": ["-1", "0", "3", "49", "50", "200"],
+    "--error-sd": ["-1", "0", "nan", "inf", "0.2"],
+    "--seed": ["-1", "0", "5"],
+    "--rep-index": ["-1", "0", "2"],
+    "--reps": ["-1", "0", "1", "3"],
+    "--h-plus": ["-1", "0", "nan", "inf", "0.4"],
+    "--h-minus": ["-1", "0", "nan", "inf", "0.4"],
+    "--cutoff": ["nan", "inf", "0"],
+}
+FUZZ_FLAGS = {
+    "select": ["--cutoff"],
+    "estimate": ["--cutoff", "--h-plus", "--h-minus"],
+    "simulate": ["--n", "--reps", "--error-sd", "--seed"],
+    "dgp-sample": ["--n", "--error-sd", "--seed", "--rep-index"],
+}
+
+
+def test_exit_codes_over_boundary_flag_values(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert main(["dgp-sample", "--design", "1", "--n", "200", "--seed", "1", "--output", str(data)]) == 0
+    rng = np.random.default_rng(77)
+    seen = set()
+    for _ in range(200):
+        command = str(rng.choice(list(FUZZ_FLAGS)))
+        if command in ("select", "estimate"):
+            argv = [command, "--input", str(data), "--output", str(tmp_path / "out.json")]
+            if command == "estimate" and rng.random() < 0.3:
+                argv.append("--auto")
+        else:
+            argv = [command, "--design", str(rng.choice(["1", "2"])), "--output", str(tmp_path / "out")]
+            if command == "simulate":
+                argv += ["--out-dir", str(tmp_path / "sim")]
+        for flag in FUZZ_FLAGS[command]:
+            if flag in ("--n", "--reps") or rng.random() < 0.6:
+                argv += [flag, str(rng.choice(FUZZ_VALUES[flag]))]
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as e:
+            pytest.fail(f"{argv} raised {e!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)
+        seen.add(code)
+    assert seen == {0, 1, 2}
 
 
 class TestConsoleScript:

@@ -87,6 +87,11 @@ class TestDgpSpec:
             DgpSpec(design="design1", n=49)
         with pytest.raises(ValueError):
             DgpSpec(design="design1", n=500, error_sd=0.0)
+        for error_sd in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="error_sd must be positive and finite"):
+                DgpSpec(design="design1", n=500, error_sd=error_sd)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            DgpSpec(design="design1", n=500, seed=-1)
 
 
 class TestDrawSample:
