@@ -18,7 +18,7 @@ from .errors import (
     WeakDiscontinuity,
     ZeroCurvature,
 )
-from .estimator import FrdEstimate, frd_estimate, sharp_estimate
+from .estimator import FrdEstimate, frd_estimate
 from .kernels import FAMILIES, KernelMoments, KernelSpec, compute_moments, eval_kernel
 from .local_poly import BoundaryFit, Sample, estimate_level, fit_boundary
 from .pilot import (
@@ -99,7 +99,6 @@ __all__ = [
     "mmse_objective",
     "run_monte_carlo",
     "select_bandwidths",
-    "sharp_estimate",
     "treatment_prob",
     "trimmed_stats",
 ]

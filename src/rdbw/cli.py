@@ -96,6 +96,8 @@ def parse_args(argv) -> argparse.Namespace:
     ns = _build_parser().parse_args(argv)
     if "kernel" in ns:
         ns.kernel = KernelSpec(ns.kernel)
+    if "cutoff" in ns and not np.isfinite(ns.cutoff):
+        raise UsageError("--cutoff must be finite")
 
     if ns.command == "estimate":
         manual = ns.h_plus is not None or ns.h_minus is not None
@@ -103,8 +105,8 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError("--auto excludes --h-plus/--h-minus")
         if not ns.auto and (ns.h_plus is None or ns.h_minus is None):
             raise UsageError("estimate needs --auto or both --h-plus and --h-minus")
-        if manual and (ns.h_plus <= 0 or ns.h_minus <= 0):
-            raise UsageError("bandwidths must be positive")
+        if manual and not (0 < ns.h_plus < np.inf and 0 < ns.h_minus < np.inf):
+            raise UsageError("bandwidths must be positive and finite")
     elif ns.command == "simulate":
         if ns.reps < 1:
             raise UsageError("--reps must be at least 1")

@@ -50,4 +50,4 @@ class ParseError(RdbwError):
 
 
 class ValidationError(RdbwError):
-    """Input file parsed but violates data invariants."""
+    """Data violate the sample invariants: a parsed input file, or generated draws."""

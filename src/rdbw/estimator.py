@@ -2,8 +2,7 @@
 
 Two order-1 boundary fits, one per side, each solving for the outcome
 and the treatment at once, produce the numerator and denominator jumps;
-the estimate is their ratio.  The sharp variant keeps the numerator and
-fixes the denominator at 1.
+the estimate is their ratio.
 """
 
 from dataclasses import dataclass
@@ -44,8 +43,8 @@ def frd_estimate(
     DenominatorNearZero
         If |tauD| < 1e-6; the ratio would be numerically meaningless.
     """
-    plus = fit_boundary(sample, "YD", "plus", h_plus, order=1, kernel=kernel)
-    minus = fit_boundary(sample, "YD", "minus", h_minus, order=1, kernel=kernel)
+    plus = fit_boundary(sample, "plus", h_plus, order=1, kernel=kernel)
+    minus = fit_boundary(sample, "minus", h_minus, order=1, kernel=kernel)
     tau_y, tau_d = (float(j) for j in plus.value - minus.value)
     if abs(tau_d) < _MIN_TAU_D:
         raise DenominatorNearZero(f"|tauD| = {abs(tau_d):.2e} < {_MIN_TAU_D:.0e}")
@@ -59,14 +58,3 @@ def frd_estimate(
         n_minus=minus.effective_n,
     )
 
-
-def sharp_estimate(
-    sample: Sample,
-    h_plus: float,
-    h_minus: float,
-    kernel: KernelSpec = KernelSpec(),
-) -> float:
-    """Outcome jump alone, treating the design as sharp (denominator 1)."""
-    plus = fit_boundary(sample, "Y", "plus", h_plus, order=1, kernel=kernel)
-    minus = fit_boundary(sample, "Y", "minus", h_minus, order=1, kernel=kernel)
-    return float(plus.value - minus.value)

@@ -6,10 +6,10 @@ order 4 with equal weights over a whole side for the curvature pilots.
 Side convention: "plus" takes observations with x >= c (ties at the
 cutoff go to the plus side), "minus" takes x < c.
 
-A fit gathers only the rows near the cutoff, regresses on powers of the
-unit-free coordinate (x - c)/h, and can solve for Y and D at once: the
-triangular factor of the weighted least-squares problem is accumulated
-over blocks of rows, so no full design matrix is ever formed.
+A fit gathers only the rows near the cutoff, regresses Y and D together
+on powers of the unit-free coordinate (x - c)/h, and accumulates the
+triangular factor of the weighted least-squares problem over blocks of
+rows, so no full design matrix is ever formed.
 """
 
 from dataclasses import dataclass
@@ -70,21 +70,14 @@ class Sample:
             return self.x < self.c
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
-    def response(self, which: str) -> np.ndarray:
-        if which == "Y":
-            return self.y
-        if which == "D":
-            return self.d
-        raise ValueError(f"response must be 'Y' or 'D', got {which!r}")
-
 
 @dataclass(frozen=True)
 class BoundaryFit:
     """Result of a one-sided weighted polynomial fit.
 
-    coefficients[k] estimates m^(k)(c) / k!; coefficients[0] is the fitted
-    value at the cutoff.  A "YD" fit has one column per response, Y then
-    D.  rows indexes the sample's observations with positive weight.
+    coefficients[k] estimates m^(k)(c) / k! with one column per response,
+    Y then D; coefficients[0] is the fitted value at the cutoff.  rows
+    indexes the sample's observations with positive weight.
     """
 
     coefficients: np.ndarray
@@ -93,10 +86,9 @@ class BoundaryFit:
     rows: np.ndarray
 
     @property
-    def value(self):
-        """Fitted value at the cutoff: a float, or a (Y, D) array for a "YD" fit."""
-        v = self.coefficients[0]
-        return float(v) if v.ndim == 0 else v
+    def value(self) -> np.ndarray:
+        """Fitted (Y, D) values at the cutoff."""
+        return self.coefficients[0]
 
     @property
     def effective_n(self) -> int:
@@ -105,13 +97,12 @@ class BoundaryFit:
 
 def fit_boundary(
     sample: Sample,
-    response: str,
     side: str,
     h: float,
     order: int = 1,
     kernel: KernelSpec = KernelSpec(),
 ) -> BoundaryFit:
-    """Weighted least squares of the response on powers of (x - c), one side only.
+    """Weighted least squares of Y and D on powers of (x - c), one side only.
 
     Weights are K((x_i - c)/h); only observations with strictly positive
     weight enter the solve, so points outside the bandwidth have no
@@ -119,9 +110,9 @@ def fit_boundary(
     repeated multiplication, so its conditioning does not depend on the
     units of x; the coefficients are rescaled by h^-k afterwards.
 
-    response "YD" solves for Y and D as two right-hand sides of one
-    design: R of the QR factorization of [sqrt(w) powers | sqrt(w) Y,
-    sqrt(w) D] is accumulated over blocks of rows, and the coefficients
+    Y and D are two right-hand sides of one design: R of the QR
+    factorization of [sqrt(w) powers | sqrt(w) Y, sqrt(w) D] is
+    accumulated over blocks of rows, and the (order + 1, 2) coefficients
     come from a triangular solve with its leading block.
 
     Raises
@@ -135,11 +126,10 @@ def fit_boundary(
         raise ValueError("bandwidth must be positive")
     if order < 1:
         raise ValueError("order must be at least 1")
-    targets = [sample.response(r) for r in (("Y", "D") if response == "YD" else (response,))]
 
     # gather the rows of a slightly wider interval than |x - c| <= h, so no
     # rounding in (x - c)/h can drop a point; the kernel decides the weights
-    x, c = sample.x, sample.c
+    x, y, d, c = sample.x, sample.y, sample.d, sample.c
     reach = h + 1e-12 * (abs(c) + h)
     near = sample.side_mask(side)
     near &= x <= c + reach if side == "plus" else x >= c - reach
@@ -153,12 +143,12 @@ def fit_boundary(
         keep = w > 0.0
         rows, u, sw = rows[keep], u[keep], np.sqrt(w[keep])
         kept.append(rows)
-        a = np.empty((rows.size, p + len(targets)), order="F")
+        a = np.empty((rows.size, p + 2), order="F")
         a[:, 0] = sw
         for k in range(1, p):
             np.multiply(a[:, k - 1], u, out=a[:, k])
-        for j, t in enumerate(targets):
-            np.multiply(sw, t[rows], out=a[:, p + j])
+        np.multiply(sw, y[rows], out=a[:, p])
+        np.multiply(sw, d[rows], out=a[:, p + 1])
         r = np.linalg.qr(a if r is None else np.vstack((r, a)), mode="r")
     rows = np.concatenate(kept) if kept else candidates
     if rows.size >= p:
@@ -176,15 +166,9 @@ def fit_boundary(
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
     coef = np.linalg.solve(design, rhs) / float(h) ** np.arange(p)[:, None]
-    return BoundaryFit(coef if response == "YD" else coef[:, 0], side, float(h), rows)
+    return BoundaryFit(coef, side, float(h), rows)
 
 
-def estimate_level(
-    sample: Sample,
-    response: str,
-    side: str,
-    h: float,
-    kernel: KernelSpec = KernelSpec(),
-) -> float:
-    """Local linear level estimate at the cutoff: coefficient 0 of an order-1 fit."""
-    return fit_boundary(sample, response, side, h, order=1, kernel=kernel).value
+def estimate_level(sample: Sample, side: str, h: float, kernel: KernelSpec = KernelSpec()):
+    """Local linear (Y, D) levels at the cutoff: row 0 of an order-1 fit."""
+    return fit_boundary(sample, side, h, order=1, kernel=kernel).value

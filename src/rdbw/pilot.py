@@ -3,14 +3,14 @@
 Density and its derivative come from a Gaussian KDE under reference-rule
 bandwidths; curvature and third derivatives from a global quartic fit per
 side; variances and the covariance from local linear residuals under a
-rule-of-thumb bandwidth; the denominator jump from a sharp-design level
-contrast on the treatment indicator.  Each is a standard consistent
-estimator of its target.
+rule-of-thumb bandwidth; the outcome and treatment jumps from local
+linear level contrasts under the same rule-of-thumb bandwidth.  Each is a
+standard consistent estimator of its target.
 
 Every regression is a `fit_boundary` call on powers of the unit-free
-(x - c)/h, so no pilot depends on the units of x.  The quartic and the
-variance fits solve for Y and D at once (response "YD"): one fit per
-side serves both responses.
+(x - c)/h, so no pilot depends on the units of x, and each call solves
+for Y and D at once: one quartic, one variance and one level fit per
+side serve both responses.
 """
 
 from dataclasses import dataclass
@@ -87,14 +87,14 @@ def estimate_density(sample: Sample):
     return f, f1
 
 
-def estimate_derivatives(sample: Sample, response: str, side: str):
+def estimate_derivatives(sample: Sample, side: str):
     """Second and third derivative pilots at the cutoff, one side.
 
-    Ordinary least squares of the response on a quartic in (x - c) over
-    every observation of the side: `fit_boundary` at order 4 under the
-    uniform kernel with h the side's largest |x - c|, which gives every
-    observation of the side the same weight.  Returns (2 b2, 6 b3), two
-    floats; for response "YD" each is a (Y, D) array.
+    Ordinary least squares of Y and D on a quartic in (x - c) over every
+    observation of the side: `fit_boundary` at order 4 under the uniform
+    kernel with h the side's largest |x - c|, which gives every
+    observation of the side the same weight.  Returns (2 b2, 6 b3), each
+    a (Y, D) array.
     """
     n_side = int(np.count_nonzero(sample.side_mask(side)))
     if n_side < 6:
@@ -104,10 +104,8 @@ def estimate_derivatives(sample: Sample, response: str, side: str):
     span = sample.x.max() - sample.c if side == "plus" else sample.c - sample.x.min()
     if span == 0.0:
         raise SingularDesign(f"derivative pilot needs 5 distinct x values on the {side} side")
-    fit = fit_boundary(sample, response, side, span, order=4, kernel=KernelSpec("uniform"))
-    coef = fit.coefficients
-    m2, m3 = 2.0 * coef[2], 6.0 * coef[3]
-    return (m2, m3) if response == "YD" else (float(m2), float(m3))
+    coef = fit_boundary(sample, side, span, order=4, kernel=KernelSpec("uniform")).coefficients
+    return 2.0 * coef[2], 6.0 * coef[3]
 
 
 def _pilot_bandwidth(x: np.ndarray) -> float:
@@ -117,7 +115,7 @@ def _pilot_bandwidth(x: np.ndarray) -> float:
 def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpec()):
     """Conditional variance and covariance pilots at the cutoff, one side.
 
-    One local linear "YD" fit under a rule-of-thumb bandwidth gives the
+    One local linear fit under a rule-of-thumb bandwidth gives the
     Y and D residuals on its kernel window; the moments are averages of
     residual products over those positive-weight observations with a
     two-parameter degrees-of-freedom correction.
@@ -134,7 +132,7 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
         raise InsufficientData(
             f"variance pilot needs >= 10 observations on the {side} side, got {xs.size}"
         )
-    fit = fit_boundary(sample, "YD", side, _pilot_bandwidth(xs), order=1, kernel=kernel)
+    fit = fit_boundary(sample, side, _pilot_bandwidth(xs), order=1, kernel=kernel)
     n_v = fit.effective_n
     if n_v < 4:
         raise InsufficientData(f"only {n_v} observations carry weight on the {side} side")
@@ -157,32 +155,29 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     return sig2y, sig2d, float(sigyd)
 
 
-def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()) -> float:
-    """Denominator jump pilot: sharp-design level contrast on the treatment indicator."""
+def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
+    """Jump pilots (tauY, tauD): level contrasts at the rule-of-thumb bandwidth.
+
+    Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
+    """
     h = _pilot_bandwidth(sample.x)
-    tau_d = estimate_level(sample, "D", "plus", h, kernel) - estimate_level(
-        sample, "D", "minus", h, kernel
-    )
+    jumps = estimate_level(sample, "plus", h, kernel) - estimate_level(sample, "minus", h, kernel)
+    tau_y, tau_d = (float(j) for j in jumps)
     if abs(tau_d) < WEAK_TAU_D:
         raise WeakDiscontinuity(
             f"|tauD| = {abs(tau_d):.4f} < {WEAK_TAU_D}; ratio estimand is unstable"
         )
-    return float(tau_d)
+    return tau_y, tau_d
 
 
 def assemble_pilots(sample: Sample, kernel: KernelSpec = KernelSpec()) -> PilotEstimates:
     """Run every pilot estimator and combine them into one record."""
     f, f1 = estimate_density(sample)
-    (m2y_p, m2d_p), (m3y_p, m3d_p) = estimate_derivatives(sample, "YD", "plus")
-    (m2y_m, m2d_m), (m3y_m, m3d_m) = estimate_derivatives(sample, "YD", "minus")
+    (m2y_p, m2d_p), (m3y_p, m3d_p) = estimate_derivatives(sample, "plus")
+    (m2y_m, m2d_m), (m3y_m, m3d_m) = estimate_derivatives(sample, "minus")
     s2y_p, s2d_p, syd_p = estimate_variances(sample, "plus", kernel)
     s2y_m, s2d_m, syd_m = estimate_variances(sample, "minus", kernel)
-    tau_d = estimate_tauD(sample, kernel)
-
-    h = _pilot_bandwidth(sample.x)
-    tau_y = estimate_level(sample, "Y", "plus", h, kernel) - estimate_level(
-        sample, "Y", "minus", h, kernel
-    )
+    tau_y, tau_d = estimate_tauD(sample, kernel)
     return PilotEstimates(
         f=f,
         f1=f1,
@@ -201,5 +196,5 @@ def assemble_pilots(sample: Sample, kernel: KernelSpec = KernelSpec()) -> PilotE
         sigYD_plus=syd_p,
         sigYD_minus=syd_m,
         tauD=tau_d,
-        tau=float(tau_y / tau_d),
+        tau=tau_y / tau_d,
     )

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import AllTrimmed, RdbwError
+from .errors import AllTrimmed, RdbwError, ValidationError
 from .estimator import frd_estimate
 from .kernels import KernelSpec
 from .local_poly import Sample
@@ -122,7 +122,11 @@ def mean_outcome(design: str, arm: str, x):
 
 
 def draw_sample(spec: DgpSpec, rep_index: int = 0) -> Sample:
-    """One replication's data, keyed deterministically by (seed, rep_index)."""
+    """One replication's data, keyed deterministically by (seed, rep_index).
+
+    Raises ValidationError if the draws are not a valid sample, as for
+    an error_sd so large that the outcomes overflow.
+    """
     rng = np.random.default_rng([spec.seed, rep_index])
     x = 2.0 * rng.beta(2.0, 4.0, spec.n) - 1.0
     d = (rng.uniform(size=spec.n) < treatment_prob(x)).astype(float)
@@ -132,7 +136,10 @@ def draw_sample(spec: DgpSpec, rep_index: int = 0) -> Sample:
         mean_outcome(spec.design, "treated", x),
         mean_outcome(spec.design, "control", x),
     )
-    return Sample(x=x, y=y + eps, d=d, c=0.0)
+    try:
+        return Sample(x=x, y=y + eps, d=d, c=0.0)
+    except ValueError as e:
+        raise ValidationError(f"draws with error_sd={spec.error_sd:g}: {e}") from e
 
 
 def trimmed_stats(errors, trim_fraction: float = 0.05):
@@ -177,7 +184,6 @@ def run_monte_carlo(
     method: str,
     reps: int,
     kernel: KernelSpec = KernelSpec(),
-    trim_fraction: float = 0.05,
     jobs: Optional[int] = None,
 ) -> McSummary:
     """Replicate select-then-estimate and summarize the error distribution.
@@ -191,8 +197,8 @@ def run_monte_carlo(
     Parameters
     ----------
     jobs : int, optional
-        Process count for parallel replications; results are identical
-        to the serial order for any value.
+        Process count for parallel replications (at most `reps`);
+        results are identical to the serial order for any value.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -200,9 +206,10 @@ def run_monte_carlo(
         raise ValueError(f"reps must be at least 1, got {reps}")
 
     rep = partial(_run_rep, spec, method, kernel)
-    if jobs is not None and jobs > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(rep, range(reps), chunksize=max(1, reps // (8 * jobs))))
+    workers = min(jobs or 1, reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(rep, range(reps), chunksize=max(1, reps // (8 * workers))))
     else:
         raw = [rep(r) for r in range(reps)]
 
@@ -216,7 +223,7 @@ def run_monte_carlo(
     err = np.array([r[2] for r in results])
 
     try:
-        bias, rmse = trimmed_stats(err, trim_fraction)
+        bias, rmse = trimmed_stats(err)
     except AllTrimmed:
         # single-replication runs: ceil trimming would empty the sample
         bias, rmse = trimmed_stats(err, 0.0)

@@ -61,10 +61,14 @@ def test_criterion_2_llr_exactness():
         y = np.polynomial.polynomial.polyval(x - c, coef)
         d = (x >= c).astype(float)
         s = Sample(x=x, y=y, d=d, c=c)
-        fit = fit_boundary(s, "Y", side, h, order=order, kernel=KernelSpec(rng.choice(FAMILIES)))
+        fit = fit_boundary(s, side, h, order=order, kernel=KernelSpec(rng.choice(FAMILIES)))
         expected = np.zeros(order + 1)
         expected[: degree + 1] = coef
-        np.testing.assert_allclose(fit.coefficients, expected, atol=1e-8)
+        np.testing.assert_allclose(fit.coefficients[:, 0], expected, atol=1e-8)
+        # d is constant on the fitted side: level 1 or 0, zero slope
+        expected_d = np.zeros(order + 1)
+        expected_d[0] = 1.0 if side == "plus" else 0.0
+        np.testing.assert_allclose(fit.coefficients[:, 1], expected_d, atol=1e-8)
     print("CRITERION 2 boundary-fit exactness on 200 random polynomials: PASS")
 
 

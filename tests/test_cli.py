@@ -514,6 +514,26 @@ class TestCommands:
         assert code == 2
         assert captured.err.startswith("error: ")
 
+        # non-finite bandwidths and cutoffs are usage errors, not library
+        # failures; draws that overflow under a huge --error-sd are a domain error
+        data = self.make_data(tmp_path)
+        out = ["--output", str(tmp_path / "out")]
+        for argv, want in (
+            (["estimate", "--input", data, "--h-plus", "nan", "--h-minus", "0.4"], 2),
+            (["estimate", "--input", data, "--h-plus", "0.4", "--h-minus", "nan"], 2),
+            (["estimate", "--input", data, "--h-plus", "inf", "--h-minus", "inf"], 2),
+            (["estimate", "--input", data, "--auto", "--cutoff", "nan"], 2),
+            (["select", "--input", data, "--cutoff", "nan"], 2),
+            (["select", "--input", data, "--cutoff", "inf"], 2),
+            (["select", "--input", data, "--cutoff", "-inf"], 2),
+            (["dgp-sample", "--design", "1", "--n", "60", "--error-sd", "1e308", *out], 1),
+            (["simulate", "--design", "1", "--n", "60", "--reps", "2", "--error-sd", "1e308", *out], 1),
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == want, argv
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
     def test_validation_error_is_single_line(self, tmp_path, capsys):
         path = write(tmp_path / "bad.csv", "x,y,d\n-0.5,1.0,0\n0.3,2.0,5\n")
         code = main(["select", "--input", path])
@@ -527,13 +547,13 @@ class TestCommands:
 # --reps here is small, so a vector that passes validation runs in milliseconds
 FUZZ_VALUES = {
     "--n": ["-1", "0", "3", "49", "50", "200"],
-    "--error-sd": ["-1", "0", "nan", "inf", "0.2"],
+    "--error-sd": ["-1", "0", "nan", "inf", "1e308", "0.2"],
     "--seed": ["-1", "0", "5"],
     "--rep-index": ["-1", "0", "2"],
     "--reps": ["-1", "0", "1", "3"],
-    "--h-plus": ["-1", "0", "nan", "inf", "0.4"],
-    "--h-minus": ["-1", "0", "nan", "inf", "0.4"],
-    "--cutoff": ["nan", "inf", "0"],
+    "--h-plus": ["-1", "0", "nan", "inf", "1e-9", "0.4"],
+    "--h-minus": ["-1", "0", "nan", "inf", "1e-9", "0.4"],
+    "--cutoff": ["nan", "inf", "5", "0"],
 }
 FUZZ_FLAGS = {
     "select": ["--cutoff"],
@@ -567,6 +587,8 @@ def test_exit_codes_over_boundary_flag_values(tmp_path, capsys):
             pytest.fail(f"{argv} raised {e!r}")
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
+        if {"nan", "inf"} & set(argv):
+            assert code == 2, argv
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         else:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rdbw.errors import DenominatorNearZero
-from rdbw.estimator import FrdEstimate, frd_estimate, sharp_estimate
+from rdbw.estimator import FrdEstimate, frd_estimate
 from rdbw.kernels import KernelSpec
 from rdbw.local_poly import Sample
 from rdbw.simlab import DgpSpec, draw_sample
@@ -74,17 +74,3 @@ class TestFrdEstimate:
         assert est.h_plus == 0.9
         assert est.h_minus == 0.8
 
-
-class TestSharpEstimate:
-    def test_unit_step(self):
-        assert sharp_estimate(sharp_step_sample(), 1.0, 1.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_continuous_line_is_zero(self):
-        x = np.array([-0.5, -0.3, -0.1, 0.1, 0.3, 0.5])
-        s = Sample(x=x, y=2.0 * x, d=(x >= 0).astype(float), c=0.0)
-        assert sharp_estimate(s, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_frd_numerator(self):
-        s = draw_sample(DgpSpec(design="design2", n=500, seed=9), 0)
-        est = frd_estimate(s, 0.3, 0.5)
-        assert sharp_estimate(s, 0.3, 0.5) == pytest.approx(est.tauY, rel=1e-12)

@@ -44,12 +44,10 @@ class TestSampleValidation:
         assert s.side_mask("plus").tolist() == [False, True, True]
         assert s.side_mask("minus").tolist() == [True, False, False]
 
-    def test_bad_side_and_response_names(self):
+    def test_bad_side_name(self):
         s = make_sample([-0.5, 0.5], [0.0, 1.0])
         with pytest.raises(ValueError):
             s.side_mask("left")
-        with pytest.raises(ValueError):
-            s.response("Z")
 
 
 class TestFitBoundary:
@@ -66,10 +64,10 @@ class TestFitBoundary:
             x = np.concatenate([xs, [-0.3, -0.7]])
             y = np.concatenate([ys, [0.0, 0.0]])
             s = make_sample(x, y)
-            fit = fit_boundary(s, "Y", "plus", h=2.0, order=order)
+            fit = fit_boundary(s, "plus", h=2.0, order=order)
             expected = np.zeros(order + 1)
             expected[: degree + 1] = coef
-            np.testing.assert_allclose(fit.coefficients, expected, atol=1e-8)
+            np.testing.assert_allclose(fit.coefficients[:, 0], expected, atol=1e-8)
 
     def test_weight_locality(self):
         # observations at |x - c| >= h carry zero weight and no influence
@@ -79,8 +77,8 @@ class TestFitBoundary:
         y2 = y.copy()
         y2[-1] = 1e6
         s2 = make_sample(x, y2)
-        f1 = fit_boundary(s1, "Y", "plus", h=0.6, order=1)
-        f2 = fit_boundary(s2, "Y", "plus", h=0.6, order=1)
+        f1 = fit_boundary(s1, "plus", h=0.6, order=1)
+        f2 = fit_boundary(s2, "plus", h=0.6, order=1)
         np.testing.assert_array_equal(f1.coefficients, f2.coefficients)
         assert f1.effective_n == 3
 
@@ -91,19 +89,19 @@ class TestFitBoundary:
         x = np.concatenate([xs, [-0.5, -0.6]])
         y = np.concatenate([ys, [0.0, 0.0]])
         s = make_sample(x, y)
-        fit = fit_boundary(s, "Y", "plus", h=5.0, order=2, kernel=KernelSpec("uniform"))
+        fit = fit_boundary(s, "plus", h=5.0, order=2, kernel=KernelSpec("uniform"))
         ref = np.polynomial.polynomial.polyfit(xs, ys, 2)
-        np.testing.assert_allclose(fit.coefficients, ref, atol=1e-9)
+        np.testing.assert_allclose(fit.coefficients[:, 0], ref, atol=1e-9)
 
     def test_five_point_fixture(self):
         # hand-checkable line y = 1 + 2x on the plus side
         x = np.array([0.0, 0.1, 0.2, 0.3, 0.4, -0.5])
         y = 1.0 + 2.0 * x
         s = make_sample(x, y)
-        fit = fit_boundary(s, "Y", "plus", h=1.0, order=1)
-        np.testing.assert_allclose(fit.coefficients, [1.0, 2.0], atol=1e-12)
-        assert fit.value == pytest.approx(1.0, abs=1e-12)
-        assert estimate_level(s, "Y", "plus", 1.0) == pytest.approx(1.0, abs=1e-12)
+        fit = fit_boundary(s, "plus", h=1.0, order=1)
+        np.testing.assert_allclose(fit.coefficients, [[1.0, 1.0], [2.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(fit.value, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_array_equal(estimate_level(s, "plus", 1.0), fit.value)
 
     def test_singular_when_too_few_distinct_points(self):
         # order distinct values, each repeated: one short of order + 1
@@ -111,9 +109,8 @@ class TestFitBoundary:
             xs = np.repeat(np.linspace(0.1, 0.5, order), 3)
             x = np.concatenate([xs, [-0.5, -0.6]])
             s = make_sample(x, np.ones_like(x))
-            for response in ("Y", "D", "YD"):
-                with pytest.raises(SingularDesign, match="distinct"):
-                    fit_boundary(s, response, "plus", h=1.0, order=order)
+            with pytest.raises(SingularDesign, match="distinct"):
+                fit_boundary(s, "plus", h=1.0, order=order)
 
     def test_narrow_bandwidth_excludes_support(self):
         # only one support point inside h: order-1 fit must fail loudly
@@ -121,26 +118,28 @@ class TestFitBoundary:
         y = np.array([1.0, 2.0, 3.0, 0.0])
         s = make_sample(x, y)
         with pytest.raises(SingularDesign):
-            fit_boundary(s, "Y", "plus", h=0.1, order=1)
+            fit_boundary(s, "plus", h=0.1, order=1)
 
     def test_invalid_h_and_order(self):
         s = make_sample([-0.5, 0.5], [0.0, 1.0])
         with pytest.raises(ValueError):
-            fit_boundary(s, "Y", "plus", h=0.0)
+            fit_boundary(s, "plus", h=0.0)
         with pytest.raises(ValueError):
-            fit_boundary(s, "Y", "plus", h=1.0, order=0)
+            fit_boundary(s, "plus", h=1.0, order=0)
 
     def test_fit_on_treatment_response(self):
         x = np.array([-0.4, -0.2, 0.1, 0.2, 0.3])
         d = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
         s = make_sample(x, x, d=d)
-        fit = fit_boundary(s, "D", "plus", h=1.0, order=1)
-        assert fit.value == pytest.approx(1.0, abs=1e-12)
+        fit = fit_boundary(s, "plus", h=1.0, order=1)
+        assert fit.value[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_result_type(self):
         s = make_sample([-0.5, 0.1, 0.2, 0.3], [0.0, 1.0, 2.0, 3.0])
-        fit = fit_boundary(s, "Y", "plus", h=1.0, order=1)
+        fit = fit_boundary(s, "plus", h=1.0, order=1)
         assert isinstance(fit, BoundaryFit)
+        assert fit.coefficients.shape == (2, 2)
+        assert fit.value.shape == (2,)
         assert fit.side == "plus"
         assert fit.h == 1.0
 
@@ -169,13 +168,15 @@ class TestWindow:
             w = eval_kernel(kernel, (x - c) / h)
             for side in ("plus", "minus"):
                 want = np.flatnonzero(s.side_mask(side) & (w > 0.0))
-                fit = fit_boundary(s, "YD", side, h, order=1, kernel=kernel)
+                fit = fit_boundary(s, side, h, order=1, kernel=kernel)
                 np.testing.assert_array_equal(fit.rows, want)
                 assert fit.effective_n == want.size
 
 
 class TestJointResponses:
-    def test_yd_fit_equals_separate_fits(self):
+    def test_matches_weighted_normal_equations(self):
+        # the weighted normal-equation solve on the positive-weight rows is
+        # an independent reference for both columns, every order and kernel
         rng = np.random.default_rng(23)
         for order in (1, 2, 4):
             for family in FAMILIES:
@@ -183,17 +184,19 @@ class TestJointResponses:
                 d = (rng.uniform(size=x.size) < np.where(x >= 0, 0.8, 0.3)).astype(float)
                 y = np.sin(4.0 * x) + 0.7 * d + rng.normal(0.0, 0.2, x.size)
                 s = make_sample(x, y, d=d)
+                kernel = KernelSpec(family)
+                w = eval_kernel(kernel, x / 0.4)
                 for side in ("plus", "minus"):
-                    kernel = KernelSpec(family)
-                    joint = fit_boundary(s, "YD", side, 0.4, order=order, kernel=kernel)
-                    fy = fit_boundary(s, "Y", side, 0.4, order=order, kernel=kernel)
-                    fd = fit_boundary(s, "D", side, 0.4, order=order, kernel=kernel)
-                    assert joint.coefficients.shape == (order + 1, 2)
-                    tol = dict(rtol=1e-12, atol=1e-12)
-                    np.testing.assert_allclose(joint.coefficients[:, 0], fy.coefficients, **tol)
-                    np.testing.assert_allclose(joint.coefficients[:, 1], fd.coefficients, **tol)
-                    np.testing.assert_allclose(joint.value, [fy.value, fd.value], **tol)
-                    np.testing.assert_array_equal(joint.rows, fy.rows)
+                    fit = fit_boundary(s, side, 0.4, order=order, kernel=kernel)
+                    rows = np.flatnonzero(s.side_mask(side) & (w > 0.0))
+                    np.testing.assert_array_equal(fit.rows, rows)
+                    design = np.vander(x[rows], order + 1, increasing=True)
+                    gram = design.T @ (w[rows, None] * design)
+                    rhs = design.T @ (w[rows, None] * np.column_stack([y, d])[rows])
+                    ref = np.linalg.solve(gram, rhs)
+                    assert fit.coefficients.shape == (order + 1, 2)
+                    np.testing.assert_allclose(fit.coefficients, ref, rtol=1e-9, atol=1e-10)
+                    np.testing.assert_array_equal(fit.value, fit.coefficients[0])
 
     def test_blocked_accumulation_matches_one_weighted_solve(self):
         # 150k rows in the window: the triangular factor is built over
@@ -203,7 +206,7 @@ class TestJointResponses:
         d = (rng.uniform(size=x.size) < 0.5).astype(float)
         y = np.exp(x) + d + rng.normal(0.0, 0.1, x.size)
         s = make_sample(x, y, d=d)
-        fit = fit_boundary(s, "YD", "plus", 0.75, order=3)
+        fit = fit_boundary(s, "plus", 0.75, order=3)
         xs = x[fit.rows]
         assert xs.size > 140_000
         w = eval_kernel(KernelSpec(), xs / 0.75)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rdbw.errors import InsufficientData, SingularDesign, WeakDiscontinuity
+from rdbw.estimator import frd_estimate
 from rdbw.local_poly import Sample
 from rdbw.pilot import (
     assemble_pilots,
@@ -56,17 +57,17 @@ class TestEstimateDerivatives:
         x = np.concatenate([np.linspace(0.0, 1.0, 50), [-0.5, -0.7]])
         y = np.where(x >= 0, x**3, 0.0)
         s = two_sided(x, y)
-        m2, m3 = estimate_derivatives(s, "Y", "plus")
-        assert abs(m2 - 0.0) < 1e-8
-        assert abs(m3 - 6.0) < 1e-8
+        m2, m3 = estimate_derivatives(s, "plus")
+        np.testing.assert_allclose(m2, [0.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(m3, [6.0, 0.0], atol=1e-8)
 
     def test_quadratic_recovered_exactly(self):
         x = np.concatenate([np.linspace(0.0, 1.0, 50), [-0.5, -0.7]])
         y = np.where(x >= 0, 4.0 * x**2, 0.0)
         s = two_sided(x, y)
-        m2, m3 = estimate_derivatives(s, "Y", "plus")
-        assert abs(m2 - 8.0) < 1e-8
-        assert abs(m3 - 0.0) < 1e-8
+        m2, m3 = estimate_derivatives(s, "plus")
+        np.testing.assert_allclose(m2, [8.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(m3, [0.0, 0.0], atol=1e-8)
 
     def test_quintic_projection_oracle(self):
         # quartic OLS of a quintic on a dense grid approaches its
@@ -82,7 +83,7 @@ class TestEstimateDerivatives:
         for k, b in enumerate(D1_PLUS_SLOPES, start=1):
             yg += b * xg**k
         s = two_sided(np.concatenate([xg, [-0.4, -0.5]]), np.concatenate([yg, [0.0, 0.0]]))
-        m2, m3 = estimate_derivatives(s, "Y", "plus")
+        (m2, _), (m3, _) = estimate_derivatives(s, "plus")
         assert abs(m2 - 2.0 * beta[2]) < 1e-3 * abs(2.0 * beta[2])
         assert abs(m3 - 6.0 * beta[3]) < 1e-3 * abs(6.0 * beta[3])
 
@@ -95,25 +96,22 @@ class TestEstimateDerivatives:
             s = two_sided(x, y, d=d)
             for side, mask in (("plus", x >= 0), ("minus", x < 0)):
                 ref = np.polynomial.polynomial.polyfit(x[mask], np.column_stack([y, d])[mask], 4)
-                (m2y, m2d), (m3y, m3d) = estimate_derivatives(s, "YD", side)
-                for resp, col in (("Y", 0), ("D", 1)):
-                    m2, m3 = estimate_derivatives(s, resp, side)
-                    assert isinstance(m2, float) and isinstance(m3, float)
-                    assert m2 == pytest.approx(2.0 * ref[2, col], rel=1e-10, abs=1e-10)
-                    assert m3 == pytest.approx(6.0 * ref[3, col], rel=1e-10, abs=1e-10)
-                np.testing.assert_allclose([m2y, m2d], 2.0 * ref[2], rtol=1e-10, atol=1e-10)
-                np.testing.assert_allclose([m3y, m3d], 6.0 * ref[3], rtol=1e-10, atol=1e-10)
+                m2, m3 = estimate_derivatives(s, side)
+                assert m2.shape == m3.shape == (2,)
+                for col in (0, 1):  # Y, then D
+                    assert m2[col] == pytest.approx(2.0 * ref[2, col], rel=1e-10, abs=1e-10)
+                    assert m3[col] == pytest.approx(6.0 * ref[3, col], rel=1e-10, abs=1e-10)
 
     def test_needs_six_observations(self):
         s = two_sided([-0.5, 0.1, 0.2, 0.3, 0.4, 0.5], np.zeros(6))
         with pytest.raises(InsufficientData):
-            estimate_derivatives(s, "Y", "plus")
+            estimate_derivatives(s, "plus")
 
     def test_needs_five_distinct_points(self):
         x = np.array([-0.5, 0.1, 0.1, 0.2, 0.2, 0.3, 0.3, 0.4])
         s = two_sided(x, np.zeros_like(x))
         with pytest.raises(SingularDesign):
-            estimate_derivatives(s, "Y", "plus")
+            estimate_derivatives(s, "plus")
 
 
 class TestEstimateVariances:
@@ -176,12 +174,25 @@ class TestEstimateTauD:
         rng = np.random.default_rng(9)
         x = rng.uniform(-1.0, 1.0, 400)
         d = (x >= 0).astype(float)
-        s = Sample(x=x, y=np.zeros_like(x), d=d, c=0.0)
-        assert estimate_tauD(s) == pytest.approx(1.0, abs=1e-10)
+        s = Sample(x=x, y=2.0 * d - x, d=d, c=0.0)
+        tau_y, tau_d = estimate_tauD(s)
+        assert tau_y == pytest.approx(2.0, abs=1e-10)
+        assert tau_d == pytest.approx(1.0, abs=1e-10)
 
     def test_design_jump_large_sample(self):
         s = draw_sample(DgpSpec(design="design2", n=100_000, seed=0), 0)
-        assert abs(estimate_tauD(s) - 0.7995) < 0.01
+        _, tau_d = estimate_tauD(s)
+        assert abs(tau_d - 0.7995) < 0.01
+
+    @pytest.mark.parametrize("design", ["design1", "design2"])
+    def test_pair_is_the_estimate_at_the_pilot_bandwidth(self, design):
+        # both jumps come from the two level fits frd_estimate makes at
+        # the rule-of-thumb bandwidth 1.84 sd(x) n^(-1/5) on both sides
+        for seed in range(5):
+            s = draw_sample(DgpSpec(design=design, n=500, seed=seed), 0)
+            h = 1.84 * float(np.std(s.x)) * s.n ** (-1 / 5)
+            est = frd_estimate(s, h, h)
+            assert estimate_tauD(s) == (est.tauY, est.tauD)
 
     def test_constant_d_is_weak(self):
         rng = np.random.default_rng(10)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rdbw.errors import AllTrimmed
+from rdbw import simlab
+from rdbw.errors import AllTrimmed, ValidationError
 from rdbw.estimator import frd_estimate
 from rdbw.kernels import KernelSpec
 from rdbw.selector import select_bandwidths
@@ -130,6 +131,11 @@ class TestDrawSample:
         )
         np.testing.assert_allclose(s.y, mu, atol=1e-7)
 
+    def test_overflow_is_a_typed_error(self):
+        # no bound on error_sd is natural, but draws that overflow are not a sample
+        with pytest.raises(ValidationError, match="finite"):
+            draw_sample(DgpSpec(design="design1", n=60, error_sd=1e308), 0)
+
 
 class TestTrimmedStats:
     def test_outlier_removed(self):
@@ -182,6 +188,20 @@ class TestRunMonteCarlo:
         serial = run_monte_carlo(spec, "mmse_f", 6)
         parallel = run_monte_carlo(spec, "mmse_f", 6, jobs=2)
         assert serial == parallel
+
+    def test_pool_never_exceeds_the_replications(self, monkeypatch):
+        seen = []
+
+        class RecordingPool(simlab.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(simlab, "ProcessPoolExecutor", RecordingPool)
+        spec = DgpSpec(design="design1", n=200, seed=4)
+        parallel = run_monte_carlo(spec, "mmse_f", 2, jobs=6)
+        assert seen == [2]
+        assert parallel == run_monte_carlo(spec, "mmse_f", 2)
 
     def test_summary_invariants(self):
         spec = DgpSpec(design="design2", n=500, seed=2)
