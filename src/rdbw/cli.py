@@ -110,6 +110,8 @@ def parse_args(argv) -> argparse.Namespace:
     elif ns.command == "simulate":
         if ns.reps < 1:
             raise UsageError("--reps must be at least 1")
+        if ns.jobs is not None and ns.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
         ns.method = ns.method.replace("-", "_")
     elif ns.command == "dgp-sample" and ns.rep_index < 0:
         raise UsageError("--rep-index must be at least 0")

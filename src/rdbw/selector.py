@@ -136,21 +136,8 @@ def compute_coefficients(
     zy_p = _zeta(-1.0, pilots.m2Y_plus, pilots.m3Y_plus, ratio, moments.xi1, moments.xi2)
     zy_m = _zeta(+1.0, pilots.m2Y_minus, pilots.m3Y_minus, ratio, moments.xi1, moments.xi2)
 
-    if mode == "sharp":
-        return AmseCoefficients(
-            phi_plus=moments.c1 * pilots.m2Y_plus,
-            phi_minus=moments.c1 * pilots.m2Y_minus,
-            psi_plus=zy_p,
-            psi_minus=zy_m,
-            omega_plus=pilots.sig2Y_plus,
-            omega_minus=pilots.sig2Y_minus,
-            v=moments.v,
-            f=pilots.f,
-            tauD=1.0,
-            n=n,
-        )
-
-    tau = pilots.tau
+    # a zero ratio drops every treatment term, which is the sharp criterion
+    tau = pilots.tau if mode == "fuzzy" else 0.0
     zd_p = _zeta(-1.0, pilots.m2D_plus, pilots.m3D_plus, ratio, moments.xi1, moments.xi2)
     zd_m = _zeta(+1.0, pilots.m2D_minus, pilots.m3D_minus, ratio, moments.xi1, moments.xi2)
     omega_p = pilots.sig2Y_plus + tau * tau * pilots.sig2D_plus - 2.0 * tau * pilots.sigYD_plus
@@ -164,9 +151,17 @@ def compute_coefficients(
         omega_minus=max(0.0, omega_m),
         v=moments.v,
         f=pilots.f,
-        tauD=pilots.tauD,
+        tauD=pilots.tauD if mode == "fuzzy" else 1.0,
         n=n,
     )
+
+
+def _criterion(c: AmseCoefficients, hp, hm):
+    # the criterion on floats or on arrays that broadcast together
+    bias1 = c.phi_plus * hp**2 - c.phi_minus * hm**2
+    bias2 = c.psi_plus * hp**3 - c.psi_minus * hm**3
+    var = (c.v / (c.n * c.f)) * (c.omega_plus / hp + c.omega_minus / hm)
+    return bias1 * bias1 + bias2 * bias2 + var
 
 
 def mmse_objective(h_plus: float, h_minus: float, coeffs: AmseCoefficients) -> float:
@@ -177,19 +172,7 @@ def mmse_objective(h_plus: float, h_minus: float, coeffs: AmseCoefficients) -> f
     """
     if not (h_plus > 0.0 and h_minus > 0.0):
         raise ValueError("bandwidths must be positive")
-    c = coeffs
-    bias1 = c.phi_plus * h_plus**2 - c.phi_minus * h_minus**2
-    bias2 = c.psi_plus * h_plus**3 - c.psi_minus * h_minus**3
-    var = (c.v / (c.n * c.f)) * (c.omega_plus / h_plus + c.omega_minus / h_minus)
-    return float(bias1 * bias1 + bias2 * bias2 + var)
-
-
-def _objective_grid(coeffs: AmseCoefficients, hp: np.ndarray, hm: np.ndarray) -> np.ndarray:
-    c = coeffs
-    bias1 = c.phi_plus * hp[:, None] ** 2 - c.phi_minus * hm[None, :] ** 2
-    bias2 = c.psi_plus * hp[:, None] ** 3 - c.psi_minus * hm[None, :] ** 3
-    var = (c.v / (c.n * c.f)) * (c.omega_plus / hp[:, None] + c.omega_minus / hm[None, :])
-    return bias1**2 + bias2**2 + var
+    return float(_criterion(coeffs, h_plus, h_minus))
 
 
 def _classify(coeffs: AmseCoefficients) -> str:
@@ -397,7 +380,7 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
     hp = np.geomspace(lo_p, hi_p, GRID_POINTS)
     hm = np.geomspace(lo_m, hi_m, GRID_POINTS)
     h_best, v_best = None, math.inf
-    for start in _grid_starts(_objective_grid(coeffs, hp, hm), hp, hm):
+    for start in _grid_starts(_criterion(coeffs, hp[:, None], hm[None, :]), hp, hm):
         h, v = _newton(coeffs, start, mmse_objective(start[0], start[1], coeffs), box)
         if v < v_best:
             h_best, v_best = h, v

@@ -15,7 +15,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import AllTrimmed, RdbwError, ValidationError
 from .estimator import frd_estimate
@@ -28,6 +27,7 @@ METHODS = ("mmse_f", "mmse_s")
 
 # shift of the normal index defining the participation probability
 _PROB_SHIFT = 1.28
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # outcome polynomials: per design, per cutoff side, slope coefficients on
 # (x, x^2, x^3, x^4, x^5); arms share slopes and differ by intercept
@@ -93,11 +93,12 @@ def treatment_prob(x):
     """Participation probability: a normal CDF whose index jumps at 0.
 
     Phi(x + 1.28) for x >= 0 and Phi(x - 1.28) for x < 0; accepts
-    scalars or arrays.
+    scalars or arrays.  Phi(z) = erfc(-z / sqrt(2)) / 2 with the
+    standard library's math.erfc.
     """
     x = np.asarray(x, dtype=float)
-    shift = np.where(x >= 0.0, _PROB_SHIFT, -_PROB_SHIFT)
-    p = ndtr(x + shift)
+    z = x + np.where(x >= 0.0, _PROB_SHIFT, -_PROB_SHIFT)
+    p = 0.5 * np.asarray(_erfc(-z * math.sqrt(0.5)), dtype=float)
     return float(p) if p.ndim == 0 else p
 
 

@@ -528,6 +528,8 @@ class TestCommands:
             (["select", "--input", data, "--cutoff", "-inf"], 2),
             (["dgp-sample", "--design", "1", "--n", "60", "--error-sd", "1e308", *out], 1),
             (["simulate", "--design", "1", "--n", "60", "--reps", "2", "--error-sd", "1e308", *out], 1),
+            (["simulate", "--design", "1", "--n", "300", "--reps", "2", "--jobs", "0", *out], 2),
+            (["simulate", "--design", "1", "--n", "300", "--reps", "2", "--jobs", "-4", *out], 2),
         ):
             code = main(argv)
             captured = capsys.readouterr()
@@ -554,11 +556,13 @@ FUZZ_VALUES = {
     "--h-plus": ["-1", "0", "nan", "inf", "1e-9", "0.4"],
     "--h-minus": ["-1", "0", "nan", "inf", "1e-9", "0.4"],
     "--cutoff": ["nan", "inf", "5", "0"],
+    # no value above 1, so the fuzz never starts a process pool
+    "--jobs": ["-4", "0", "1"],
 }
 FUZZ_FLAGS = {
     "select": ["--cutoff"],
     "estimate": ["--cutoff", "--h-plus", "--h-minus"],
-    "simulate": ["--n", "--reps", "--error-sd", "--seed"],
+    "simulate": ["--n", "--reps", "--error-sd", "--seed", "--jobs"],
     "dgp-sample": ["--n", "--error-sd", "--seed", "--rep-index"],
 }
 
@@ -579,7 +583,7 @@ def test_exit_codes_over_boundary_flag_values(tmp_path, capsys):
             if command == "simulate":
                 argv += ["--out-dir", str(tmp_path / "sim")]
         for flag in FUZZ_FLAGS[command]:
-            if flag in ("--n", "--reps") or rng.random() < 0.6:
+            if flag in ("--n", "--reps", "--jobs") or rng.random() < 0.6:
                 argv += [flag, str(rng.choice(FUZZ_VALUES[flag]))]
         try:
             code = main(argv)
@@ -588,6 +592,8 @@ def test_exit_codes_over_boundary_flag_values(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code in (0, 1, 2), argv
         if {"nan", "inf"} & set(argv):
+            assert code == 2, argv
+        if "--jobs" in argv and int(argv[argv.index("--jobs") + 1]) < 1:
             assert code == 2, argv
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

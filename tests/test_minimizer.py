@@ -11,7 +11,7 @@ from rdbw.errors import RdbwError
 from rdbw.selector import (
     AmseCoefficients,
     _coordinate_best,
-    _objective_grid,
+    _criterion,
     afo_bandwidths,
     default_bounds,
     minimize_mmse,
@@ -75,9 +75,9 @@ def test_per_coordinate_solve_matches_a_dense_line_scan():
         for side in (0, 1):
             line = np.geomspace(*bounds[side], 20001)
             if side == 0:
-                scan = _objective_grid(coeffs, line, np.array([h[1]]))
+                scan = _criterion(coeffs, line, h[1])
             else:
-                scan = _objective_grid(coeffs, np.array([h[0]]), line)
+                scan = _criterion(coeffs, h[0], line)
             best_h, best_v = _coordinate_best(coeffs, h, side, bounds)
             assert best_h[1 - side] == h[1 - side]
             assert best_v <= scan.min() * (1.0 + 1e-12)

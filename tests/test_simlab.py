@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from rdbw import simlab
 from rdbw.errors import AllTrimmed, ValidationError
@@ -47,6 +50,26 @@ class TestTreatmentProb:
         assert p.shape == (3,)
         assert np.all(np.diff(p) > 0)
         assert isinstance(treatment_prob(0.3), float)
+
+    @pytest.mark.parametrize(
+        "x, rtol, atol",
+        [
+            (np.linspace(-1.0, 1.0, 400_001), 4e-15, 0.0),
+            # the erfc tail is sensitive to the rounding of z / sqrt(2)
+            (np.linspace(-40.0, 40.0, 400_001), 1e-12, 1e-300),
+        ],
+    )
+    def test_matches_scipy_ndtr(self, x, rtol, atol):
+        want = ndtr(x + np.where(x >= 0.0, 1.28, -1.28))
+        np.testing.assert_allclose(treatment_prob(x), want, rtol=rtol, atol=atol)
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules the tests import do not count
+    code = "import sys, rdbw, rdbw.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
 
 
 class TestMeanOutcome:
