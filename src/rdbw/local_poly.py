@@ -9,7 +9,12 @@ cutoff go to the plus side), "minus" takes x < c.
 A fit gathers only the rows near the cutoff, regresses Y and D together
 on powers of the unit-free coordinate (x - c)/h, and accumulates the
 triangular factor of the weighted least-squares problem over blocks of
-rows, so no full design matrix is ever formed.
+rows, so no full design matrix is ever formed.  Within a block the rows
+are split into cache-sized chunks whose QR factorizations run as one
+stacked call; their triangular factors are then reduced to one, as in
+the tall-skinny QR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
+Comput. 34, 2012), which gives the R of one QR of the whole block up to
+the signs of its rows and rounding.
 """
 
 from dataclasses import dataclass
@@ -23,6 +28,8 @@ from .kernels import KernelSpec, eval_kernel
 _SV_RTOL = 1e-10
 # rows per block of the QR accumulation; bounds the design's memory for any window
 _BLOCK_ROWS = 1 << 16
+# rows per chunk of the stacked QR inside a block; keeps each factorization in cache
+_CHUNK_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,11 @@ class Sample:
             return self.x < self.c
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
+    def side_x(self, side: str) -> np.ndarray:
+        """The x values of one side, in sample order."""
+        # an index gather is several times faster than a boolean one on large samples
+        return self.x.take(np.flatnonzero(self.side_mask(side)))
+
 
 @dataclass(frozen=True)
 class BoundaryFit:
@@ -113,7 +125,10 @@ def fit_boundary(
     Y and D are two right-hand sides of one design: R of the QR
     factorization of [sqrt(w) powers | sqrt(w) Y, sqrt(w) D] is
     accumulated over blocks of rows, and the (order + 1, 2) coefficients
-    come from a triangular solve with its leading block.
+    come from a triangular solve with its leading block.  Each block's
+    whole 1024-row chunks are factorized by one stacked QR call, and
+    their R factors, the leftover rows and the running R are reduced by
+    one more QR; a window under 1024 rows takes that last QR alone.
 
     Raises
     ------
@@ -121,9 +136,11 @@ def fit_boundary(
         If fewer than order+1 distinct x values carry positive weight, or
         the weighted design is numerically rank-deficient (smallest
         singular value of its R below 1e-10 of the largest).
+    ValueError
+        If h is not positive and finite, or order is below 1.
     """
-    if h <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
     if order < 1:
         raise ValueError("order must be at least 1")
 
@@ -149,6 +166,11 @@ def fit_boundary(
             np.multiply(a[:, k - 1], u, out=a[:, k])
         np.multiply(sw, y[rows], out=a[:, p])
         np.multiply(sw, d[rows], out=a[:, p + 1])
+        # factor whole chunks in one stacked call; the view copies nothing
+        full = rows.size - rows.size % _CHUNK_ROWS
+        if full:
+            chunks = a[:full].T.reshape(p + 2, -1, _CHUNK_ROWS).transpose(1, 2, 0)
+            a = np.vstack((np.linalg.qr(chunks, mode="r").reshape(-1, p + 2), a[full:]))
         r = np.linalg.qr(a if r is None else np.vstack((r, a)), mode="r")
     rows = np.concatenate(kept) if kept else candidates
     if rows.size >= p:

@@ -127,7 +127,7 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     -------
     (sig2Y, sig2D, sigYD) : tuple of floats
     """
-    xs = sample.x[sample.side_mask(side)]
+    xs = sample.side_x(side)
     if xs.size < 10:
         raise InsufficientData(
             f"variance pilot needs >= 10 observations on the {side} side, got {xs.size}"

@@ -468,7 +468,7 @@ def default_bounds(sample: Sample):
     """
     out = []
     for side in ("plus", "minus"):
-        xs = sample.x[sample.side_mask(side)]
+        xs = sample.side_x(side)
         dist = np.abs(xs - sample.c)
         lo = -np.inf
         for _ in range(3):

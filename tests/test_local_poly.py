@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rdbw import local_poly
 from rdbw.errors import SingularDesign
 from rdbw.kernels import FAMILIES, KernelSpec, eval_kernel
 from rdbw.local_poly import BoundaryFit, Sample, estimate_level, fit_boundary
@@ -48,6 +49,15 @@ class TestSampleValidation:
         s = make_sample([-0.5, 0.5], [0.0, 1.0])
         with pytest.raises(ValueError):
             s.side_mask("left")
+        with pytest.raises(ValueError):
+            s.side_x("left")
+
+    def test_side_x_is_the_masked_gather(self):
+        rng = np.random.default_rng(2)
+        x = np.concatenate([rng.normal(size=500), [0.25, 0.25]])
+        s = make_sample(x, np.zeros_like(x), c=0.25)
+        for side in ("plus", "minus"):
+            np.testing.assert_array_equal(s.side_x(side), x[s.side_mask(side)])
 
 
 class TestFitBoundary:
@@ -126,6 +136,13 @@ class TestFitBoundary:
             fit_boundary(s, "plus", h=0.0)
         with pytest.raises(ValueError):
             fit_boundary(s, "plus", h=1.0, order=0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_non_finite_h_is_an_argument_error(self, h):
+        # nan passes a plain `h <= 0` check and used to surface as a SingularDesign
+        s = make_sample([-0.5, -0.2, 0.1, 0.2, 0.5], [0.0, 1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            fit_boundary(s, "plus", h=h)
 
     def test_fit_on_treatment_response(self):
         x = np.array([-0.4, -0.2, 0.1, 0.2, 0.3])
@@ -214,3 +231,71 @@ class TestJointResponses:
         gram = design.T @ (w[:, None] * design)
         ref = np.linalg.solve(gram, design.T @ (w[:, None] * np.column_stack([y, d])[fit.rows]))
         np.testing.assert_allclose(fit.coefficients, ref, rtol=1e-9, atol=1e-10)
+
+
+def _side_window(m, rng):
+    """m interior points on each side of c = 0 for h = 1, plus points past h."""
+    inner = (np.arange(m) + rng.uniform(0.05, 0.95, m)) / m
+    return np.concatenate([inner, -inner, [1.5, 2.0, -1.5, -2.0]])
+
+
+class TestChunkedQR:
+    # window sizes around the 1024-row chunk and the 65,536-row block
+    SIZES = (1023, 1024, 1025, 3 * 1024 + 17, 65_537, 65_536 + 1024 + 5)
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_matches_least_squares_reference(self, m, monkeypatch):
+        # smooth responses keep the least-squares problem well conditioned;
+        # numpy's SVD least squares on a [-1, 1]-mapped basis is the
+        # reference (the weighted normal equations lose ~cond^2 * eps at
+        # order 4, about 1e-9, too coarse for this tolerance)
+        rng = np.random.default_rng(m)
+        x = _side_window(m, rng)
+        d = (np.abs(x) < 0.4).astype(float)
+        y = np.exp(x) + 0.5 * d
+        s = make_sample(x, y, d=d)
+        fits = {}
+        for order in (1, 4):
+            for family in FAMILIES:
+                kernel = KernelSpec(family)
+                w = eval_kernel(kernel, x)
+                for side in ("plus", "minus"):
+                    fit = fit_boundary(s, side, 1.0, order=order, kernel=kernel)
+                    rows = np.flatnonzero(s.side_mask(side) & (w > 0.0))
+                    assert rows.size == m
+                    np.testing.assert_array_equal(fit.rows, rows)
+                    lstsq = np.polynomial.Polynomial.fit
+                    sw = np.sqrt(w[rows])
+                    ref = np.column_stack(
+                        [lstsq(x[rows], col[rows], order, w=sw).convert().coef for col in (y, d)]
+                    )
+                    np.testing.assert_allclose(fit.coefficients, ref, rtol=1e-12, atol=1e-12)
+                    fits[order, family, side] = fit.coefficients
+        # one QR per block, without chunks, gives the same coefficients
+        monkeypatch.setattr(local_poly, "_CHUNK_ROWS", 1 << 30)
+        for (order, family, side), coef in fits.items():
+            whole = fit_boundary(s, side, 1.0, order=order, kernel=KernelSpec(family))
+            np.testing.assert_allclose(coef, whole.coefficients, rtol=1e-12, atol=1e-13)
+
+    def test_rank_deficient_window_of_several_chunks(self):
+        # 3000 rows on two distinct x: order 2 needs three
+        x = np.concatenate([np.repeat([0.2, 0.6], 1500), [-0.5, -0.6]])
+        s = make_sample(x, np.sin(x))
+        with pytest.raises(
+            SingularDesign, match="2 distinct x values with positive weight; order 2 needs 3"
+        ):
+            fit_boundary(s, "plus", 1.0, order=2)
+
+    @pytest.mark.parametrize("delta, ok", [(1e-9, True), (1e-10, False)])
+    def test_rank_floor_holds_through_the_chunks(self, delta, ok):
+        # two x values delta apart give R a singular-value ratio of about
+        # 0.4 delta: 4e-10 fits, 4e-11 falls below the 1e-10 floor.  A
+        # Gram-matrix shortcut resolves ratios only down to sqrt(eps).
+        x = np.concatenate([np.full(1500, 0.5), np.full(1500, 0.5 + delta), [-0.5, -0.6]])
+        s = make_sample(x, x)
+        kernel = KernelSpec("uniform")
+        if ok:
+            assert fit_boundary(s, "plus", 1.0, order=1, kernel=kernel).effective_n == 3000
+        else:
+            with pytest.raises(SingularDesign, match="weighted design is rank-deficient"):
+                fit_boundary(s, "plus", 1.0, order=1, kernel=kernel)
