@@ -1,4 +1,13 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the per-slice error
+lists of calls on stacked samples.
+
+A call on a stack of R samples raises no `RdbwError` for one slice: it
+returns a list of R entries, each None or the exception that the call on
+that slice alone would raise first.  Stages record into the list in the
+order a single-sample call runs them, so the earliest error wins.
+"""
+
+import numpy as np
 
 
 class RdbwError(Exception):
@@ -51,3 +60,23 @@ class ParseError(RdbwError):
 
 class ValidationError(RdbwError):
     """Data violate the sample invariants: a parsed input file, or generated draws."""
+
+
+def record(errors, failed, make):
+    """Give each failed slice that has no error yet the error make(r)."""
+    for r in np.flatnonzero(failed):
+        if errors[r] is None:
+            errors[r] = make(r)
+
+
+def merge(errors, later):
+    """Add a later stage's per-slice errors, keeping every earlier one."""
+    for r, error in enumerate(later):
+        if errors[r] is None:
+            errors[r] = error
+
+
+def raise_first(errors):
+    """Raise the error of slice 0: a single-sample call ran as a stack of one."""
+    if errors[0] is not None:
+        raise errors[0]

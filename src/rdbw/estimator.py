@@ -2,12 +2,16 @@
 
 Two order-1 boundary fits, one per side, each solving for the outcome
 and the treatment at once, produce the numerator and denominator jumps;
-the estimate is their ratio.
+the estimate is their ratio.  On a stack of samples (see
+`rdbw.local_poly`), each side's fits run as one stacked fit with one
+bandwidth per slice.
 """
 
 from dataclasses import dataclass
 
-from .errors import DenominatorNearZero
+import numpy as np
+
+from .errors import DenominatorNearZero, merge, raise_first, record
 from .kernels import KernelSpec
 from .local_poly import Sample, fit_boundary
 
@@ -17,7 +21,10 @@ _MIN_TAU_D = 1e-6
 
 @dataclass(frozen=True)
 class FrdEstimate:
-    """Jump-ratio estimate and the pieces it is built from."""
+    """Jump-ratio estimate and the pieces it is built from.
+
+    Scalars for one sample; (R,) arrays, one entry per slice, for a stack.
+    """
 
     tau: float
     tauY: float
@@ -30,31 +37,39 @@ class FrdEstimate:
 
 def frd_estimate(
     sample: Sample,
-    h_plus: float,
-    h_minus: float,
+    h_plus,
+    h_minus,
     kernel: KernelSpec = KernelSpec(),
-) -> FrdEstimate:
+):
     """Ratio of the outcome jump to the treatment jump at the cutoff.
 
-    Each side uses its own bandwidth for both responses.
+    Each side uses its own bandwidth for both responses.  On a stack,
+    h_plus and h_minus hold one bandwidth per slice, and the call
+    returns (FrdEstimate, errors).
 
     Raises
     ------
     DenominatorNearZero
         If |tauD| < 1e-6; the ratio would be numerically meaningless.
     """
-    plus = fit_boundary(sample, "plus", h_plus, order=1, kernel=kernel)
-    minus = fit_boundary(sample, "minus", h_minus, order=1, kernel=kernel)
-    tau_y, tau_d = (float(j) for j in plus.value - minus.value)
-    if abs(tau_d) < _MIN_TAU_D:
-        raise DenominatorNearZero(f"|tauD| = {abs(tau_d):.2e} < {_MIN_TAU_D:.0e}")
+    stack = sample.as_stack()
+    plus, errors = fit_boundary(stack, "plus", h_plus, order=1, kernel=kernel)
+    minus, later = fit_boundary(stack, "minus", h_minus, order=1, kernel=kernel)
+    merge(errors, later)
+    tau_y, tau_d = (plus.value - minus.value).T
+    record(errors, np.abs(tau_d) < _MIN_TAU_D, lambda r: DenominatorNearZero(
+        f"|tauD| = {abs(tau_d[r]):.2e} < {_MIN_TAU_D:.0e}"))
+    tau = tau_y / np.where(tau_d == 0.0, 1.0, tau_d)  # zero only where the slice failed
+    if sample.stacked:
+        est = FrdEstimate(tau, tau_y, tau_d, h_plus, h_minus, plus.effective_n, minus.effective_n)
+        return est, errors
+    raise_first(errors)
     return FrdEstimate(
-        tau=tau_y / tau_d,
-        tauY=tau_y,
-        tauD=tau_d,
+        tau=float(tau[0]),
+        tauY=float(tau_y[0]),
+        tauD=float(tau_d[0]),
         h_plus=h_plus,
         h_minus=h_minus,
-        n_plus=plus.effective_n,
-        n_minus=minus.effective_n,
+        n_plus=int(plus.effective_n[0]),
+        n_minus=int(minus.effective_n[0]),
     )
-

@@ -15,29 +15,58 @@ stacked call; their triangular factors are then reduced to one, as in
 the tall-skinny QR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
 Comput. 34, 2012), which gives the R of one QR of the whole block up to
 the signs of its rows and rounding.
+
+A `Sample` may hold a stack of R samples of one size as (R, n) arrays.
+Every function taking a Sample is written once over that leading axis:
+a single sample runs as a stack of one.  On a stack a function returns
+(result, errors), the result holding one entry per slice along a leading
+axis and errors as described in `rdbw.errors`; a slice that fails keeps
+finite placeholder values.  A stacked fit pads each slice's window with
+zero rows to the widest window of the stack, so the last bits of one
+slice's fit may depend on the other slices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularDesign
+from .errors import SingularDesign, raise_first, record
 from .kernels import KernelSpec, eval_kernel
 
 # relative singular-value floor below which the weighted design is declared rank-deficient
 _SV_RTOL = 1e-10
-# rows per block of the QR accumulation; bounds the design's memory for any window
+# rows per block of the QR accumulation, over all slices of a stack; bounds
+# the design's memory for any window
 _BLOCK_ROWS = 1 << 16
 # rows per chunk of the stacked QR inside a block; keeps each factorization in cache
 _CHUNK_ROWS = 1 << 10
+
+
+def _row_counts(mask):
+    """True entries per row of an (R, n) mask."""
+    # over an axis, count_nonzero sums a cast to integers: ten times slower on one long row
+    return np.count_nonzero(mask, axis=1) if len(mask) > 1 else np.array([np.count_nonzero(mask)])
+
+
+def _pad(values, counts, fill):
+    """Per-slice runs of values, slice 0's run first, left-aligned in an
+    (R, max(counts)) array padded with fill."""
+    width = int(counts.max(initial=0))
+    if values.size == counts.size * width:
+        return values.reshape(counts.size, width)
+    out = np.full((counts.size, width), fill, dtype=values.dtype)
+    out[np.arange(width) < counts[:, None]] = values
+    return out
 
 
 @dataclass(frozen=True)
 class Sample:
     """Observations (x_i, y_i, d_i) around a cutoff c.
 
-    Arrays are stored read-only; every d_i must be 0 or 1 and both sides
-    of the cutoff must be populated.
+    x, y and d are one-dimensional for one sample, or (R, n) for a stack
+    of R samples of size n sharing the cutoff.  Arrays are stored
+    read-only; every d_i must be 0 or 1 and both sides of the cutoff must
+    be populated in every slice.
     """
 
     x: np.ndarray
@@ -49,18 +78,17 @@ class Sample:
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         d = np.asarray(self.d, dtype=float)
-        if not (x.ndim == y.ndim == d.ndim == 1):
-            raise ValueError("x, y, d must be one-dimensional")
-        n = x.size
-        if y.size != n or d.size != n:
+        if not (x.ndim == y.ndim == d.ndim and x.ndim in (1, 2)):
+            raise ValueError("x, y, d must be one-dimensional, or (R, n) stacks")
+        if y.shape != x.shape or d.shape != x.shape:
             raise ValueError("x, y, d must share one length")
-        if n < 2:
+        if x.shape[-1] < 2 or x.size == 0:
             raise ValueError("need at least two observations")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(d))):
             raise ValueError("all values must be finite")
         if not np.all((d == 0.0) | (d == 1.0)):
             raise ValueError("treatment indicator must be 0 or 1")
-        if not np.any(x >= self.c) or not np.any(x < self.c):
+        if not (np.all(np.any(x >= self.c, axis=-1)) and np.all(np.any(x < self.c, axis=-1))):
             raise ValueError("need observations on both sides of the cutoff")
         for arr, name in ((x, "x"), (y, "y"), (d, "d")):
             arr.setflags(write=False)
@@ -68,7 +96,21 @@ class Sample:
 
     @property
     def n(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.x.ndim == 2
+
+    def as_stack(self) -> "Sample":
+        """This sample as a stack of one, sharing its checked arrays; a stack is itself."""
+        if self.stacked:
+            return self
+        stack = object.__new__(Sample)
+        for name in ("x", "y", "d"):
+            object.__setattr__(stack, name, getattr(self, name)[None])
+        object.__setattr__(stack, "c", self.c)
+        return stack
 
     def side_mask(self, side: str) -> np.ndarray:
         if side == "plus":
@@ -78,9 +120,28 @@ class Sample:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
     def side_x(self, side: str) -> np.ndarray:
-        """The x values of one side, in sample order."""
+        """The x values of one side, in sample order.
+
+        On a stack, each slice's values are left-aligned in an (R, m)
+        array padded with NaN, m being the largest side.
+        """
+        values, _, _ = self.side_values(side, np.nan)
+        return values if self.stacked else values[0]
+
+    def side_sizes(self, side: str) -> np.ndarray:
+        """Observations on one side, per slice of this sample as a stack."""
+        return _row_counts(self.as_stack().side_mask(side))
+
+    def side_values(self, side: str, fill: float):
+        """(values, sizes, where): side_x of this sample as a stack, padded
+        with fill; each slice's side size; and the mask of real values, or
+        True where there is no padding, to pass as a reduction's where."""
+        mask = self.as_stack().side_mask(side)
+        sizes = _row_counts(mask)
         # an index gather is several times faster than a boolean one on large samples
-        return self.x.take(np.flatnonzero(self.side_mask(side)))
+        values = _pad(self.x.take(np.flatnonzero(mask)), sizes, fill)
+        where = True if values.size == sizes.sum() else np.arange(values.shape[1]) < sizes[:, None]
+        return values, sizes, where
 
 
 @dataclass(frozen=True)
@@ -89,31 +150,82 @@ class BoundaryFit:
 
     coefficients[k] estimates m^(k)(c) / k! with one column per response,
     Y then D; coefficients[0] is the fitted value at the cutoff.  rows
-    indexes the sample's observations with positive weight.
+    indexes the sample's observations with positive weight, effective_n
+    counts them.  The fit of a stack has a leading slice axis on
+    coefficients, h and effective_n; its rows are flat indices into the
+    (R, n) arrays, left-aligned per slice and padded with -1.
     """
 
     coefficients: np.ndarray
     side: str
     h: float
     rows: np.ndarray
+    effective_n: int
 
     @property
     def value(self) -> np.ndarray:
         """Fitted (Y, D) values at the cutoff."""
-        return self.coefficients[0]
+        return self.coefficients[..., 0, :]
 
-    @property
-    def effective_n(self) -> int:
-        return int(self.rows.size)
+
+def _rank_error(xs, order, sv):
+    p = order + 1
+    distinct = np.unique(xs).size
+    if distinct < p:
+        return SingularDesign(
+            f"{distinct} distinct x values with positive weight; order {order} needs {p}"
+        )
+    return SingularDesign(
+        f"weighted design is rank-deficient (singular values {sv[0]:.3e}..{sv[-1]:.3e})"
+    )
+
+
+def _window(stack: Sample, side: str, h: np.ndarray) -> np.ndarray:
+    """Flat indices of each slice's rows within reach of the cutoff, left-aligned, padded with -1.
+
+    The interval is slightly wider than |x - c| <= h, so no rounding in
+    (x - c)/h can drop a point; the kernel decides the weights.
+    """
+    x, c = stack.x, stack.c
+    reach = (h + 1e-12 * (abs(c) + h))[:, None]
+    near = stack.side_mask(side)
+    near &= x <= c + reach if side == "plus" else x >= c - reach
+    return _pad(np.flatnonzero(near), _row_counts(near), -1)
+
+
+def _weighted_design(stack: Sample, rows: np.ndarray, padded: bool, h, p: int, kernel: KernelSpec):
+    """The positive-weight rows among one block's candidates, their count
+    per slice, and the design [sqrt(w) u^k | sqrt(w) y, sqrt(w) d] with
+    u = (x - c)/h as one C-ordered (slices, rows) plane per column.
+    Padding rows have zero weight, so their design rows are zero."""
+    u = (stack.x.take(rows) - stack.c) / h[:, None]
+    real = rows.size
+    if padded:
+        pad = rows < 0
+        u[pad] = 2.0  # outside the kernel's support: zero weight
+        real -= np.count_nonzero(pad)
+    w = eval_kernel(kernel, u)
+    keep = w > 0.0
+    count = _row_counts(keep)
+    if count.sum() < real:  # drop the zero-weight candidates
+        rows, u, w = (_pad(v[keep], count, fill) for v, fill in ((rows, -1), (u, 0.0), (w, 0.0)))
+    sw = np.sqrt(w)
+    a = np.empty((p + 2,) + rows.shape)
+    a[0] = sw
+    for k in range(1, p):
+        np.multiply(a[k - 1], u, out=a[k])
+    np.multiply(sw, stack.y.take(rows), out=a[p])
+    np.multiply(sw, stack.d.take(rows), out=a[p + 1])
+    return rows, count, a
 
 
 def fit_boundary(
     sample: Sample,
     side: str,
-    h: float,
+    h,
     order: int = 1,
     kernel: KernelSpec = KernelSpec(),
-) -> BoundaryFit:
+):
     """Weighted least squares of Y and D on powers of (x - c), one side only.
 
     Weights are K((x_i - c)/h); only observations with strictly positive
@@ -130,6 +242,11 @@ def fit_boundary(
     their R factors, the leftover rows and the running R are reduced by
     one more QR; a window under 1024 rows takes that last QR alone.
 
+    On a stack, h is one bandwidth per slice (or one for all), every
+    slice's positive-weight rows are padded with zero rows to the widest
+    window, and each QR, the rank check and the solve are one stacked
+    call for all slices; the call returns (BoundaryFit, errors).
+
     Raises
     ------
     SingularDesign
@@ -139,58 +256,59 @@ def fit_boundary(
     ValueError
         If h is not positive and finite, or order is below 1.
     """
-    if not 0.0 < h < np.inf:
-        raise ValueError("bandwidth must be positive and finite")
     if order < 1:
         raise ValueError("order must be at least 1")
+    stack = sample.as_stack()
+    slices = len(stack.x)
+    h_given = np.broadcast_to(np.asarray(h, dtype=float), (slices,))
+    bad = ~((h_given > 0.0) & (h_given < np.inf))
+    errors = [None] * slices
+    record(errors, bad, lambda r: ValueError("bandwidth must be positive and finite"))
+    h = np.where(bad, 1.0, h_given)  # any valid bandwidth: the slice has failed
 
-    # gather the rows of a slightly wider interval than |x - c| <= h, so no
-    # rounding in (x - c)/h can drop a point; the kernel decides the weights
-    x, y, d, c = sample.x, sample.y, sample.d, sample.c
-    reach = h + 1e-12 * (abs(c) + h)
-    near = sample.side_mask(side)
-    near &= x <= c + reach if side == "plus" else x >= c - reach
-    candidates = np.flatnonzero(near)
+    candidates = _window(stack, side, h)
+    padded = candidates.size > 0 and candidates[:, -1].min() < 0  # left-aligned: -1 ends short rows
     p = order + 1
+    step = max(_CHUNK_ROWS, _BLOCK_ROWS // slices // _CHUNK_ROWS * _CHUNK_ROWS)
     kept, r = [], None
-    for start in range(0, candidates.size, _BLOCK_ROWS):
-        rows = candidates[start : start + _BLOCK_ROWS]
-        u = (x[rows] - c) / h
-        w = eval_kernel(kernel, u)
-        keep = w > 0.0
-        rows, u, sw = rows[keep], u[keep], np.sqrt(w[keep])
+    effective = np.zeros(slices, dtype=int)
+    for start in range(0, candidates.shape[1], step):
+        rows, count, a = _weighted_design(stack, candidates[:, start : start + step], padded, h, p, kernel)
         kept.append(rows)
-        a = np.empty((rows.size, p + 2), order="F")
-        a[:, 0] = sw
-        for k in range(1, p):
-            np.multiply(a[:, k - 1], u, out=a[:, k])
-        np.multiply(sw, y[rows], out=a[:, p])
-        np.multiply(sw, d[rows], out=a[:, p + 1])
+        effective += count
         # factor whole chunks in one stacked call; the view copies nothing
-        full = rows.size - rows.size % _CHUNK_ROWS
+        full = rows.shape[1] - rows.shape[1] % _CHUNK_ROWS
+        parts = [] if r is None else [r]
         if full:
-            chunks = a[:full].T.reshape(p + 2, -1, _CHUNK_ROWS).transpose(1, 2, 0)
-            a = np.vstack((np.linalg.qr(chunks, mode="r").reshape(-1, p + 2), a[full:]))
-        r = np.linalg.qr(a if r is None else np.vstack((r, a)), mode="r")
-    rows = np.concatenate(kept) if kept else candidates
-    if rows.size >= p:
-        design, rhs = r[:p, :p], r[:p, p:]
-        sv = np.linalg.svd(design, compute_uv=False)
-    if rows.size < p or not sv[-1] >= _SV_RTOL * sv[0]:
-        distinct = np.unique(x[rows]).size
-        if distinct < p:
-            raise SingularDesign(
-                f"{distinct} distinct x values with positive weight; order {order} needs {p}"
-            )
-        raise SingularDesign(
-            f"weighted design is rank-deficient (singular values {sv[0]:.3e}..{sv[-1]:.3e})"
-        )
+            chunks = a[:, :, :full].reshape(p + 2, slices, -1, _CHUNK_ROWS).transpose(1, 2, 3, 0)
+            parts.append(np.linalg.qr(chunks, mode="r").reshape(slices, -1, p + 2))
+        parts.append(a[:, :, full:].transpose(1, 2, 0))
+        r = np.linalg.qr(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], mode="r")
+    rows = np.concatenate(kept, axis=1) if kept else candidates
+    if len(kept) > 1 and rows.size > effective.sum():
+        rows = _pad(rows[rows >= 0], effective, -1)
+    if r is None or r.shape[1] < p:
+        r = np.zeros((slices, p, p + 2)) if r is None else np.pad(r, ((0, 0), (0, p - r.shape[1]), (0, 0)))
+    design, rhs = r[:, :p, :p], r[:, :p, p:]
+    sv = np.linalg.svd(design, compute_uv=False)
+    singular = (effective < p) | ~(sv[:, -1] >= _SV_RTOL * sv[:, 0])
+    record(errors, singular, lambda s: _rank_error(stack.x.take(rows[s, : effective[s]]), order, sv[s]))
+    design[singular] = np.eye(p)  # placeholder, so the stacked solve cannot fail
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
-    coef = np.linalg.solve(design, rhs) / float(h) ** np.arange(p)[:, None]
-    return BoundaryFit(coef, side, float(h), rows)
+    coef = np.linalg.solve(design, rhs) / h[:, None, None] ** np.arange(p)[:, None]
+    if sample.stacked:
+        return BoundaryFit(coef, side, h_given, rows, effective), errors
+    raise_first(errors)
+    return BoundaryFit(coef[0], side, float(h_given[0]), rows[0], int(effective[0]))
 
 
-def estimate_level(sample: Sample, side: str, h: float, kernel: KernelSpec = KernelSpec()):
-    """Local linear (Y, D) levels at the cutoff: row 0 of an order-1 fit."""
+def estimate_level(sample: Sample, side: str, h, kernel: KernelSpec = KernelSpec()):
+    """Local linear (Y, D) levels at the cutoff: row 0 of an order-1 fit.
+
+    On a stack, returns ((R, 2) levels, errors).
+    """
+    if sample.stacked:
+        fit, errors = fit_boundary(sample, side, h, order=1, kernel=kernel)
+        return fit.value, errors
     return fit_boundary(sample, side, h, order=1, kernel=kernel).value

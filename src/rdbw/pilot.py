@@ -11,6 +11,11 @@ Every regression is a `fit_boundary` call on powers of the unit-free
 (x - c)/h, so no pilot depends on the units of x, and each call solves
 for Y and D at once: one quartic, one variance and one level fit per
 side serve both responses.
+
+Each estimator runs on a stack of samples as on one (see
+`rdbw.local_poly`): on a stack it returns (values, errors) with one entry
+per slice, and `assemble_pilots` returns (PilotEstimates of (R,) arrays,
+errors).
 """
 
 from dataclasses import dataclass
@@ -22,6 +27,9 @@ from .errors import (
     InsufficientData,
     SingularDesign,
     WeakDiscontinuity,
+    merge,
+    raise_first,
+    record,
 )
 from .kernels import KernelSpec
 from .local_poly import Sample, estimate_level, fit_boundary
@@ -36,7 +44,10 @@ WEAK_TAU_D = 0.05
 
 @dataclass(frozen=True)
 class PilotEstimates:
-    """All plug-in quantities feeding the bandwidth criteria."""
+    """All plug-in quantities feeding the bandwidth criteria.
+
+    Floats for one sample; (R,) arrays, one entry per slice, for a stack.
+    """
 
     f: float
     f1: float
@@ -57,6 +68,10 @@ class PilotEstimates:
     tauD: float
     tau: float
 
+    def at(self, r: int) -> "PilotEstimates":
+        """Slice r of stacked pilots, as floats."""
+        return PilotEstimates(**{k: float(v[r]) for k, v in vars(self).items()})
+
 
 def estimate_density(sample: Sample):
     """Density and density derivative at the cutoff from the full sample.
@@ -69,22 +84,26 @@ def estimate_density(sample: Sample):
     -------
     (f, f1) : tuple of floats
     """
-    x = sample.x
-    n = x.size
-    if n < 10:
-        raise InsufficientData(f"density pilot needs n >= 10, got {n}")
-    sd = float(np.std(x))
-    if sd == 0.0:
-        raise DegenerateSample("sd(x) = 0; density pilot undefined")
+    stack = sample.as_stack()
+    x, n = stack.x, stack.n
+    errors = [None] * len(x)
+    record(errors, np.full(len(x), n < 10), lambda r: InsufficientData(
+        f"density pilot needs n >= 10, got {n}"))
+    sd = np.std(x, axis=1)
+    record(errors, sd == 0.0, lambda r: DegenerateSample("sd(x) = 0; density pilot undefined"))
+    sd[sd == 0.0] = 1.0  # placeholder for a failed slice
 
     h0 = 1.06 * sd * n ** (-1 / 5)
-    u = (x - sample.c) / h0
-    f = float(np.mean(np.exp(-0.5 * u * u)) / (_SQRT2PI * h0))
+    u = (x - stack.c) / h0[:, None]
+    f = np.mean(np.exp(-0.5 * u * u), axis=1) / (_SQRT2PI * h0)
 
     h1 = h0 * n ** (1 / 5 - 1 / 7)
-    u = (x - sample.c) / h1
-    f1 = float(np.mean(u * np.exp(-0.5 * u * u)) / (_SQRT2PI * h1 * h1))
-    return f, f1
+    u = (x - stack.c) / h1[:, None]
+    f1 = np.mean(u * np.exp(-0.5 * u * u), axis=1) / (_SQRT2PI * h1 * h1)
+    if sample.stacked:
+        return (f, f1), errors
+    raise_first(errors)
+    return float(f[0]), float(f1[0])
 
 
 def estimate_derivatives(sample: Sample, side: str):
@@ -96,20 +115,31 @@ def estimate_derivatives(sample: Sample, side: str):
     observation of the side the same weight.  Returns (2 b2, 6 b3), each
     a (Y, D) array.
     """
-    n_side = int(np.count_nonzero(sample.side_mask(side)))
-    if n_side < 6:
-        raise InsufficientData(
-            f"derivative pilot needs >= 6 observations on the {side} side, got {n_side}"
-        )
-    span = sample.x.max() - sample.c if side == "plus" else sample.c - sample.x.min()
-    if span == 0.0:
-        raise SingularDesign(f"derivative pilot needs 5 distinct x values on the {side} side")
-    coef = fit_boundary(sample, side, span, order=4, kernel=KernelSpec("uniform")).coefficients
-    return 2.0 * coef[2], 6.0 * coef[3]
+    stack = sample.as_stack()
+    n_side = stack.side_sizes(side)
+    errors = [None] * len(n_side)
+    record(errors, n_side < 6, lambda r: InsufficientData(
+        f"derivative pilot needs >= 6 observations on the {side} side, got {n_side[r]}"))
+    span = stack.x.max(axis=1) - stack.c if side == "plus" else stack.c - stack.x.min(axis=1)
+    record(errors, span == 0.0, lambda r: SingularDesign(
+        f"derivative pilot needs 5 distinct x values on the {side} side"))
+    span[span == 0.0] = 1.0  # placeholder for a failed slice
+    fit, later = fit_boundary(stack, side, span, order=4, kernel=KernelSpec("uniform"))
+    merge(errors, later)
+    coef = fit.coefficients
+    if sample.stacked:
+        return (2.0 * coef[:, 2], 6.0 * coef[:, 3]), errors
+    raise_first(errors)
+    return 2.0 * coef[0, 2], 6.0 * coef[0, 3]
 
 
-def _pilot_bandwidth(x: np.ndarray) -> float:
-    return PILOT_BANDWIDTH_SCALE * float(np.std(x)) * x.size ** (-1 / 5)
+def _pilot_bandwidth(sd, size):
+    return PILOT_BANDWIDTH_SCALE * sd * size ** (-1 / 5)
+
+
+def _dot(a, b):
+    # per-slice dot products of (R, m) arrays, one BLAS dot each
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpec()):
@@ -127,32 +157,38 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     -------
     (sig2Y, sig2D, sigYD) : tuple of floats
     """
-    xs = sample.side_x(side)
-    if xs.size < 10:
-        raise InsufficientData(
-            f"variance pilot needs >= 10 observations on the {side} side, got {xs.size}"
-        )
-    fit = fit_boundary(sample, side, _pilot_bandwidth(xs), order=1, kernel=kernel)
+    stack = sample.as_stack()
+    xs, size, side_rows = stack.side_values(side, 0.0)
+    errors = [None] * len(size)
+    record(errors, size < 10, lambda r: InsufficientData(
+        f"variance pilot needs >= 10 observations on the {side} side, got {size[r]}"))
+    h = _pilot_bandwidth(np.std(xs, axis=1, where=side_rows), size)
+    fit, later = fit_boundary(stack, side, h, order=1, kernel=kernel)
+    merge(errors, later)
     n_v = fit.effective_n
-    if n_v < 4:
-        raise InsufficientData(f"only {n_v} observations carry weight on the {side} side")
+    record(errors, n_v < 4, lambda r: InsufficientData(
+        f"only {n_v[r]} observations carry weight on the {side} side"))
 
-    (y0, d0), (y1, d1) = fit.coefficients
-    xc = sample.x[fit.rows] - sample.c
-    ey = sample.y[fit.rows] - (y0 + y1 * xc)
-    ed = sample.d[fit.rows] - (d0 + d1 * xc)
+    (y0, d0), (y1, d1) = fit.coefficients.transpose(1, 2, 0)[..., None]
+    xc = stack.x.take(fit.rows) - stack.c
+    ey = stack.y.take(fit.rows) - (y0 + y1 * xc)
+    ed = stack.d.take(fit.rows) - (d0 + d1 * xc)
+    if fit.rows.size > n_v.sum():
+        ey[fit.rows < 0] = ed[fit.rows < 0] = 0.0  # padding rows
 
-    dof = n_v - 2
-    sig2y = float(ey @ ey) / dof
-    sig2d = float(ed @ ed) / dof
-    sigyd = float(ey @ ed) / dof
+    dof = np.maximum(n_v - 2, 1)  # only a failed slice has fewer than 4 rows
+    sig2y = _dot(ey, ey) / dof
+    sig2d = _dot(ed, ed) / dof
+    sigyd = _dot(ey, ed) / dof
 
-    if sig2d < 1e-12:
-        return sig2y, 0.0, 0.0
     bound = np.sqrt(sig2y * sig2d)
-    if abs(sigyd) > bound:
-        sigyd = np.sign(sigyd) * bound
-    return sig2y, sig2d, float(sigyd)
+    sigyd = np.where(np.abs(sigyd) > bound, np.sign(sigyd) * bound, sigyd)
+    sharp = sig2d < 1e-12
+    sig2d[sharp] = sigyd[sharp] = 0.0
+    if sample.stacked:
+        return (sig2y, sig2d, sigyd), errors
+    raise_first(errors)
+    return float(sig2y[0]), float(sig2d[0]), float(sigyd[0])
 
 
 def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
@@ -160,41 +196,60 @@ def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
 
     Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
     """
-    h = _pilot_bandwidth(sample.x)
-    jumps = estimate_level(sample, "plus", h, kernel) - estimate_level(sample, "minus", h, kernel)
-    tau_y, tau_d = (float(j) for j in jumps)
-    if abs(tau_d) < WEAK_TAU_D:
-        raise WeakDiscontinuity(
-            f"|tauD| = {abs(tau_d):.4f} < {WEAK_TAU_D}; ratio estimand is unstable"
-        )
-    return tau_y, tau_d
+    stack = sample.as_stack()
+    h = _pilot_bandwidth(np.std(stack.x, axis=1), stack.n)
+    plus, errors = estimate_level(stack, "plus", h, kernel)
+    minus, later = estimate_level(stack, "minus", h, kernel)
+    merge(errors, later)
+    tau_y, tau_d = (plus - minus).T
+    record(errors, np.abs(tau_d) < WEAK_TAU_D, lambda r: WeakDiscontinuity(
+        f"|tauD| = {abs(tau_d[r]):.4f} < {WEAK_TAU_D}; ratio estimand is unstable"))
+    if sample.stacked:
+        return (tau_y, tau_d), errors
+    raise_first(errors)
+    return float(tau_y[0]), float(tau_d[0])
 
 
-def assemble_pilots(sample: Sample, kernel: KernelSpec = KernelSpec()) -> PilotEstimates:
-    """Run every pilot estimator and combine them into one record."""
-    f, f1 = estimate_density(sample)
-    (m2y_p, m2d_p), (m3y_p, m3d_p) = estimate_derivatives(sample, "plus")
-    (m2y_m, m2d_m), (m3y_m, m3d_m) = estimate_derivatives(sample, "minus")
-    s2y_p, s2d_p, syd_p = estimate_variances(sample, "plus", kernel)
-    s2y_m, s2d_m, syd_m = estimate_variances(sample, "minus", kernel)
-    tau_y, tau_d = estimate_tauD(sample, kernel)
-    return PilotEstimates(
+def assemble_pilots(sample: Sample, kernel: KernelSpec = KernelSpec()):
+    """Run every pilot estimator and combine them into one record.
+
+    A single sample's first error, in the order the estimators run, is
+    raised; a stack returns (PilotEstimates, errors).
+    """
+    stack = sample.as_stack()
+    stages = (
+        estimate_density(stack),
+        estimate_derivatives(stack, "plus"),
+        estimate_derivatives(stack, "minus"),
+        estimate_variances(stack, "plus", kernel),
+        estimate_variances(stack, "minus", kernel),
+        estimate_tauD(stack, kernel),
+    )
+    errors = [None] * len(stack.x)
+    for _, later in stages:
+        merge(errors, later)
+    (f, f1), (m2_p, m3_p), (m2_m, m3_m), var_p, var_m, (tau_y, tau_d) = (v for v, _ in stages)
+    pilots = PilotEstimates(
         f=f,
         f1=f1,
-        m2Y_plus=float(m2y_p),
-        m2Y_minus=float(m2y_m),
-        m3Y_plus=float(m3y_p),
-        m3Y_minus=float(m3y_m),
-        m2D_plus=float(m2d_p),
-        m2D_minus=float(m2d_m),
-        m3D_plus=float(m3d_p),
-        m3D_minus=float(m3d_m),
-        sig2Y_plus=s2y_p,
-        sig2Y_minus=s2y_m,
-        sig2D_plus=s2d_p,
-        sig2D_minus=s2d_m,
-        sigYD_plus=syd_p,
-        sigYD_minus=syd_m,
+        m2Y_plus=m2_p[:, 0],
+        m2Y_minus=m2_m[:, 0],
+        m3Y_plus=m3_p[:, 0],
+        m3Y_minus=m3_m[:, 0],
+        m2D_plus=m2_p[:, 1],
+        m2D_minus=m2_m[:, 1],
+        m3D_plus=m3_p[:, 1],
+        m3D_minus=m3_m[:, 1],
+        sig2Y_plus=var_p[0],
+        sig2Y_minus=var_m[0],
+        sig2D_plus=var_p[1],
+        sig2D_minus=var_m[1],
+        sigYD_plus=var_p[2],
+        sigYD_minus=var_m[2],
         tauD=tau_d,
-        tau=tau_y / tau_d,
+        tau=tau_y / np.where(tau_d == 0.0, 1.0, tau_d),  # zero only where the slice failed
     )
+    if sample.stacked:
+        return pilots, errors
+    raise_first(errors)
+    return pilots.at(0)

@@ -8,6 +8,10 @@ the criterion's closed-form derivatives polishes each one, and an exact
 solve along each coordinate (a degree-7 polynomial) checks the result.
 Closed-form optimal pairs exist in both curvature regimes and double as
 oracle and fallback.
+
+`select_bandwidths`, `compute_coefficients` and `default_bounds` run on
+a stack of samples as on one (see `rdbw.local_poly`); the minimizer runs
+once per slice that has not failed.
 """
 
 import math
@@ -20,7 +24,11 @@ from .errors import (
     DegenerateObjective,
     DegenerateSample,
     InsufficientData,
+    RdbwError,
     ZeroCurvature,
+    merge,
+    raise_first,
+    record,
 )
 from .kernels import KernelMoments, KernelSpec, compute_moments
 from .local_poly import Sample
@@ -29,6 +37,8 @@ from .pilot import PilotEstimates, assemble_pilots
 REGIMES = ("opposite_sign", "same_sign", "boundary_clamped")
 
 GRID_POINTS = 60
+# grid positions in units of the log-spacing, as np.geomspace places its nodes
+_GRID_STEPS = np.arange(float(GRID_POINTS))[:, None]
 # relative slack when deciding whether the optimum sits on the bound box
 _EDGE_RTOL = 1e-8
 # a log-bandwidth this close to its bound sits on it (the bound is active)
@@ -97,7 +107,11 @@ class BandwidthPair:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Bandwidths plus the intermediate quantities that produced them."""
+    """Bandwidths plus the intermediate quantities that produced them.
+
+    For a stack, bandwidths and coefficients are tuples with one entry
+    per slice, None where the slice failed, and pilots holds arrays.
+    """
 
     bandwidths: BandwidthPair
     pilots: PilotEstimates
@@ -115,12 +129,15 @@ def compute_coefficients(
     mode: str = "fuzzy",
     *,
     n: int,
-) -> AmseCoefficients:
+):
     """Turn pilot estimates into the coefficients of the criterion.
 
     Parameters
     ----------
     pilots : PilotEstimates
+        Stacked pilots (arrays) give (tuple of AmseCoefficients, errors),
+        one entry per slice, None where the slice's coefficients are
+        invalid.
     moments : KernelMoments
     mode : {"fuzzy", "sharp"}
         Fuzzy combines outcome and treatment terms through the pilot
@@ -129,10 +146,15 @@ def compute_coefficients(
     n : int
         Sample size entering the variance term.
     """
+    stacked = np.ndim(pilots.f) == 1
     if mode not in ("fuzzy", "sharp"):
-        raise ValueError(f"mode must be 'fuzzy' or 'sharp', got {mode!r}")
+        error = ValueError(f"mode must be 'fuzzy' or 'sharp', got {mode!r}")
+        if not stacked:
+            raise error
+        return (None,) * pilots.f.size, [error] * pilots.f.size
 
-    ratio = pilots.f1 / pilots.f
+    # a nonpositive density fails AmseCoefficients' own check below
+    ratio = pilots.f1 / np.where(pilots.f > 0.0, pilots.f, 1.0)
     zy_p = _zeta(-1.0, pilots.m2Y_plus, pilots.m3Y_plus, ratio, moments.xi1, moments.xi2)
     zy_m = _zeta(+1.0, pilots.m2Y_minus, pilots.m3Y_minus, ratio, moments.xi1, moments.xi2)
 
@@ -142,18 +164,30 @@ def compute_coefficients(
     zd_m = _zeta(+1.0, pilots.m2D_minus, pilots.m3D_minus, ratio, moments.xi1, moments.xi2)
     omega_p = pilots.sig2Y_plus + tau * tau * pilots.sig2D_plus - 2.0 * tau * pilots.sigYD_plus
     omega_m = pilots.sig2Y_minus + tau * tau * pilots.sig2D_minus - 2.0 * tau * pilots.sigYD_minus
-    return AmseCoefficients(
-        phi_plus=moments.c1 * (pilots.m2Y_plus - tau * pilots.m2D_plus),
-        phi_minus=moments.c1 * (pilots.m2Y_minus - tau * pilots.m2D_minus),
-        psi_plus=zy_p - tau * zd_p,
-        psi_minus=zy_m - tau * zd_m,
-        omega_plus=max(0.0, omega_p),
-        omega_minus=max(0.0, omega_m),
-        v=moments.v,
-        f=pilots.f,
-        tauD=pilots.tauD if mode == "fuzzy" else 1.0,
-        n=n,
-    )
+    fields = {
+        "phi_plus": moments.c1 * (pilots.m2Y_plus - tau * pilots.m2D_plus),
+        "phi_minus": moments.c1 * (pilots.m2Y_minus - tau * pilots.m2D_minus),
+        "psi_plus": zy_p - tau * zd_p,
+        "psi_minus": zy_m - tau * zd_m,
+        "omega_plus": np.maximum(0.0, omega_p),
+        "omega_minus": np.maximum(0.0, omega_m),
+        "v": moments.v,
+        "f": pilots.f,
+        "tauD": pilots.tauD if mode == "fuzzy" else 1.0,
+    }
+    # one column of floats per slice
+    table = np.array(np.broadcast_arrays(*fields.values())).reshape(len(fields), -1).T.tolist()
+    if not stacked:
+        return AmseCoefficients(**dict(zip(fields, table[0])), n=n)
+    coeffs, errors = [], []
+    for column in table:
+        try:
+            coeffs.append(AmseCoefficients(**dict(zip(fields, column)), n=n))
+            errors.append(None)
+        except ValueError as e:
+            coeffs.append(None)
+            errors.append(e)
+    return tuple(coeffs), errors
 
 
 def _criterion(c: AmseCoefficients, hp, hm):
@@ -262,7 +296,7 @@ def _to_box(z: float, bound, log_bound):
     return min(max(math.exp(z), bound[0]), bound[1]), z
 
 
-def _newton(coeffs: AmseCoefficients, h, value: float, bounds):
+def _newton(coeffs: AmseCoefficients, h, value: float, bounds, visited=None):
     """Damped, box-projected Newton descent in log-bandwidth from h.
 
     A coordinate on its bound stays fixed while the gradient pushes it
@@ -270,13 +304,16 @@ def _newton(coeffs: AmseCoefficients, h, value: float, bounds):
     short steps where the Hessian is positive definite: there the
     decrease is below the criterion's rounding, so the full step is
     taken on the gradient's word, until such steps stop halving.
-    Returns the final pair and its criterion value.
+    Returns the final pair and its criterion value; every iterate's
+    log-bandwidths are appended to visited, if given.
     """
     log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in bounds]
     last_trusted = math.inf
     for _ in range(_NEWTON_MAXITER):
         grad, hess, gauss_newton = _log_derivatives(coeffs, h[0], h[1])
         z = [math.log(h[0]), math.log(h[1])]
+        if visited is not None:
+            visited.append(z)
         free = [
             not (
                 (z[i] <= log_bounds[i][0] + _ACTIVE_TOL and grad[i] > 0.0)
@@ -345,6 +382,17 @@ def _coordinate_best(coeffs: AmseCoefficients, h, side: int, bounds):
     return best_h, best_v
 
 
+def _path_distance(point, tails, heads) -> float:
+    """Euclidean distance from point to the nearest segment tails[i] -> heads[i]."""
+    if not len(tails):
+        return math.inf
+    span = heads - tails
+    length2 = np.einsum("ij,ij->i", span, span)
+    t = np.clip(np.einsum("ij,ij->i", point - tails, span) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap = point - (tails + t[:, None] * span)
+    return float(np.sqrt(np.einsum("ij,ij->i", gap, gap).min()))
+
+
 def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
     """Global minimizer of the criterion over a per-side bound box.
 
@@ -352,11 +400,14 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
     h^2, h^3 and 1/h terms and can have several).  From each local
     minimum of the grid, a damped Newton method in log-bandwidth with
     the criterion's closed-form gradient and Hessian, projected on the
-    box, descends to a stationary point.  The best of these then passes
-    an exact check along each coordinate: with the other bandwidth held
-    fixed, the criterion's stationary points are the roots of a
-    degree-7 polynomial, so the best value on that line is known
-    exactly; a better candidate restarts Newton.  Ties on the grid
+    box, descends to a stationary point.  The best minimum goes first,
+    then the others from the worst up, and a minimum within one grid
+    cell of the path of an earlier run is skipped: a valley that the
+    grid aliases into a row of minima takes one run.  The best result
+    then passes an exact check along each coordinate: with the other
+    bandwidth held fixed, the criterion's stationary points are the
+    roots of a degree-7 polynomial, so the best value on that line is
+    known exactly; a better candidate restarts Newton.  Ties on the grid
     break toward the smallest h_plus + h_minus.  The returned value
     never exceeds the best grid node.  Every step is expressed in
     unit-free quantities, so restating the coefficients and the box in
@@ -377,11 +428,29 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
         )
     box = ((float(lo_p), float(hi_p)), (float(lo_m), float(hi_m)))
 
-    hp = np.geomspace(lo_p, hi_p, GRID_POINTS)
-    hm = np.geomspace(lo_m, hi_m, GRID_POINTS)
+    lo, hi = np.array(box).T
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    nodes = _GRID_STEPS * ((log_hi - log_lo) / (GRID_POINTS - 1)) + log_lo
+    nodes[-1] = log_hi
+    grid = 10.0**nodes
+    grid[0], grid[-1] = lo, hi
+    hp, hm = grid.T
+    # one grid cell per side, in natural log-bandwidth
+    cell = (log_hi - log_lo) * (math.log(10.0) / (GRID_POINTS - 1))
+    starts = _grid_starts(_criterion(coeffs, hp[:, None], hm[None, :]), hp, hm)
+    # the best node first, then the others from the worst up: a run from
+    # far up a valley passes by the valley's other grid minima
     h_best, v_best = None, math.inf
-    for start in _grid_starts(_criterion(coeffs, hp[:, None], hm[None, :]), hp, hm):
-        h, v = _newton(coeffs, start, mmse_objective(start[0], start[1], coeffs), box)
+    tails, heads = np.empty((0, 2)), np.empty((0, 2))  # path segments, in grid cells
+    for start in starts[:1] + starts[:0:-1]:
+        node = np.log(start) / cell
+        if _path_distance(node, tails, heads) <= 1.0:
+            continue  # an earlier run descended past this node
+        visited = []
+        h, v = _newton(coeffs, start, mmse_objective(start[0], start[1], coeffs), box, visited)
+        path = np.array(visited) / cell
+        tails = np.vstack((tails, path[:-1] if len(path) > 1 else path))
+        heads = np.vstack((heads, path[1:] if len(path) > 1 else path))
         if v < v_best:
             h_best, v_best = h, v
 
@@ -464,36 +533,58 @@ def default_bounds(sample: Sample):
     The lower bound keeps the order-1 boundary fit solvable at
     estimation time; boundary hits are reported by the minimizer rather
     than silently accepted.  The 3rd-smallest distinct |x - c| comes from
-    three masked minimum passes, with no sort.
+    three masked minimum passes, with no sort.  A stack gives
+    (((lo_plus, hi_plus), (lo_minus, hi_minus)) of (R,) arrays, errors).
     """
+    stack = sample.as_stack()
+    errors = [None] * len(stack.x)
     out = []
     for side in ("plus", "minus"):
-        xs = sample.side_x(side)
-        dist = np.abs(xs - sample.c)
-        lo = -np.inf
+        # padding at infinite distance takes no part in a minimum
+        xs, _, side_rows = stack.side_values(side, np.inf)
+        dist = np.abs(xs - stack.c)
+        lo = np.full(len(xs), -np.inf)
         for _ in range(3):
-            lo = float(np.min(dist, where=dist > lo, initial=np.inf))
-        if lo == np.inf:
-            raise InsufficientData(
-                f"need at least 3 distinct support distances on the {side} side"
-            )
-        hi = float(np.ptp(xs))
-        if not lo < hi:
-            raise DegenerateSample(
-                f"bandwidth bounds collapse on the {side} side (lo={lo:g}, hi={hi:g})"
-            )
+            lo = np.min(dist, axis=1, where=dist > lo[:, None], initial=np.inf)
+        record(errors, lo == np.inf, lambda r: InsufficientData(
+            f"need at least 3 distinct support distances on the {side} side"))
+        hi = np.max(xs, axis=1, where=side_rows, initial=-np.inf) - np.min(xs, axis=1)
+        record(errors, ~(lo < hi), lambda r: DegenerateSample(
+            f"bandwidth bounds collapse on the {side} side (lo={lo[r]:g}, hi={hi[r]:g})"))
         out.append((lo, hi))
-    return tuple(out)
+    if sample.stacked:
+        return tuple(out), errors
+    raise_first(errors)
+    return tuple((float(lo[0]), float(hi[0])) for lo, hi in out)
 
 
 def select_bandwidths(
     sample: Sample,
     kernel: KernelSpec = KernelSpec(),
     mode: str = "fuzzy",
-) -> SelectionResult:
-    """Full pipeline: pilots, criterion coefficients, joint minimization."""
+):
+    """Full pipeline: pilots, criterion coefficients, joint minimization.
+
+    A stack runs pilots, coefficients and bounds once for all slices and
+    the minimizer once per slice that has not failed, and returns
+    (SelectionResult, errors).
+    """
     moments = compute_moments(kernel)
-    pilots = assemble_pilots(sample, kernel)
-    coeffs = compute_coefficients(pilots, moments, mode, n=sample.n)
-    pair = minimize_mmse(coeffs, default_bounds(sample))
-    return SelectionResult(bandwidths=pair, pilots=pilots, coefficients=coeffs)
+    stack = sample.as_stack()
+    pilots, errors = assemble_pilots(stack, kernel)
+    coeffs, later = compute_coefficients(pilots, moments, mode, n=stack.n)
+    merge(errors, later)
+    ((lo_p, hi_p), (lo_m, hi_m)), later = default_bounds(stack)
+    merge(errors, later)
+    pairs = [None] * len(errors)
+    for r, error in enumerate(errors):
+        if error is None:
+            box = ((float(lo_p[r]), float(hi_p[r])), (float(lo_m[r]), float(hi_m[r])))
+            try:
+                pairs[r] = minimize_mmse(coeffs[r], box)
+            except (RdbwError, ValueError) as e:
+                errors[r] = e
+    if sample.stacked:
+        return SelectionResult(bandwidths=tuple(pairs), pilots=pilots, coefficients=coeffs), errors
+    raise_first(errors)
+    return SelectionResult(bandwidths=pairs[0], pilots=pilots.at(0), coefficients=coeffs[0])

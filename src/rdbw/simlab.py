@@ -4,8 +4,16 @@ Two benchmark designs share the assignment distribution (a stretched
 Beta) and the treatment-probability jump at the cutoff, and differ in
 the outcome curvature: design1 has opposite curvature signs across the
 cutoff with a large jump, design2 shares the sign with a small jump.
-Replications are keyed by (seed, rep_index) so any execution schedule
-produces bit-identical summaries.
+Replications are keyed by (seed, rep_index).  The Monte Carlo engine
+draws each one alone, then stacks fixed blocks of consecutive
+replications and runs each block as one stack through the selection and
+the estimate (see `rdbw.local_poly`): block k holds replications
+[kB, kB + B) with B = max(1, 16384 // n), so 32 at n = 500 and one
+replication per block from n = 16384 on.  Blocks depend only on n, and a
+worker pool maps whole blocks, so summaries are bit-identical for every
+`jobs` value.  A stacked fit pads each slice to the block's widest
+window, so the last bits of one replication's results may depend on its
+block-mates.
 """
 
 import math
@@ -16,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllTrimmed, RdbwError, ValidationError
+from .errors import AllTrimmed, RdbwError, ValidationError, merge
 from .estimator import frd_estimate
 from .kernels import KernelSpec
 from .local_poly import Sample
@@ -51,6 +59,10 @@ _CDF_TOP = {"design1": 2.0, "design2": 0.5}
 CDF_POINTS = 200
 
 DEFAULT_ERROR_SD = 0.1295
+
+# observations per block of stacked replications; bounds a block's memory,
+# whose largest part is the whole-side quartic fit's design and its QR copy
+_BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -102,6 +114,18 @@ def treatment_prob(x):
     return float(p) if p.ndim == 0 else p
 
 
+def _trend(design: str, x: np.ndarray) -> np.ndarray:
+    """The quintic part of the outcome, shared by both arms: slopes only."""
+    out = np.empty_like(x)
+    for side, mask in (("plus", x > 0.0), ("minus", x <= 0.0)):
+        xs = x[mask]
+        acc = np.zeros_like(xs)
+        for b in reversed(_SLOPES[design, side]):
+            acc = xs * (acc + b)
+        out[mask] = acc
+    return out
+
+
 def mean_outcome(design: str, arm: str, x):
     """Arm-specific regression function, a quintic on each side of 0."""
     if design not in DESIGNS:
@@ -112,13 +136,7 @@ def mean_outcome(design: str, arm: str, x):
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("x must lie in [-1, 1]")
 
-    out = np.full(arr.shape, _INTERCEPTS[design, arm])
-    for side, mask in (("plus", arr > 0.0), ("minus", arr <= 0.0)):
-        xs = arr[mask]
-        acc = np.zeros_like(xs)
-        for b in reversed(_SLOPES[design, side]):
-            acc = xs * (acc + b)
-        out[mask] += acc
+    out = _INTERCEPTS[design, arm] + _trend(design, arr)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -132,11 +150,11 @@ def draw_sample(spec: DgpSpec, rep_index: int = 0) -> Sample:
     x = 2.0 * rng.beta(2.0, 4.0, spec.n) - 1.0
     d = (rng.uniform(size=spec.n) < treatment_prob(x)).astype(float)
     eps = rng.normal(0.0, spec.error_sd, spec.n)
-    y = np.where(
-        d == 1.0,
-        mean_outcome(spec.design, "treated", x),
-        mean_outcome(spec.design, "control", x),
+    # the arms share slopes: one trend, then each arm's intercept
+    intercept = np.where(
+        d == 1.0, _INTERCEPTS[spec.design, "treated"], _INTERCEPTS[spec.design, "control"]
     )
+    y = intercept + _trend(spec.design, x)
     try:
         return Sample(x=x, y=y + eps, d=d, c=0.0)
     except ValueError as e:
@@ -168,16 +186,34 @@ def trimmed_stats(errors, trim_fraction: float = 0.05):
     return float(np.mean(survivors)), float(np.sqrt(np.mean(survivors**2)))
 
 
-def _run_rep(spec: DgpSpec, method: str, kernel: KernelSpec, rep_index: int):
-    sample = draw_sample(spec, rep_index)
+def _block_reps(n: int) -> int:
+    return max(1, _BLOCK_VALUES // n)
+
+
+def _stack(samples) -> Sample:
+    return Sample(*(np.stack([getattr(s, a) for s in samples]) for a in "xyd"), c=samples[0].c)
+
+
+def _run_block(spec: DgpSpec, method: str, kernel: KernelSpec, reps: int, block: int):
+    """(h_plus, h_minus, error) per replication of one block, None where it failed."""
+    size = _block_reps(spec.n)
+    stack = _stack([draw_sample(spec, r) for r in range(block * size, min((block + 1) * size, reps))])
     mode = "fuzzy" if method == "mmse_f" else "sharp"
-    try:
-        sel = select_bandwidths(sample, kernel, mode)
-        pair = sel.bandwidths
-        est = frd_estimate(sample, pair.h_plus, pair.h_minus, kernel)
-    except RdbwError:
-        return None
-    return pair.h_plus, pair.h_minus, est.tau - TRUE_TAU[spec.design]
+    sel, errors = select_bandwidths(stack, kernel, mode)
+    # a failed slice estimates at placeholder bandwidths; its error stays first
+    h_plus = np.array([p.h_plus if p else 1.0 for p in sel.bandwidths])
+    h_minus = np.array([p.h_minus if p else 1.0 for p in sel.bandwidths])
+    est, later = frd_estimate(stack, h_plus, h_minus, kernel)
+    merge(errors, later)
+    out = []
+    for r, error in enumerate(errors):
+        if error is None:
+            out.append((h_plus[r], h_minus[r], est.tau[r] - TRUE_TAU[spec.design]))
+        elif isinstance(error, RdbwError):
+            out.append(None)
+        else:
+            raise error
+    return out
 
 
 def run_monte_carlo(
@@ -191,28 +227,30 @@ def run_monte_carlo(
 
     Per replication: draw data, select bandwidths (fuzzy criterion for
     mmse_f, sharp for mmse_s), and compute the jump-ratio estimate with
-    the selected pair.  Replications that raise a module error are
+    the selected pair; blocks of consecutive replications select and
+    estimate as one stack.  Replications that raise a module error are
     counted as failed and excluded.  Bias and RMSE are trimmed; the
     |error| CDF is tabulated on a fixed design-specific threshold grid.
 
     Parameters
     ----------
     jobs : int, optional
-        Process count for parallel replications (at most `reps`);
-        results are identical to the serial order for any value.
+        Process count for parallel blocks (at most `reps`); results are
+        identical to the serial order for any value.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
 
-    rep = partial(_run_rep, spec, method, kernel)
+    run = partial(_run_block, spec, method, kernel, reps)
+    blocks = range(-(-reps // _block_reps(spec.n)))
     workers = min(jobs or 1, reps)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(rep, range(reps), chunksize=max(1, reps // (8 * workers))))
+            raw = [rep for block in pool.map(run, blocks) for rep in block]
     else:
-        raw = [rep(r) for r in range(reps)]
+        raw = [rep for block in blocks for rep in run(block)]
 
     results = [r for r in raw if r is not None]
     failed = reps - len(results)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rdbw import selector
 from rdbw.errors import RdbwError
 from rdbw.selector import (
     AmseCoefficients,
@@ -118,3 +119,27 @@ def test_replications_that_stalled_the_simplex_polish(seed, rep, objective):
     pair = select_bandwidths(sample, mode="sharp").bandwidths
     assert pair.objective_value <= objective * (1.0 + 1e-10)
     assert _in_box(pair.h_plus, pair.h_minus, default_bounds(sample))
+
+
+def test_grid_minima_along_one_valley_share_a_newton_run(monkeypatch):
+    # same-sign phi with psi = 0: the first-order bias cancels along a
+    # straight valley in log-bandwidth, and the grid aliases that valley
+    # into 12 local minima, all descending to one point
+    coeffs = AmseCoefficients(
+        phi_plus=2.2185366660897485, phi_minus=0.13003545810999959, psi_plus=0.0, psi_minus=0.0,
+        omega_plus=0.0011477444517484863, omega_minus=0.019652011995867268, v=4.8,
+        f=2.1815140996716904, tauD=0.5, n=2426,
+    )
+    bounds = ((0.009989506079307913, 0.39835153720642036), (0.0027062410987643204, 2.30838112865733))
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return newton(*args, **kwargs)
+
+    newton = selector._newton
+    monkeypatch.setattr(selector, "_newton", counted)
+    pair = minimize_mmse(coeffs, bounds)
+    assert len(runs) <= 3
+    # the value every start reaches
+    assert pair.objective_value == pytest.approx(1.3445677341231429e-05, rel=1e-12)
