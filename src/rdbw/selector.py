@@ -10,12 +10,15 @@ Closed-form optimal pairs exist in both curvature regimes and double as
 oracle and fallback.
 
 `select_bandwidths`, `compute_coefficients` and `default_bounds` run on
-a stack of samples as on one (see `rdbw.local_poly`); the minimizer runs
-once per slice that has not failed.
+a stack of samples as on one (see `rdbw.local_poly`).  The minimizer
+takes the coefficients and bounds of every slice that has not failed in
+one call: each slice runs its own grid and Newton descents, and the
+exact check runs on all of them at once.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .errors import (
     DegenerateObjective,
     DegenerateSample,
     InsufficientData,
-    RdbwError,
     ZeroCurvature,
     merge,
     raise_first,
@@ -346,7 +348,18 @@ def _newton(coeffs: AmseCoefficients, h, value: float, bounds, visited=None):
     return h, value
 
 
-def _coordinate_best(coeffs: AmseCoefficients, h, side: int, bounds):
+def _as_stack(bounds):
+    """A box of floats as a box of (1,) arrays, the stack of one."""
+    return tuple((np.array([lo], dtype=float), np.array([hi], dtype=float)) for lo, hi in bounds)
+
+
+def _columns(coeffs):
+    """A sequence of AmseCoefficients as (R, 1) columns that _criterion takes."""
+    table = np.array([list(vars(c).values()) for c in coeffs])
+    return SimpleNamespace(**dict(zip(vars(coeffs[0]), table.T[:, :, None])))
+
+
+def _coordinate_best(coeffs, h, side: int, bounds):
     """Exact best value of one bandwidth with the other held fixed.
 
     For h_minus at fixed h_plus, dF/dh_minus = 0 times h_minus^2 is
@@ -355,31 +368,64 @@ def _coordinate_best(coeffs: AmseCoefficients, h, side: int, bounds):
     h_plus case mirrors it.  The candidates are the box ends and the
     real roots inside the box; the polynomial is solved in h / h[side],
     which keeps its coefficients free of the data's units.
+
+    On a stack (R AmseCoefficients, h as (R, 2) and bounds of (R,)
+    arrays, as default_bounds gives them) returns (pairs, values,
+    errors), pairs as (R, 2).  Rows are grouped by the degree left once
+    leading and trailing zero coefficients are stripped, as np.roots
+    strips them, and each group's companion matrices, built as np.roots
+    builds them, take one eigvals call.  A row whose companion matrix is
+    not finite fails alone, with np.roots' error.  The candidates, in
+    the order lo, hi, then the in-box real roots, take one vectorised
+    criterion; the first strict minimum wins, and its value is
+    recomputed with mmse_objective.
     """
-    c = coeffs
-    if side == 0:
-        phi, psi, omega = c.phi_plus, c.psi_plus, c.omega_plus
-        a, b = c.phi_minus * h[1] ** 2, c.psi_minus * h[1] ** 3
-    else:
-        phi, psi, omega = c.phi_minus, c.psi_minus, c.omega_minus
-        a, b = c.phi_plus * h[0] ** 2, c.psi_plus * h[0] ** 3
-    s = h[side]
-    q, r = phi * s**2, psi * s**3
-    roots = np.roots([6.0 * r * r, 0.0, 4.0 * q * q, -6.0 * r * b, -4.0 * q * a, 0.0, 0.0,
+    if isinstance(coeffs, AmseCoefficients):
+        pairs, values, errors = _coordinate_best((coeffs,), np.array([h], dtype=float), side, _as_stack(bounds))
+        raise_first(errors)
+        return tuple(pairs[0]), values[0]
+    # built per row on Python floats: numpy's array ** rounds some squares
+    # and cubes differently from float pow, which would move the roots
+    polys = []
+    for c, (h_p, h_m) in zip(coeffs, h.tolist()):
+        if side == 0:
+            phi, psi, omega = c.phi_plus, c.psi_plus, c.omega_plus
+            a, b, s = c.phi_minus * h_m**2, c.psi_minus * h_m**3, h_p
+        else:
+            phi, psi, omega = c.phi_minus, c.psi_minus, c.omega_minus
+            a, b, s = c.phi_plus * h_p**2, c.psi_plus * h_p**3, h_m
+        q, r = phi * s**2, psi * s**3
+        polys.append([6.0 * r * r, 0.0, 4.0 * q * q, -6.0 * r * b, -4.0 * q * a, 0.0, 0.0,
                       -c.v * omega / (c.n * c.f * s)])
-    lo, hi = bounds[side]
-    candidates = [lo, hi]
-    for t in roots:
-        hc = s * t.real
-        if abs(t.imag) <= _ROOT_IMAG_TOL * abs(t) and lo < hc < hi:
-            candidates.append(hc)
-    best_h, best_v = None, math.inf
-    for hc in candidates:
-        pair = (hc, h[1]) if side == 0 else (h[0], hc)
-        v = mmse_objective(pair[0], pair[1], c)
-        if v < best_v:
-            best_h, best_v = pair, v
-    return best_h, best_v
+    poly = np.array(polys)
+    nonzero = poly != 0.0
+    first = nonzero.argmax(axis=1)
+    # order of the companion matrix; 0 where no root is left
+    order = np.where(nonzero.any(axis=1), poly.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1) - first, 0)
+    roots = np.full((len(poly), poly.shape[1] - 1), np.nan, dtype=complex)
+    errors = [None] * len(poly)
+    for m in np.unique(order[order > 0]).tolist():
+        rows = np.flatnonzero(order == m)
+        stripped = poly[rows[:, None], first[rows, None] + np.arange(m + 1)]
+        companion = np.zeros((len(rows), m, m))
+        companion[:, 0] = -stripped[:, 1:] / stripped[:, :1]
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        finite = np.isfinite(companion[:, 0]).all(axis=1)
+        for r in rows[~finite]:
+            errors[r] = np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        roots[rows[finite], :m] = np.linalg.eigvals(companion[finite])
+
+    lo, hi = (end[:, None] for end in bounds[side])
+    scaled = h[:, side, None] * roots.real
+    inside = (np.abs(roots.imag) <= _ROOT_IMAG_TOL * np.abs(roots)) & (lo < scaled) & (scaled < hi)
+    candidates = np.hstack((lo, hi, np.where(inside, scaled, np.nan)))
+    fixed = h[:, 1 - side, None]
+    value = _criterion(_columns(coeffs), *((candidates, fixed) if side == 0 else (fixed, candidates)))
+    pairs = h.copy()
+    # argmin takes the first minimum; a NaN (no candidate) never wins
+    pairs[:, side] = candidates[np.arange(len(poly)), np.where(np.isnan(value), np.inf, value).argmin(axis=1)]
+    values = [mmse_objective(h_p, h_m, c) for c, (h_p, h_m) in zip(coeffs, pairs.tolist())]
+    return pairs, values, errors
 
 
 def _path_distance(point, tails, heads) -> float:
@@ -393,41 +439,9 @@ def _path_distance(point, tails, heads) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", gap, gap).min()))
 
 
-def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
-    """Global minimizer of the criterion over a per-side bound box.
-
-    A 60 x 60 logarithmic grid locates the basins (the criterion mixes
-    h^2, h^3 and 1/h terms and can have several).  From each local
-    minimum of the grid, a damped Newton method in log-bandwidth with
-    the criterion's closed-form gradient and Hessian, projected on the
-    box, descends to a stationary point.  The best minimum goes first,
-    then the others from the worst up, and a minimum within one grid
-    cell of the path of an earlier run is skipped: a valley that the
-    grid aliases into a row of minima takes one run.  The best result
-    then passes an exact check along each coordinate: with the other
-    bandwidth held fixed, the criterion's stationary points are the
-    roots of a degree-7 polynomial, so the best value on that line is
-    known exactly; a better candidate restarts Newton.  Ties on the grid
-    break toward the smallest h_plus + h_minus.  The returned value
-    never exceeds the best grid node.  Every step is expressed in
-    unit-free quantities, so restating the coefficients and the box in
-    units of a x (phi / a^2, psi / a^3, f / a, a * bounds) returns a
-    times the pair.
-
-    Parameters
-    ----------
-    coeffs : AmseCoefficients
-    bounds : ((lo_plus, hi_plus), (lo_minus, hi_minus))
-    """
-    (lo_p, hi_p), (lo_m, hi_m) = bounds
-    if not (0.0 < lo_p < hi_p and 0.0 < lo_m < hi_m):
-        raise ValueError("bounds must satisfy 0 < lo < hi on each side")
-    if coeffs.omega_plus == 0.0 and coeffs.omega_minus == 0.0:
-        raise DegenerateObjective(
-            "both variance numerators are zero; the criterion has no interior minimum"
-        )
-    box = ((float(lo_p), float(hi_p)), (float(lo_m), float(hi_m)))
-
+def _descend(coeffs: AmseCoefficients, box):
+    """Best pair and value of the grid and the Newton runs from its
+    minima; None where the criterion is NaN on the whole grid."""
     lo, hi = np.array(box).T
     log_lo, log_hi = np.log10(lo), np.log10(hi)
     nodes = _GRID_STEPS * ((log_hi - log_lo) / (GRID_POINTS - 1)) + log_lo
@@ -438,6 +452,8 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
     # one grid cell per side, in natural log-bandwidth
     cell = (log_hi - log_lo) * (math.log(10.0) / (GRID_POINTS - 1))
     starts = _grid_starts(_criterion(coeffs, hp[:, None], hm[None, :]), hp, hm)
+    if not starts:
+        return None
     # the best node first, then the others from the worst up: a run from
     # far up a valley passes by the valley's other grid minima
     h_best, v_best = None, math.inf
@@ -453,25 +469,104 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds) -> BandwidthPair:
         heads = np.vstack((heads, path[1:] if len(path) > 1 else path))
         if v < v_best:
             h_best, v_best = h, v
+    return h_best, v_best
 
-    for _ in range(_CHECK_ROUNDS):
-        for side in (1, 0):
-            h, v = _coordinate_best(coeffs, h_best, side, box)
-            if v < v_best * (1.0 - _CHECK_RTOL):
-                h_best, v_best = _newton(coeffs, h, v, box)
-                break
+
+def minimize_mmse(coeffs, bounds):
+    """Global minimizer of the criterion over a per-side bound box.
+
+    A 60 x 60 logarithmic grid locates the basins (the criterion mixes
+    h^2, h^3 and 1/h terms and can have several).  From each local
+    minimum of the grid, a damped Newton method in log-bandwidth with
+    the criterion's closed-form gradient and Hessian, projected on the
+    box, descends to a stationary point.  The best minimum goes first,
+    then the others from the worst up, and a minimum within one grid
+    cell of the path of an earlier run is skipped: a valley that the
+    grid aliases into a row of minima takes one run.  The best result
+    then passes an exact check along each coordinate, h_minus first:
+    with the other bandwidth held fixed, the criterion's stationary
+    points are the roots of a degree-7 polynomial, so the best value on
+    that line is known exactly; a better candidate restarts Newton and
+    the check.  Ties on the grid break toward the smallest
+    h_plus + h_minus.  The returned value never exceeds the best grid
+    node.  Every step is expressed in unit-free quantities, so
+    restating the coefficients and the box in units of a x (phi / a^2,
+    psi / a^3, f / a, a * bounds) returns a times the pair.
+
+    Parameters
+    ----------
+    coeffs : AmseCoefficients, or a sequence of R of them
+    bounds : ((lo_plus, hi_plus), (lo_minus, hi_minus))
+        Floats, or (R,) arrays for a sequence of coefficients, as
+        default_bounds gives them for a stack.
+
+    A sequence gives (pairs, errors), one entry per slice, the pair None
+    where the slice failed (see `rdbw.errors`).  Each slice runs its own
+    grid and Newton descents, and the exact check runs on every slice
+    still being checked at once: one eigvals call per polynomial degree
+    and check step.
+    """
+    if isinstance(coeffs, AmseCoefficients):
+        pairs, errors = minimize_mmse((coeffs,), _as_stack(bounds))
+        raise_first(errors)
+        return pairs[0]
+    bounds = tuple((np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in bounds)
+    boxes = [((a, b), (c, d)) for a, b, c, d in zip(*(end.tolist() for side in bounds for end in side))]
+    errors = [None] * len(coeffs)
+    found = [None] * len(coeffs)  # (pair, value) per slice
+    for r, (c, box) in enumerate(zip(coeffs, boxes)):
+        (lo_p, hi_p), (lo_m, hi_m) = box
+        if not (0.0 < lo_p < hi_p and 0.0 < lo_m < hi_m):
+            errors[r] = ValueError("bounds must satisfy 0 < lo < hi on each side")
+        elif c.omega_plus == 0.0 and c.omega_minus == 0.0:
+            errors[r] = DegenerateObjective(
+                "both variance numerators are zero; the criterion has no interior minimum"
+            )
         else:
-            break
+            found[r] = _descend(c, box)
+            if found[r] is None:
+                errors[r] = DegenerateObjective("the criterion is not a number anywhere on the grid")
 
-    h_p, h_m = h_best
-    on_edge = (
-        h_p <= lo_p * (1 + _EDGE_RTOL)
-        or h_p >= hi_p * (1 - _EDGE_RTOL)
-        or h_m <= lo_m * (1 + _EDGE_RTOL)
-        or h_m >= hi_m * (1 - _EDGE_RTOL)
-    )
-    regime = "boundary_clamped" if on_edge else _classify(coeffs)
-    return BandwidthPair(h_plus=h_p, h_minus=h_m, regime=regime, objective_value=v_best)
+    # each round checks side 1, then side 0; a better candidate restarts
+    # Newton, and that slice's next round
+    checking = [r for r, e in enumerate(errors) if e is None]
+    for _ in range(_CHECK_ROUNDS):
+        restarted = []
+        for side in (1, 0):
+            if not checking:
+                break
+            pairs, values, failed = _coordinate_best(
+                [coeffs[r] for r in checking],
+                np.array([found[r][0] for r in checking], dtype=float),
+                side,
+                tuple((lo[checking], hi[checking]) for lo, hi in bounds),
+            )
+            left = []
+            for r, h, v, error in zip(checking, pairs.tolist(), values, failed):
+                if error is not None:
+                    errors[r] = error
+                elif v < found[r][1] * (1.0 - _CHECK_RTOL):
+                    found[r] = _newton(coeffs[r], h, v, boxes[r])
+                    restarted.append(r)
+                else:
+                    left.append(r)
+            checking = left
+        checking = restarted
+
+    out = [None] * len(coeffs)
+    for r, error in enumerate(errors):
+        if error is None:
+            (h_p, h_m), v = found[r]
+            (lo_p, hi_p), (lo_m, hi_m) = boxes[r]
+            on_edge = (
+                h_p <= lo_p * (1 + _EDGE_RTOL)
+                or h_p >= hi_p * (1 - _EDGE_RTOL)
+                or h_m <= lo_m * (1 + _EDGE_RTOL)
+                or h_m >= hi_m * (1 - _EDGE_RTOL)
+            )
+            regime = "boundary_clamped" if on_edge else _classify(coeffs[r])
+            out[r] = BandwidthPair(h_plus=h_p, h_minus=h_m, regime=regime, objective_value=v)
+    return out, errors
 
 
 def afo_bandwidths(coeffs: AmseCoefficients) -> BandwidthPair:
@@ -566,7 +661,7 @@ def select_bandwidths(
     """Full pipeline: pilots, criterion coefficients, joint minimization.
 
     A stack runs pilots, coefficients and bounds once for all slices and
-    the minimizer once per slice that has not failed, and returns
+    the minimizer once for the slices that have not failed, and returns
     (SelectionResult, errors).
     """
     moments = compute_moments(kernel)
@@ -574,16 +669,14 @@ def select_bandwidths(
     pilots, errors = assemble_pilots(stack, kernel)
     coeffs, later = compute_coefficients(pilots, moments, mode, n=stack.n)
     merge(errors, later)
-    ((lo_p, hi_p), (lo_m, hi_m)), later = default_bounds(stack)
+    bounds, later = default_bounds(stack)
     merge(errors, later)
     pairs = [None] * len(errors)
-    for r, error in enumerate(errors):
-        if error is None:
-            box = ((float(lo_p[r]), float(hi_p[r])), (float(lo_m[r]), float(hi_m[r])))
-            try:
-                pairs[r] = minimize_mmse(coeffs[r], box)
-            except (RdbwError, ValueError) as e:
-                errors[r] = e
+    ok = [r for r, error in enumerate(errors) if error is None]
+    if ok:
+        found, later = minimize_mmse([coeffs[r] for r in ok], tuple((lo[ok], hi[ok]) for lo, hi in bounds))
+        for r, pair, error in zip(ok, found, later):
+            pairs[r], errors[r] = pair, error
     if sample.stacked:
         return SelectionResult(bandwidths=tuple(pairs), pilots=pilots, coefficients=coeffs), errors
     raise_first(errors)

@@ -4,20 +4,20 @@ Two benchmark designs share the assignment distribution (a stretched
 Beta) and the treatment-probability jump at the cutoff, and differ in
 the outcome curvature: design1 has opposite curvature signs across the
 cutoff with a large jump, design2 shares the sign with a small jump.
-Replications are keyed by (seed, rep_index).  The Monte Carlo engine
-draws each one alone, then stacks fixed blocks of consecutive
-replications and runs each block as one stack through the selection and
-the estimate (see `rdbw.local_poly`): block k holds replications
-[kB, kB + B) with B = max(1, 16384 // n), so 32 at n = 500 and one
-replication per block from n = 16384 on.  Blocks depend only on n, and a
-worker pool maps whole blocks, so summaries are bit-identical for every
-`jobs` value.  A stacked fit pads each slice to the block's widest
-window, so the last bits of one replication's results may depend on its
-block-mates.
+Replications are keyed by (seed, rep_index), and a range of indices
+draws as one stack whose slices equal the single draws.  The Monte Carlo
+engine runs fixed blocks of consecutive replications, each drawn, then
+selected and estimated as one stack (see `rdbw.local_poly`): block k
+holds replications [kB, kB + B) with B = max(1, 16384 // n), so 32 at
+n = 500 and one replication per block from n = 16384 on.  Blocks depend
+only on n, and a worker pool of at most one process per block maps
+whole blocks, so summaries are bit-identical for every `jobs` value.  A
+stacked fit pads each slice to the block's widest window, so the last
+bits of one replication's results may depend on its block-mates.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -63,6 +63,15 @@ DEFAULT_ERROR_SD = 0.1295
 # observations per block of stacked replications; bounds a block's memory,
 # whose largest part is the whole-side quartic fit's design and its QR copy
 _BLOCK_VALUES = 1 << 14
+
+
+def __getattr__(name):
+    # importing the process pool loads multiprocessing: only runs with workers pay for it
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -140,23 +149,35 @@ def mean_outcome(design: str, arm: str, x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def draw_sample(spec: DgpSpec, rep_index: int = 0) -> Sample:
+def draw_sample(spec: DgpSpec, rep_index=0) -> Sample:
     """One replication's data, keyed deterministically by (seed, rep_index).
 
-    Raises ValidationError if the draws are not a valid sample, as for
-    an error_sd so large that the outcomes overflow.
+    A range of indices gives the stack of those replications: slice k
+    equals draw_sample(spec, rep_index[k]).  Each replication makes its
+    own three generator calls; everything after them runs once on the
+    (R, n) arrays.  Raises ValidationError if the draws are not a valid
+    sample, as for an error_sd so large that the outcomes overflow.
     """
-    rng = np.random.default_rng([spec.seed, rep_index])
-    x = 2.0 * rng.beta(2.0, 4.0, spec.n) - 1.0
-    d = (rng.uniform(size=spec.n) < treatment_prob(x)).astype(float)
-    eps = rng.normal(0.0, spec.error_sd, spec.n)
+    reps = rep_index if isinstance(rep_index, range) else (rep_index,)
+    x, uniform, eps = (np.empty((len(reps), spec.n)) for _ in range(3))
+    for k, rep in enumerate(reps):
+        rng = np.random.default_rng([spec.seed, rep])
+        x[k] = rng.beta(2.0, 4.0, spec.n)
+        uniform[k] = rng.uniform(size=spec.n)
+        eps[k] = rng.normal(0.0, spec.error_sd, spec.n)
+    # the Beta draws stretched onto [-1, 1], in place
+    x *= 2.0
+    x -= 1.0
+    d = (uniform < treatment_prob(x)).astype(float)
     # the arms share slopes: one trend, then each arm's intercept
     intercept = np.where(
         d == 1.0, _INTERCEPTS[spec.design, "treated"], _INTERCEPTS[spec.design, "control"]
     )
-    y = intercept + _trend(spec.design, x)
+    y = intercept + _trend(spec.design, x) + eps
+    if not isinstance(rep_index, range):
+        x, y, d = x[0], y[0], d[0]
     try:
-        return Sample(x=x, y=y + eps, d=d, c=0.0)
+        return Sample(x=x, y=y, d=d, c=0.0)
     except ValueError as e:
         raise ValidationError(f"draws with error_sd={spec.error_sd:g}: {e}") from e
 
@@ -190,14 +211,10 @@ def _block_reps(n: int) -> int:
     return max(1, _BLOCK_VALUES // n)
 
 
-def _stack(samples) -> Sample:
-    return Sample(*(np.stack([getattr(s, a) for s in samples]) for a in "xyd"), c=samples[0].c)
-
-
 def _run_block(spec: DgpSpec, method: str, kernel: KernelSpec, reps: int, block: int):
     """(h_plus, h_minus, error) per replication of one block, None where it failed."""
     size = _block_reps(spec.n)
-    stack = _stack([draw_sample(spec, r) for r in range(block * size, min((block + 1) * size, reps))])
+    stack = draw_sample(spec, range(block * size, min((block + 1) * size, reps)))
     mode = "fuzzy" if method == "mmse_f" else "sharp"
     sel, errors = select_bandwidths(stack, kernel, mode)
     # a failed slice estimates at placeholder bandwidths; its error stays first
@@ -235,8 +252,8 @@ def run_monte_carlo(
     Parameters
     ----------
     jobs : int, optional
-        Process count for parallel blocks (at most `reps`); results are
-        identical to the serial order for any value.
+        Process count for parallel blocks (at most the number of
+        blocks); results are identical to the serial order for any value.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -245,9 +262,10 @@ def run_monte_carlo(
 
     run = partial(_run_block, spec, method, kernel, reps)
     blocks = range(-(-reps // _block_reps(spec.n)))
-    workers = min(jobs or 1, reps)
+    workers = min(jobs or 1, len(blocks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up on the module, which imports the pool on first use
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             raw = [rep for block in pool.map(run, blocks) for rep in block]
     else:
         raw = [rep for block in blocks for rep in run(block)]

@@ -2,13 +2,16 @@
 sets, unit equivariance, and replications that once stalled the polish."""
 
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rdbw import selector
-from rdbw.errors import RdbwError
+from rdbw.errors import DegenerateObjective, RdbwError
+from rdbw.local_poly import Sample
 from rdbw.selector import (
     AmseCoefficients,
     _coordinate_best,
@@ -83,6 +86,98 @@ def test_per_coordinate_solve_matches_a_dense_line_scan():
             assert best_h[1 - side] == h[1 - side]
             assert best_v <= scan.min() * (1.0 + 1e-12)
             assert best_v == mmse_objective(best_h[0], best_h[1], coeffs)
+
+
+def reference_coordinate_best(c, h, side, bounds):
+    # the one-row check with one np.roots call and one mmse_objective per candidate
+    if side == 0:
+        phi, psi, omega = c.phi_plus, c.psi_plus, c.omega_plus
+        a, b = c.phi_minus * h[1] ** 2, c.psi_minus * h[1] ** 3
+    else:
+        phi, psi, omega = c.phi_minus, c.psi_minus, c.omega_minus
+        a, b = c.phi_plus * h[0] ** 2, c.psi_plus * h[0] ** 3
+    s = h[side]
+    q, r = phi * s**2, psi * s**3
+    roots = np.roots([6.0 * r * r, 0.0, 4.0 * q * q, -6.0 * r * b, -4.0 * q * a, 0.0, 0.0,
+                      -c.v * omega / (c.n * c.f * s)])
+    lo, hi = bounds[side]
+    candidates = [lo, hi]
+    for t in roots:
+        hc = s * t.real
+        if abs(t.imag) <= 1e-8 * abs(t) and lo < hc < hi:
+            candidates.append(hc)
+    best_h, best_v = None, math.inf
+    for hc in candidates:
+        pair = (hc, h[1]) if side == 0 else (h[0], hc)
+        v = mmse_objective(pair[0], pair[1], c)
+        if v < best_v:
+            best_h, best_v = pair, v
+    return best_h, best_v
+
+
+def stacked_check(rows, side):
+    """The stacked check on a list of (coeffs, h, bounds) rows."""
+    coeffs, points, boxes = zip(*rows)
+    bounds = tuple((np.array([b[i][0] for b in boxes]), np.array([b[i][1] for b in boxes])) for i in (0, 1))
+    return _coordinate_best(coeffs, np.array(points, dtype=float), side, bounds)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_stacked_check_equals_the_one_row_call_and_np_roots(side):
+    # at two random points and at the optimum of every corpus set, in one stack
+    rng = np.random.default_rng(11)
+    rows = []
+    for entry in CORPUS:
+        coeffs, bounds = _problem(entry)
+        pair = minimize_mmse(coeffs, bounds)
+        rows.append((coeffs, (pair.h_plus, pair.h_minus), bounds))
+        for _ in range(2):
+            rows.append((coeffs, (float(rng.uniform(*bounds[0])), float(rng.uniform(*bounds[1]))), bounds))
+    pairs, values, errors = stacked_check(rows, side)
+    assert errors == [None] * len(rows)
+    for r, (c, h, bounds) in enumerate(rows):
+        best_h, best_v = _coordinate_best(c, h, side, bounds)
+        assert tuple(pairs[r]) == best_h and values[r] == best_v
+        assert (best_h, best_v) == reference_coordinate_best(c, h, side, bounds)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_stacked_check_strips_degrees_and_fails_a_non_finite_row_alone(side):
+    coeffs, bounds = _problem(CORPUS[0])
+    solved = ("plus", "minus")[side]
+    h = tuple(math.sqrt(lo * hi) for lo, hi in bounds)
+    variants = [
+        {},
+        {f"psi_{solved}": 0.0},  # degree 5
+        {f"omega_{solved}": 0.0},  # zero constant term: degree 4 once stripped
+        {f"phi_{solved}": 0.0, f"psi_{solved}": 0.0},  # a constant: no roots
+        {f"omega_{solved}": math.inf},  # not finite
+        {f"psi_{solved}": 0.0},
+    ]
+    rows = [(replace(coeffs, **v), h, bounds) for v in variants]
+    pairs, values, errors = stacked_check(rows, side)
+    with pytest.raises(np.linalg.LinAlgError) as single:
+        _coordinate_best(rows[4][0], h, side, bounds)
+    with pytest.raises(np.linalg.LinAlgError) as reference:
+        reference_coordinate_best(rows[4][0], h, side, bounds)
+    assert type(errors[4]) is np.linalg.LinAlgError
+    assert str(errors[4]) == str(single.value) == str(reference.value)
+    for r, (c, _, _) in enumerate(rows):
+        if r != 4:
+            assert errors[r] is None
+            want = reference_coordinate_best(c, h, side, bounds)
+            assert (tuple(pairs[r]), values[r]) == _coordinate_best(c, h, side, bounds) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_criterion_that_is_nan_on_the_whole_grid_is_a_typed_error():
+    coeffs, bounds = _problem(CORPUS[0])
+    with pytest.raises(DegenerateObjective, match="not a number anywhere"):
+        minimize_mmse(replace(coeffs, phi_plus=math.nan), bounds)
+    # x in units of 1e-110: the squared bias terms overflow on the whole grid
+    sample = draw_sample(DgpSpec("design1", 500, seed=1), 0)
+    with pytest.raises(DegenerateObjective, match="not a number anywhere"):
+        select_bandwidths(Sample(sample.x * 1e-110, sample.y, sample.d, 0.0))
 
 
 @pytest.mark.parametrize("a", [1e-6, 1e-3, 10.0, 1e4, 1e6])

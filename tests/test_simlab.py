@@ -64,6 +64,17 @@ class TestTreatmentProb:
         np.testing.assert_allclose(treatment_prob(x), want, rtol=rtol, atol=atol)
 
 
+def test_import_loads_no_process_pool():
+    # the pool's modules load only when a run starts workers
+    code = (
+        "import sys, rdbw, rdbw.cli; "
+        "print(*(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+
+
 def test_import_loads_no_scipy():
     # a fresh interpreter, so modules the tests import do not count
     code = "import sys, rdbw, rdbw.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -158,6 +169,26 @@ class TestDrawSample:
         # no bound on error_sd is natural, but draws that overflow are not a sample
         with pytest.raises(ValidationError, match="finite"):
             draw_sample(DgpSpec(design="design1", n=60, error_sd=1e308), 0)
+        with pytest.raises(ValidationError, match="finite"):
+            draw_sample(DgpSpec(design="design1", n=60, error_sd=1e308), range(3))
+
+    @pytest.mark.parametrize(
+        "design, n, reps",
+        [
+            ("design1", 500, range(0, 32)),  # a whole block
+            ("design2", 500, range(992, 1000)),  # the partial last block of 1000
+            ("design1", 20_000, range(3, 4)),  # one replication a block
+        ],
+    )
+    def test_a_range_stacks_the_single_draws(self, design, n, reps):
+        spec = DgpSpec(design=design, n=n, seed=11)
+        stack = draw_sample(spec, reps)
+        assert stack.stacked and stack.x.shape == (len(reps), n)
+        for k, rep in enumerate(reps):
+            one = draw_sample(spec, rep)
+            assert np.array_equal(stack.x[k], one.x)
+            assert np.array_equal(stack.y[k], one.y)
+            assert np.array_equal(stack.d[k], one.d)
 
 
 class TestTrimmedStats:
@@ -221,10 +252,16 @@ class TestRunMonteCarlo:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(simlab, "ProcessPoolExecutor", RecordingPool)
+        # 2 replications of n = 200 are one block: no pool at all
         spec = DgpSpec(design="design1", n=200, seed=4)
         parallel = run_monte_carlo(spec, "mmse_f", 2, jobs=6)
-        assert seen == [2]
+        assert seen == []
         assert parallel == run_monte_carlo(spec, "mmse_f", 2)
+        # 40 replications of n = 500 are two blocks: two workers, not four
+        spec = DgpSpec(design="design1", n=500, seed=4)
+        parallel = run_monte_carlo(spec, "mmse_f", 40, jobs=4)
+        assert seen == [2]
+        assert parallel == run_monte_carlo(spec, "mmse_f", 40)
 
     def test_summary_invariants(self):
         spec = DgpSpec(design="design2", n=500, seed=2)

@@ -4,7 +4,7 @@ raises the error, of the same call on that slice alone."""
 import numpy as np
 import pytest
 
-from rdbw import simlab
+from rdbw import selector, simlab
 from rdbw.errors import InsufficientData, RdbwError, SingularDesign, WeakDiscontinuity, merge
 from rdbw.estimator import frd_estimate
 from rdbw.local_poly import Sample, fit_boundary
@@ -21,8 +21,7 @@ def single_pipeline(sample, mode):
         return e
 
 
-def stacked_pipeline(samples, mode):
-    stack = simlab._stack(samples)
+def stacked_pipeline(stack, mode):
     sel, errors = select_bandwidths(stack, mode=mode)
     h_plus = np.array([p.h_plus if p else 1.0 for p in sel.bandwidths])
     h_minus = np.array([p.h_minus if p else 1.0 for p in sel.bandwidths])
@@ -38,8 +37,9 @@ def assert_same_error(got, want):
 @pytest.mark.parametrize("seed, mode", [(6, "fuzzy"), (7, "sharp")])
 def test_every_slice_matches_its_single_sample_pipeline(seed, mode):
     # at n = 60 about a third of the draws fail, in several stages
-    samples = [draw_sample(DgpSpec("design1", 60, seed=seed), r) for r in range(64)]
-    sel, est, errors = stacked_pipeline(samples, mode)
+    spec = DgpSpec("design1", 60, seed=seed)
+    samples = [draw_sample(spec, r) for r in range(64)]
+    sel, est, errors = stacked_pipeline(draw_sample(spec, range(64)), mode)
     failures = set()
     for r, sample in enumerate(samples):
         want = single_pipeline(sample, mode)
@@ -58,8 +58,9 @@ def test_every_slice_matches_its_single_sample_pipeline(seed, mode):
 
 
 def test_a_single_sample_is_a_stack_of_one():
-    sample = draw_sample(DgpSpec("design2", 500, seed=3), 1)
-    one = simlab._stack([sample])
+    spec = DgpSpec("design2", 500, seed=3)
+    sample = draw_sample(spec, 1)
+    one = draw_sample(spec, range(1, 2))
     sel, errors = select_bandwidths(one)
     assert errors == [None]
     assert sel.bandwidths[0] == select_bandwidths(sample).bandwidths
@@ -68,9 +69,23 @@ def test_a_single_sample_is_a_stack_of_one():
     assert tuple((float(lo[0]), float(hi[0])) for lo, hi in bounds) == default_bounds(sample)
 
 
+def test_a_stack_minimizes_in_one_call(monkeypatch):
+    calls = []
+    minimize = selector.minimize_mmse
+
+    def counted(coeffs, bounds):
+        calls.append(len(coeffs))
+        return minimize(coeffs, bounds)
+
+    monkeypatch.setattr(selector, "minimize_mmse", counted)
+    sel, errors = select_bandwidths(draw_sample(DgpSpec("design1", 500, seed=1), range(64)))
+    assert calls == [64] and errors == [None] * 64
+
+
 def test_a_bad_bandwidth_fails_its_slice_only():
-    samples = [draw_sample(DgpSpec("design1", 300, seed=2), r) for r in range(3)]
-    fit, errors = fit_boundary(simlab._stack(samples), "plus", np.array([0.3, np.nan, 0.4]))
+    spec = DgpSpec("design1", 300, seed=2)
+    samples = [draw_sample(spec, r) for r in range(3)]
+    fit, errors = fit_boundary(draw_sample(spec, range(3)), "plus", np.array([0.3, np.nan, 0.4]))
     assert errors[0] is None and errors[2] is None
     with pytest.raises(ValueError) as single:
         fit_boundary(samples[1], "plus", np.nan)
