@@ -2,18 +2,17 @@
 
 The criterion keeps three terms: the squared first-order bias contrast,
 the squared second-order bias contrast, and the variance of the jump
-estimate.  It is minimized jointly over (h_plus, h_minus): a coarse
-logarithmic grid finds the basins, a box-projected Newton method with
-the criterion's closed-form derivatives polishes each one, and an exact
-solve along each coordinate (a degree-7 polynomial) checks the result.
-Closed-form optimal pairs exist in both curvature regimes and double as
-oracle and fallback.
+estimate.  It is minimized jointly over (h_plus, h_minus) through its
+exact one-dimensional structure: on each ray h_minus = lambda h_plus it
+has one minimum in h_plus, so the box minimum is the minimum of a
+profile over lambda alone (see `minimize_mmse`).  Closed-form optimal
+pairs exist in both curvature regimes and double as oracle and
+fallback.
 
 `select_bandwidths`, `compute_coefficients` and `default_bounds` run on
 a stack of samples as on one (see `rdbw.local_poly`).  The minimizer
 takes the coefficients and bounds of every slice that has not failed in
-one call: each slice runs its own grid and Newton descents, and the
-exact check runs on all of them at once.
+one call and profiles all of them at once.
 """
 
 import math
@@ -38,27 +37,17 @@ from .pilot import PilotEstimates, assemble_pilots
 
 REGIMES = ("opposite_sign", "same_sign", "boundary_clamped")
 
-GRID_POINTS = 60
-# grid positions in units of the log-spacing, as np.geomspace places its nodes
-_GRID_STEPS = np.arange(float(GRID_POINTS))[:, None]
+# log-spaced rays of the profile; the analytic rays come on top of them
+PROFILE_NODES = 64
+# Newton steps on the inner root: each one squares a log-error that
+# starts below log(2) / 5 and shrinks it at least tenfold
+_ROOT_STEPS = 4
+# the refinement stops once its step in log(h_minus / h_plus) is this small
+_STEP_TOL = 1e-13
+_REFINE_MAXITER = 30
 # relative slack when deciding whether the optimum sits on the bound box
 _EDGE_RTOL = 1e-8
-# a log-bandwidth this close to its bound sits on it (the bound is active)
-_ACTIVE_TOL = 1e-12
-# Newton stops once its step in log-bandwidth is this small
-_STEP_TOL = 1e-13
-# below this step length, where the Hessian is positive definite, Newton
-# takes the full step without a line search
-_TRUST_STEP = 1e-6
-_NEWTON_MAXITER = 100
-_LINE_SEARCH_HALVINGS = 40
-# sufficient-decrease fraction of the line search
-_ARMIJO = 1e-4
-# a polynomial root counts as real when its imaginary part is this small
-_ROOT_IMAG_TOL = 1e-8
-# relative margin by which a per-coordinate candidate must beat Newton
-_CHECK_RTOL = 1e-12
-_CHECK_ROUNDS = 4
+_LOG4, _LOG6 = math.log(4.0), math.log(6.0)
 
 
 @dataclass(frozen=True)
@@ -192,14 +181,6 @@ def compute_coefficients(
     return tuple(coeffs), errors
 
 
-def _criterion(c: AmseCoefficients, hp, hm):
-    # the criterion on floats or on arrays that broadcast together
-    bias1 = c.phi_plus * hp**2 - c.phi_minus * hm**2
-    bias2 = c.psi_plus * hp**3 - c.psi_minus * hm**3
-    var = (c.v / (c.n * c.f)) * (c.omega_plus / hp + c.omega_minus / hm)
-    return bias1 * bias1 + bias2 * bias2 + var
-
-
 def mmse_objective(h_plus: float, h_minus: float, coeffs: AmseCoefficients) -> float:
     """Criterion value at one bandwidth pair.
 
@@ -208,290 +189,161 @@ def mmse_objective(h_plus: float, h_minus: float, coeffs: AmseCoefficients) -> f
     """
     if not (h_plus > 0.0 and h_minus > 0.0):
         raise ValueError("bandwidths must be positive")
-    return float(_criterion(coeffs, h_plus, h_minus))
+    c = coeffs
+    bias1 = c.phi_plus * h_plus**2 - c.phi_minus * h_minus**2
+    bias2 = c.psi_plus * h_plus**3 - c.psi_minus * h_minus**3
+    var = (c.v / (c.n * c.f)) * (c.omega_plus / h_plus + c.omega_minus / h_minus)
+    return float(bias1 * bias1 + bias2 * bias2 + var)
 
 
 def _classify(coeffs: AmseCoefficients) -> str:
     return "opposite_sign" if coeffs.phi_plus * coeffs.phi_minus < 0.0 else "same_sign"
 
 
-def _grid_starts(grid: np.ndarray, hp: np.ndarray, hm: np.ndarray):
-    """Local minima of the grid over 3 x 3 neighbourhoods, best first.
+def _unit_free(coeffs, bounds):
+    """Each slice's criterion and box as (R, 1) columns free of the data's units.
 
-    Ties in value break toward the smallest h_plus + h_minus.
+    Bandwidths are measured in h_ref = sqrt(lo_plus hi_plus) and the
+    criterion in K (omega_+ + omega_-) / h_ref, with K = v / (n f).  In
+    t = log(h_plus / h_ref) and l = log(h_minus / h_plus) the criterion
+    then reads (a e^2t)^2 + (b e^3t)^2 + kappa e^-t, with
+    a = p_+ - p_- e^2l, b = q_+ - q_- e^3l and kappa = k_+ + k_- e^-l.
+    The box is u_lo <= t <= u_hi and w_lo <= t + l <= w_hi.
     """
-    pad = np.full((grid.shape[0] + 2, grid.shape[1] + 2), np.inf)
-    pad[1:-1, 1:-1] = grid
-    rows = np.minimum(np.minimum(pad[:, :-2], pad[:, 1:-1]), pad[:, 2:])
-    window = np.minimum(np.minimum(rows[:-2], rows[1:-1]), rows[2:])
-    i, j = np.nonzero(grid <= window)
-    order = np.lexsort((hp[i] + hm[j], grid[i, j]))
-    return [(float(hp[a]), float(hm[b])) for a, b in zip(i[order], j[order])]
+    phi_p, phi_m, psi_p, psi_m, omega_p, omega_m, k = np.array(
+        [[c.phi_plus, c.phi_minus, c.psi_plus, c.psi_minus, c.omega_plus, c.omega_minus,
+          c.v / (c.n * c.f)] for c in coeffs]
+    ).T[:, :, None]
+    (lo_p, hi_p), (lo_m, hi_m) = ((np.log(lo)[:, None], np.log(hi)[:, None]) for lo, hi in bounds)
+    log_ref = 0.5 * (lo_p + hi_p)
+    omega = omega_p + omega_m
+    # the square root of the criterion's unit, taken factor by factor so
+    # that it neither overflows nor underflows where its square would
+    scale = np.sqrt(k / np.exp(log_ref)) * np.sqrt(omega)
+    square, cube = np.exp(2.0 * log_ref) / scale, np.exp(3.0 * log_ref) / scale
+    return SimpleNamespace(
+        p_plus=phi_p * square, p_minus=phi_m * square,
+        q_plus=psi_p * cube, q_minus=psi_m * cube,
+        k_plus=omega_p / omega, k_minus=omega_m / omega,
+        u_lo=lo_p - log_ref, u_hi=hi_p - log_ref, w_lo=lo_m - log_ref, w_hi=hi_m - log_ref,
+        log_ref=log_ref,
+    )
 
 
-def _log_derivatives(c: AmseCoefficients, h_plus: float, h_minus: float):
-    """Gradient, Hessian and Gauss-Newton matrix of the criterion in
-    (u, w) = (log h_plus, log h_minus).
+def _profile(prob, ell):
+    """The criterion's minimum along the rays l = ell, and its first two
+    derivatives in l.
 
-    With X = phi_+ h_+^2, Y = phi_- h_-^2, P = psi_+ h_+^3,
-    Q = psi_- h_-^3, e1 = X - Y, e2 = P - Q and V_+- the two variance
-    terms, F_u = 4 X e1 + 6 P e2 - V_+, F_uu = 8 X e1 + 8 X^2 + 18 P e2
-    + 18 P^2 + V_+ and F_uw = -8 X Y - 18 P Q; F_w and F_ww mirror them.
-    The Gauss-Newton matrix drops the residual terms 8 X e1 + 18 P e2
-    and their mirror, which leaves it positive semidefinite.  Each
-    matrix is (uu, uw, ww, det).
+    On a ray, h^2 dF/dh = 4 a^2 h^5 + 6 b^2 h^7 - kappa grows with h, so
+    the criterion has one minimum there.  Newton on
+    log(4 a^2 h^5 + 6 b^2 h^7) = log kappa in t, a convex equation,
+    starts from the smaller of its two one-term roots, which both lie
+    above the root, and descends to it; the root is then clipped to the
+    ray's part of the box.  In (u, w) = (log h_plus, log h_minus), the
+    envelope theorem gives the profile's slope F_w where the root is
+    inside or h_plus is clipped, and -F_u where h_minus is clipped.
+    Which bound clips is read from the unclipped root; at a corner ray
+    (l = w_hi - u_hi or w_lo - u_lo), where the clipping bound changes
+    sides, it is the bound that clips the rays just above.  Arrays of
+    prob broadcast against ell.
     """
-    k = c.v / (c.n * c.f)
-    x = c.phi_plus * h_plus**2
-    y = c.phi_minus * h_minus**2
-    p = c.psi_plus * h_plus**3
-    q = c.psi_minus * h_minus**3
-    e1 = x - y
-    e2 = p - q
-    var_p = k * c.omega_plus / h_plus
-    var_m = k * c.omega_minus / h_minus
-    grad = (4.0 * x * e1 + 6.0 * p * e2 - var_p, -4.0 * y * e1 - 6.0 * q * e2 - var_m)
-    uw = -8.0 * x * y - 18.0 * p * q
-    a = 8.0 * x * x + 18.0 * p * p
-    b = 8.0 * y * y + 18.0 * q * q
-    # the rank-one parts of the determinant cancel to 144 (XQ - PY)^2,
-    # which uu ww - uw^2 would lose to rounding in the narrow valley
-    cross = 144.0 * (x * q - p * y) ** 2
-
-    def matrix(d_u, d_w):
-        return d_u + a, uw, d_w + b, cross + d_u * b + d_w * a + d_u * d_w
-
-    hess = matrix(8.0 * x * e1 + 18.0 * p * e2 + var_p, -8.0 * y * e1 - 18.0 * q * e2 + var_m)
-    return grad, hess, matrix(var_p, var_m)
-
-
-def _newton_direction(grad, hess, gauss_newton, free):
-    """Descent step on the free coordinates, and whether it is a Newton
-    step on a positive definite Hessian.  Where the Hessian is not
-    positive definite, the Gauss-Newton matrix takes its place."""
-    if free[0] and free[1]:
-        convex = hess[0] > 0.0 and hess[3] > 0.0
-        uu, uw, ww, det = hess if convex else gauss_newton
-        if det > 0.0:
-            return (
-                (uw * grad[1] - ww * grad[0]) / det,
-                (uw * grad[0] - uu * grad[1]) / det,
-            ), convex
-        return (-grad[0], -grad[1]), False
-    i = 0 if free[0] else 1
-    convex = hess[2 * i] > 0.0
-    curv = hess[2 * i] if convex else gauss_newton[2 * i]
-    step = [0.0, 0.0]
-    step[i] = -grad[i] / curv if curv > 0.0 else -grad[i]
-    return (step[0], step[1]), convex
+    lam = np.exp(ell)
+    a = prob.p_plus - prob.p_minus * (lam * lam)
+    b = prob.q_plus - prob.q_minus * (lam * lam * lam)
+    kappa = prob.k_plus + prob.k_minus / lam
+    plus_hi = ell < prob.w_hi - prob.u_hi
+    plus_lo = ell >= prob.w_lo - prob.u_lo
+    t_hi = np.minimum(prob.u_hi, prob.w_hi - ell)
+    t_lo = np.maximum(prob.u_lo, prob.w_lo - ell)
+    alpha = _LOG4 + 2.0 * np.log(np.abs(a))
+    beta = _LOG6 + 2.0 * np.log(np.abs(b))
+    log_kappa = np.log(kappa)
+    t = np.minimum(t_hi, np.minimum((log_kappa - alpha) / 5.0, (log_kappa - beta) / 7.0))
+    for _ in range(_ROOT_STEPS):
+        e5, e7 = alpha + 5.0 * t, beta + 7.0 * t
+        t = t - (np.logaddexp(e5, e7) - log_kappa) / (5.0 + 2.0 / (1.0 + np.exp(e5 - e7)))
+    # Newton's iterate is NaN only on a ray with no bias term (or on NaN
+    # coefficients, which make the value NaN anyway): there the criterion
+    # falls all the way to the upper clip
+    upper, lower = ~(t <= t_hi), t < t_lo
+    minus = np.where(upper, ~plus_hi, lower & ~plus_lo)
+    t = np.fmax(np.fmin(t, t_hi), t_lo)
+    hu = np.exp(t)
+    hw = hu * lam
+    x, y = prob.p_plus * (hu * hu), prob.p_minus * (hw * hw)
+    p, q = prob.q_plus * (hu * hu * hu), prob.q_minus * (hw * hw * hw)
+    e1, e2 = a * (hu * hu), b * (hu * hu * hu)
+    var_p, var_m = prob.k_plus / hu, prob.k_minus / hw
+    f_u = 4.0 * x * e1 + 6.0 * p * e2 - var_p
+    f_w = -4.0 * y * e1 - 6.0 * q * e2 - var_m
+    f_uu = 8.0 * (x * e1 + x * x) + 18.0 * (p * e2 + p * p) + var_p
+    f_ww = 8.0 * (y * y - y * e1) + 18.0 * (q * q - q * e2) + var_m
+    # d/dt of F_u + F_w on the ray, and its cross-derivative with l
+    f_tt = 16.0 * e1 * e1 + 36.0 * e2 * e2 + var_p + var_m
+    f_tl = f_ww - 8.0 * x * y - 18.0 * p * q
+    inner = np.where(upper | lower, f_ww, f_ww - f_tl * (f_tl / f_tt))
+    return SimpleNamespace(
+        t=t, ell=ell, upper=upper, clipped=upper | lower, minus=minus,
+        value=e1 * e1 + e2 * e2 + var_p + var_m,
+        slope=np.where(minus, -f_u, f_w),
+        curvature=np.where(minus, f_uu, inner),
+    )
 
 
-def _to_box(z: float, bound, log_bound):
-    """Bandwidth and log-bandwidth of z clipped to one side of the box.
+def _refine(prob, lo, hi, f_lo, f_hi):
+    """The profile at a root of its slope in each bracket [lo, hi].
 
-    Within _ACTIVE_TOL of a bound, z lands exactly on it.
+    The slope is f_lo < 0 just above lo and f_hi > 0 just below hi.  All
+    brackets start where the chord between those slopes crosses zero and
+    step in lockstep by the safeguarded Newton rule of rtsafe (Press et
+    al., Numerical Recipes, 9.4): a Newton step is taken only if it stays
+    in the bracket and is at most half the step before last, otherwise
+    the bracket is bisected, because the curvature jumps where the inner
+    root meets the box.  A bracket stops once its step is below
+    _STEP_TOL or its slope is zero.
     """
-    if z <= log_bound[0] + _ACTIVE_TOL:
-        return bound[0], log_bound[0]
-    if z >= log_bound[1] - _ACTIVE_TOL:
-        return bound[1], log_bound[1]
-    return min(max(math.exp(z), bound[0]), bound[1]), z
-
-
-def _newton(coeffs: AmseCoefficients, h, value: float, bounds, visited=None):
-    """Damped, box-projected Newton descent in log-bandwidth from h.
-
-    A coordinate on its bound stays fixed while the gradient pushes it
-    outward.  Steps are halved until the criterion decreases, except
-    short steps where the Hessian is positive definite: there the
-    decrease is below the criterion's rounding, so the full step is
-    taken on the gradient's word, until such steps stop halving.
-    Returns the final pair and its criterion value; every iterate's
-    log-bandwidths are appended to visited, if given.
-    """
-    log_bounds = [(math.log(lo), math.log(hi)) for lo, hi in bounds]
-    last_trusted = math.inf
-    for _ in range(_NEWTON_MAXITER):
-        grad, hess, gauss_newton = _log_derivatives(coeffs, h[0], h[1])
-        z = [math.log(h[0]), math.log(h[1])]
-        if visited is not None:
-            visited.append(z)
-        free = [
-            not (
-                (z[i] <= log_bounds[i][0] + _ACTIVE_TOL and grad[i] > 0.0)
-                or (z[i] >= log_bounds[i][1] - _ACTIVE_TOL and grad[i] < 0.0)
-            )
-            for i in (0, 1)
-        ]
-        if not (free[0] or free[1]):
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    last = older = hi - lo
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(_REFINE_MAXITER + 1):
+        at = _profile(prob, x)
+        lo = np.where(active & (at.slope < 0.0), x, lo)
+        hi = np.where(active & (at.slope > 0.0), x, hi)
+        active &= (last >= _STEP_TOL) & (at.slope != 0.0)
+        if not active.any():
             break
-        step, convex = _newton_direction(grad, hess, gauss_newton, free)
-        size = max(abs(step[0]), abs(step[1]))
-        trusted = convex and size <= _TRUST_STEP
-        if size <= _STEP_TOL or (trusted and size > 0.5 * last_trusted):
-            break
-        t = 1.0
-        for _ in range(_LINE_SEARCH_HALVINGS):
-            (hp, zp), (hm, zm) = (
-                _to_box(z[i] + t * step[i], bounds[i], log_bounds[i]) for i in (0, 1)
-            )
-            v = mmse_objective(hp, hm, coeffs)
-            slope = grad[0] * (zp - z[0]) + grad[1] * (zm - z[1])
-            if trusted or (v < value and v <= value + _ARMIJO * slope):
-                break
-            t *= 0.5
-        else:
-            break
-        h, value = (hp, hm), v
-        if trusted:
-            last_trusted = size
-    return h, value
-
-
-def _as_stack(bounds):
-    """A box of floats as a box of (1,) arrays, the stack of one."""
-    return tuple((np.array([lo], dtype=float), np.array([hi], dtype=float)) for lo, hi in bounds)
-
-
-def _columns(coeffs):
-    """A sequence of AmseCoefficients as (R, 1) columns that _criterion takes."""
-    table = np.array([list(vars(c).values()) for c in coeffs])
-    return SimpleNamespace(**dict(zip(vars(coeffs[0]), table.T[:, :, None])))
-
-
-def _coordinate_best(coeffs, h, side: int, bounds):
-    """Exact best value of one bandwidth with the other held fixed.
-
-    For h_minus at fixed h_plus, dF/dh_minus = 0 times h_minus^2 is
-    6 psi_-^2 h^7 + 4 phi_-^2 h^5 - 6 psi_- B h^4 - 4 phi_- A h^3 - D,
-    with A = phi_+ h_+^2, B = psi_+ h_+^3 and D = v omega_- / (n f); the
-    h_plus case mirrors it.  The candidates are the box ends and the
-    real roots inside the box; the polynomial is solved in h / h[side],
-    which keeps its coefficients free of the data's units.
-
-    On a stack (R AmseCoefficients, h as (R, 2) and bounds of (R,)
-    arrays, as default_bounds gives them) returns (pairs, values,
-    errors), pairs as (R, 2).  Rows are grouped by the degree left once
-    leading and trailing zero coefficients are stripped, as np.roots
-    strips them, and each group's companion matrices, built as np.roots
-    builds them, take one eigvals call.  A row whose companion matrix is
-    not finite fails alone, with np.roots' error.  The candidates, in
-    the order lo, hi, then the in-box real roots, take one vectorised
-    criterion; the first strict minimum wins, and its value is
-    recomputed with mmse_objective.
-    """
-    if isinstance(coeffs, AmseCoefficients):
-        pairs, values, errors = _coordinate_best((coeffs,), np.array([h], dtype=float), side, _as_stack(bounds))
-        raise_first(errors)
-        return tuple(pairs[0]), values[0]
-    # built per row on Python floats: numpy's array ** rounds some squares
-    # and cubes differently from float pow, which would move the roots
-    polys = []
-    for c, (h_p, h_m) in zip(coeffs, h.tolist()):
-        if side == 0:
-            phi, psi, omega = c.phi_plus, c.psi_plus, c.omega_plus
-            a, b, s = c.phi_minus * h_m**2, c.psi_minus * h_m**3, h_p
-        else:
-            phi, psi, omega = c.phi_minus, c.psi_minus, c.omega_minus
-            a, b, s = c.phi_plus * h_p**2, c.psi_plus * h_p**3, h_m
-        q, r = phi * s**2, psi * s**3
-        polys.append([6.0 * r * r, 0.0, 4.0 * q * q, -6.0 * r * b, -4.0 * q * a, 0.0, 0.0,
-                      -c.v * omega / (c.n * c.f * s)])
-    poly = np.array(polys)
-    nonzero = poly != 0.0
-    first = nonzero.argmax(axis=1)
-    # order of the companion matrix; 0 where no root is left
-    order = np.where(nonzero.any(axis=1), poly.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1) - first, 0)
-    roots = np.full((len(poly), poly.shape[1] - 1), np.nan, dtype=complex)
-    errors = [None] * len(poly)
-    for m in np.unique(order[order > 0]).tolist():
-        rows = np.flatnonzero(order == m)
-        stripped = poly[rows[:, None], first[rows, None] + np.arange(m + 1)]
-        companion = np.zeros((len(rows), m, m))
-        companion[:, 0] = -stripped[:, 1:] / stripped[:, :1]
-        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        finite = np.isfinite(companion[:, 0]).all(axis=1)
-        for r in rows[~finite]:
-            errors[r] = np.linalg.LinAlgError("Array must not contain infs or NaNs")
-        roots[rows[finite], :m] = np.linalg.eigvals(companion[finite])
-
-    lo, hi = (end[:, None] for end in bounds[side])
-    scaled = h[:, side, None] * roots.real
-    inside = (np.abs(roots.imag) <= _ROOT_IMAG_TOL * np.abs(roots)) & (lo < scaled) & (scaled < hi)
-    candidates = np.hstack((lo, hi, np.where(inside, scaled, np.nan)))
-    fixed = h[:, 1 - side, None]
-    value = _criterion(_columns(coeffs), *((candidates, fixed) if side == 0 else (fixed, candidates)))
-    pairs = h.copy()
-    # argmin takes the first minimum; a NaN (no candidate) never wins
-    pairs[:, side] = candidates[np.arange(len(poly)), np.where(np.isnan(value), np.inf, value).argmin(axis=1)]
-    values = [mmse_objective(h_p, h_m, c) for c, (h_p, h_m) in zip(coeffs, pairs.tolist())]
-    return pairs, values, errors
-
-
-def _path_distance(point, tails, heads) -> float:
-    """Euclidean distance from point to the nearest segment tails[i] -> heads[i]."""
-    if not len(tails):
-        return math.inf
-    span = heads - tails
-    length2 = np.einsum("ij,ij->i", span, span)
-    t = np.clip(np.einsum("ij,ij->i", point - tails, span) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
-    gap = point - (tails + t[:, None] * span)
-    return float(np.sqrt(np.einsum("ij,ij->i", gap, gap).min()))
-
-
-def _descend(coeffs: AmseCoefficients, box):
-    """Best pair and value of the grid and the Newton runs from its
-    minima; None where the criterion is NaN on the whole grid."""
-    lo, hi = np.array(box).T
-    log_lo, log_hi = np.log10(lo), np.log10(hi)
-    nodes = _GRID_STEPS * ((log_hi - log_lo) / (GRID_POINTS - 1)) + log_lo
-    nodes[-1] = log_hi
-    grid = 10.0**nodes
-    grid[0], grid[-1] = lo, hi
-    hp, hm = grid.T
-    # one grid cell per side, in natural log-bandwidth
-    cell = (log_hi - log_lo) * (math.log(10.0) / (GRID_POINTS - 1))
-    starts = _grid_starts(_criterion(coeffs, hp[:, None], hm[None, :]), hp, hm)
-    if not starts:
-        return None
-    # the best node first, then the others from the worst up: a run from
-    # far up a valley passes by the valley's other grid minima
-    h_best, v_best = None, math.inf
-    tails, heads = np.empty((0, 2)), np.empty((0, 2))  # path segments, in grid cells
-    for start in starts[:1] + starts[:0:-1]:
-        node = np.log(start) / cell
-        if _path_distance(node, tails, heads) <= 1.0:
-            continue  # an earlier run descended past this node
-        visited = []
-        h, v = _newton(coeffs, start, mmse_objective(start[0], start[1], coeffs), box, visited)
-        path = np.array(visited) / cell
-        tails = np.vstack((tails, path[:-1] if len(path) > 1 else path))
-        heads = np.vstack((heads, path[1:] if len(path) > 1 else path))
-        if v < v_best:
-            h_best, v_best = h, v
-    return h_best, v_best
+        f, df = at.slope, at.curvature
+        newton = x - f / df
+        bisect = ~((lo <= newton) & (newton <= hi) & (np.abs(2.0 * f) <= np.abs(older * df)))
+        older = last
+        last = np.where(bisect, 0.5 * (hi - lo), np.abs(newton - x))
+        x = np.where(active, np.where(bisect, 0.5 * (lo + hi), newton), x)
+    return at
 
 
 def minimize_mmse(coeffs, bounds):
     """Global minimizer of the criterion over a per-side bound box.
 
-    A 60 x 60 logarithmic grid locates the basins (the criterion mixes
-    h^2, h^3 and 1/h terms and can have several).  From each local
-    minimum of the grid, a damped Newton method in log-bandwidth with
-    the criterion's closed-form gradient and Hessian, projected on the
-    box, descends to a stationary point.  The best minimum goes first,
-    then the others from the worst up, and a minimum within one grid
-    cell of the path of an earlier run is skipped: a valley that the
-    grid aliases into a row of minima takes one run.  The best result
-    then passes an exact check along each coordinate, h_minus first:
-    with the other bandwidth held fixed, the criterion's stationary
-    points are the roots of a degree-7 polynomial, so the best value on
-    that line is known exactly; a better candidate restarts Newton and
-    the check.  Ties on the grid break toward the smallest
-    h_plus + h_minus.  The returned value never exceeds the best grid
-    node.  Every step is expressed in unit-free quantities, so
-    restating the coefficients and the box in units of a x (phi / a^2,
-    psi / a^3, f / a, a * bounds) returns a times the pair.
+    Along a ray h_minus = lambda h_plus the criterion is
+    A h^4 + B h^6 + K C / h in h = h_plus, with A = (phi_+ - phi_- lambda^2)^2,
+    B = (psi_+ - psi_- lambda^3)^2, C = omega_+ + omega_- / lambda and
+    K = v / (n f).  Its one minimum in h, clipped to the part of the ray
+    inside the box, gives a profile g(lambda), and every point of the box
+    lies on one ray, so the box minimum is the minimum of g.  g is
+    evaluated with its slope on 64 log-spaced rays across the box and on
+    the analytic rays where A = 0, where B = 0 and at the two corners
+    where the clipping bound changes sides; every node interval where
+    the slope turns from negative to positive is refined to its root.
+    The best of those roots and of the nodes that end no refined
+    interval wins.
+
+    The profile is computed with bandwidths in units of
+    sqrt(lo_plus hi_plus) and the criterion in units of
+    K (omega_+ + omega_-) / sqrt(lo_plus hi_plus), both of one slice.
+    Restating x in units of a x (phi / a^2, psi / a^3, f / a, a * bounds)
+    or y in units of b y (phi, psi times b, omega times b^2) leaves the
+    profile's numbers unchanged up to rounding, so the pair scales by a
+    and does not move with b.
 
     Parameters
     ----------
@@ -501,71 +353,92 @@ def minimize_mmse(coeffs, bounds):
         default_bounds gives them for a stack.
 
     A sequence gives (pairs, errors), one entry per slice, the pair None
-    where the slice failed (see `rdbw.errors`).  Each slice runs its own
-    grid and Newton descents, and the exact check runs on every slice
-    still being checked at once: one eigvals call per polynomial degree
-    and check step.
+    where the slice failed (see `rdbw.errors`).  All slices that have not
+    failed are profiled and refined together.
     """
     if isinstance(coeffs, AmseCoefficients):
-        pairs, errors = minimize_mmse((coeffs,), _as_stack(bounds))
+        pairs, errors = minimize_mmse((coeffs,), tuple(([lo], [hi]) for lo, hi in bounds))
         raise_first(errors)
         return pairs[0]
     bounds = tuple((np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in bounds)
-    boxes = [((a, b), (c, d)) for a, b, c, d in zip(*(end.tolist() for side in bounds for end in side))]
+    (lo_p, hi_p), (lo_m, hi_m) = bounds
     errors = [None] * len(coeffs)
-    found = [None] * len(coeffs)  # (pair, value) per slice
-    for r, (c, box) in enumerate(zip(coeffs, boxes)):
-        (lo_p, hi_p), (lo_m, hi_m) = box
-        if not (0.0 < lo_p < hi_p and 0.0 < lo_m < hi_m):
-            errors[r] = ValueError("bounds must satisfy 0 < lo < hi on each side")
-        elif c.omega_plus == 0.0 and c.omega_minus == 0.0:
-            errors[r] = DegenerateObjective(
-                "both variance numerators are zero; the criterion has no interior minimum"
-            )
-        else:
-            found[r] = _descend(c, box)
-            if found[r] is None:
-                errors[r] = DegenerateObjective("the criterion is not a number anywhere on the grid")
-
-    # each round checks side 1, then side 0; a better candidate restarts
-    # Newton, and that slice's next round
-    checking = [r for r, e in enumerate(errors) if e is None]
-    for _ in range(_CHECK_ROUNDS):
-        restarted = []
-        for side in (1, 0):
-            if not checking:
-                break
-            pairs, values, failed = _coordinate_best(
-                [coeffs[r] for r in checking],
-                np.array([found[r][0] for r in checking], dtype=float),
-                side,
-                tuple((lo[checking], hi[checking]) for lo, hi in bounds),
-            )
-            left = []
-            for r, h, v, error in zip(checking, pairs.tolist(), values, failed):
-                if error is not None:
-                    errors[r] = error
-                elif v < found[r][1] * (1.0 - _CHECK_RTOL):
-                    found[r] = _newton(coeffs[r], h, v, boxes[r])
-                    restarted.append(r)
-                else:
-                    left.append(r)
-            checking = left
-        checking = restarted
-
+    record(errors, ~((0.0 < lo_p) & (lo_p < hi_p) & (0.0 < lo_m) & (lo_m < hi_m)),
+           lambda r: ValueError("bounds must satisfy 0 < lo < hi on each side"))
+    record(errors, [c.omega_plus == 0.0 and c.omega_minus == 0.0 for c in coeffs],
+           lambda r: DegenerateObjective(
+               "both variance numerators are zero; the criterion has no interior minimum"))
+    ok = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
     out = [None] * len(coeffs)
-    for r, error in enumerate(errors):
-        if error is None:
-            (h_p, h_m), v = found[r]
-            (lo_p, hi_p), (lo_m, hi_m) = boxes[r]
-            on_edge = (
-                h_p <= lo_p * (1 + _EDGE_RTOL)
-                or h_p >= hi_p * (1 - _EDGE_RTOL)
-                or h_m <= lo_m * (1 + _EDGE_RTOL)
-                or h_m >= hi_m * (1 - _EDGE_RTOL)
-            )
-            regime = "boundary_clamped" if on_edge else _classify(coeffs[r])
-            out[r] = BandwidthPair(h_plus=h_p, h_minus=h_m, regime=regime, objective_value=v)
+    if not len(ok):
+        return out, errors
+    with np.errstate(all="ignore"):
+        # a coefficient that is not finite makes its slice's profile NaN
+        prob = _unit_free([coeffs[r] for r in ok], tuple((lo[ok], hi[ok]) for lo, hi in bounds))
+        analytic = np.hstack((0.5 * np.log(prob.p_plus / prob.p_minus),
+                              np.log(prob.q_plus / prob.q_minus) / 3.0))
+        first, last = prob.w_lo - prob.u_hi, prob.w_hi - prob.u_lo
+        nodes = np.hstack((
+            np.linspace(first[:, 0], last[:, 0], PROFILE_NODES, axis=1),
+            np.where((first < analytic) & (analytic < last), analytic, np.nan),
+            prob.w_lo - prob.u_lo,
+            prob.w_hi - prob.u_hi,
+        ))
+        # the corners once more, a float below: the profile's slope just
+        # below a corner, where it may differ from the slope just above
+        at = _profile(prob, np.hstack((nodes, np.nextafter(nodes[:, -2:], -np.inf))))
+        m = nodes.shape[1]
+        order = np.argsort(nodes, axis=1)
+        ell = np.take_along_axis(nodes, order, axis=1)
+        right = np.take_along_axis(at.slope[:, :m], order, axis=1)
+        left = np.take_along_axis(np.hstack((at.slope[:, : m - 2], at.slope[:, m:])), order, axis=1)
+        rows, cols = np.nonzero((right[:, :-1] < 0.0) & (left[:, 1:] > 0.0))
+        refined = _refine(
+            SimpleNamespace(**{name: v[rows] for name, v in vars(prob).items()}),
+            ell[rows, cols, None],
+            ell[rows, cols + 1, None],
+            right[rows, cols, None],
+            left[rows, cols + 1, None],
+        )
+
+    # the best node, leaving out those that end a refined interval: they
+    # lie above its root
+    value = np.take_along_axis(at.value[:, :m], order, axis=1)
+    undefined = np.isnan(value).all(axis=1)
+    value[rows, cols] = value[rows, cols + 1] = np.inf
+    best = np.where(np.isnan(value), np.inf, value).argmin(axis=1)
+    slices = np.arange(len(ok))
+    node = order[slices, best]
+    owner = np.concatenate((slices, rows))
+    candidates = {
+        name: np.concatenate((getattr(at, name)[slices, node], getattr(refined, name)[:, 0]))
+        for name in ("t", "ell", "upper", "clipped", "minus")
+    }
+    score = np.concatenate((value[slices, best], refined.value[:, 0]))
+    ranked = np.lexsort((np.where(np.isnan(score), np.inf, score), owner))
+    chosen = ranked[np.searchsorted(owner[ranked], slices)]
+    t, ell, upper, clipped, minus = (candidates[name][chosen] for name in candidates)
+
+    (lo_p, hi_p), (lo_m, hi_m) = ((lo[ok], hi[ok]) for lo, hi in bounds)
+    h_p = np.clip(np.exp(t + prob.log_ref[:, 0]), lo_p, hi_p)
+    h_m = np.clip(np.exp(t + ell + prob.log_ref[:, 0]), lo_m, hi_m)
+    # a clipped side sits exactly on its bound
+    h_p = np.where(clipped & ~minus, np.where(upper, hi_p, lo_p), h_p)
+    h_m = np.where(clipped & minus, np.where(upper, hi_m, lo_m), h_m)
+    for i, r in enumerate(ok.tolist()):
+        if undefined[i]:
+            errors[r] = DegenerateObjective("the criterion is not a number anywhere on the grid")
+            continue
+        hp, hm = float(h_p[i]), float(h_m[i])
+        on_edge = (
+            hp <= lo_p[i] * (1 + _EDGE_RTOL)
+            or hp >= hi_p[i] * (1 - _EDGE_RTOL)
+            or hm <= lo_m[i] * (1 + _EDGE_RTOL)
+            or hm >= hi_m[i] * (1 - _EDGE_RTOL)
+        )
+        regime = "boundary_clamped" if on_edge else _classify(coeffs[r])
+        out[r] = BandwidthPair(h_plus=hp, h_minus=hm, regime=regime,
+                               objective_value=mmse_objective(hp, hm, coeffs[r]))
     return out, errors
 
 

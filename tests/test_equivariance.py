@@ -17,6 +17,8 @@ from rdbw.selector import select_bandwidths
 from rdbw.simlab import DgpSpec, draw_sample
 
 SCALES = (1e-6, 1e-3, 10.0, 1e4, 1e6)
+# y alone may go much further: its powers never meet the bandwidths'
+Y_SCALES = SCALES + (1e-150, 1e-120, 1e-90, 1e90, 1e120, 1e150)
 REPS = 25
 RTOL = 1e-8
 
@@ -49,7 +51,7 @@ def test_bandwidths_scale_with_x_and_tau_does_not_move(draws):
 def test_tau_scales_with_y_and_bandwidths_do_not_move(draws):
     worst_h = worst_tau = 0.0
     for sample, (h_plus, h_minus, tau) in draws:
-        for b in SCALES:
+        for b in Y_SCALES:
             hp, hm, t = _analysis(Sample(x=sample.x, y=b * sample.y, d=sample.d, c=sample.c))
             worst_h = max(worst_h, abs(hp / h_plus - 1.0), abs(hm / h_minus - 1.0))
             worst_tau = max(worst_tau, abs(t / (b * tau) - 1.0))

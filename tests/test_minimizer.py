@@ -1,5 +1,6 @@
 """Gates on the criterion minimizer: a frozen corpus of real coefficient
-sets, unit equivariance, and replications that once stalled the polish."""
+sets, a brute-force profile over the corpus and a fuzz, unit equivariance,
+and replications that once stalled the polish."""
 
 import json
 import math
@@ -9,13 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdbw import selector
 from rdbw.errors import DegenerateObjective, RdbwError
 from rdbw.local_poly import Sample
 from rdbw.selector import (
     AmseCoefficients,
-    _coordinate_best,
-    _criterion,
     afo_bandwidths,
     default_bounds,
     minimize_mmse,
@@ -69,106 +67,6 @@ def test_never_worse_than_in_box_afo_pair():
     assert checked > 100
 
 
-def test_per_coordinate_solve_matches_a_dense_line_scan():
-    # with one bandwidth held, the box ends and the real roots of the
-    # degree-7 stationarity polynomial must contain the best point
-    rng = np.random.default_rng(7)
-    for entry in CORPUS[::15]:
-        coeffs, bounds = _problem(entry)
-        h = (float(rng.uniform(*bounds[0])), float(rng.uniform(*bounds[1])))
-        for side in (0, 1):
-            line = np.geomspace(*bounds[side], 20001)
-            if side == 0:
-                scan = _criterion(coeffs, line, h[1])
-            else:
-                scan = _criterion(coeffs, h[0], line)
-            best_h, best_v = _coordinate_best(coeffs, h, side, bounds)
-            assert best_h[1 - side] == h[1 - side]
-            assert best_v <= scan.min() * (1.0 + 1e-12)
-            assert best_v == mmse_objective(best_h[0], best_h[1], coeffs)
-
-
-def reference_coordinate_best(c, h, side, bounds):
-    # the one-row check with one np.roots call and one mmse_objective per candidate
-    if side == 0:
-        phi, psi, omega = c.phi_plus, c.psi_plus, c.omega_plus
-        a, b = c.phi_minus * h[1] ** 2, c.psi_minus * h[1] ** 3
-    else:
-        phi, psi, omega = c.phi_minus, c.psi_minus, c.omega_minus
-        a, b = c.phi_plus * h[0] ** 2, c.psi_plus * h[0] ** 3
-    s = h[side]
-    q, r = phi * s**2, psi * s**3
-    roots = np.roots([6.0 * r * r, 0.0, 4.0 * q * q, -6.0 * r * b, -4.0 * q * a, 0.0, 0.0,
-                      -c.v * omega / (c.n * c.f * s)])
-    lo, hi = bounds[side]
-    candidates = [lo, hi]
-    for t in roots:
-        hc = s * t.real
-        if abs(t.imag) <= 1e-8 * abs(t) and lo < hc < hi:
-            candidates.append(hc)
-    best_h, best_v = None, math.inf
-    for hc in candidates:
-        pair = (hc, h[1]) if side == 0 else (h[0], hc)
-        v = mmse_objective(pair[0], pair[1], c)
-        if v < best_v:
-            best_h, best_v = pair, v
-    return best_h, best_v
-
-
-def stacked_check(rows, side):
-    """The stacked check on a list of (coeffs, h, bounds) rows."""
-    coeffs, points, boxes = zip(*rows)
-    bounds = tuple((np.array([b[i][0] for b in boxes]), np.array([b[i][1] for b in boxes])) for i in (0, 1))
-    return _coordinate_best(coeffs, np.array(points, dtype=float), side, bounds)
-
-
-@pytest.mark.parametrize("side", [0, 1])
-def test_stacked_check_equals_the_one_row_call_and_np_roots(side):
-    # at two random points and at the optimum of every corpus set, in one stack
-    rng = np.random.default_rng(11)
-    rows = []
-    for entry in CORPUS:
-        coeffs, bounds = _problem(entry)
-        pair = minimize_mmse(coeffs, bounds)
-        rows.append((coeffs, (pair.h_plus, pair.h_minus), bounds))
-        for _ in range(2):
-            rows.append((coeffs, (float(rng.uniform(*bounds[0])), float(rng.uniform(*bounds[1]))), bounds))
-    pairs, values, errors = stacked_check(rows, side)
-    assert errors == [None] * len(rows)
-    for r, (c, h, bounds) in enumerate(rows):
-        best_h, best_v = _coordinate_best(c, h, side, bounds)
-        assert tuple(pairs[r]) == best_h and values[r] == best_v
-        assert (best_h, best_v) == reference_coordinate_best(c, h, side, bounds)
-
-
-@pytest.mark.parametrize("side", [0, 1])
-def test_stacked_check_strips_degrees_and_fails_a_non_finite_row_alone(side):
-    coeffs, bounds = _problem(CORPUS[0])
-    solved = ("plus", "minus")[side]
-    h = tuple(math.sqrt(lo * hi) for lo, hi in bounds)
-    variants = [
-        {},
-        {f"psi_{solved}": 0.0},  # degree 5
-        {f"omega_{solved}": 0.0},  # zero constant term: degree 4 once stripped
-        {f"phi_{solved}": 0.0, f"psi_{solved}": 0.0},  # a constant: no roots
-        {f"omega_{solved}": math.inf},  # not finite
-        {f"psi_{solved}": 0.0},
-    ]
-    rows = [(replace(coeffs, **v), h, bounds) for v in variants]
-    pairs, values, errors = stacked_check(rows, side)
-    with pytest.raises(np.linalg.LinAlgError) as single:
-        _coordinate_best(rows[4][0], h, side, bounds)
-    with pytest.raises(np.linalg.LinAlgError) as reference:
-        reference_coordinate_best(rows[4][0], h, side, bounds)
-    assert type(errors[4]) is np.linalg.LinAlgError
-    assert str(errors[4]) == str(single.value) == str(reference.value)
-    for r, (c, _, _) in enumerate(rows):
-        if r != 4:
-            assert errors[r] is None
-            want = reference_coordinate_best(c, h, side, bounds)
-            assert (tuple(pairs[r]), values[r]) == _coordinate_best(c, h, side, bounds) == want
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_criterion_that_is_nan_on_the_whole_grid_is_a_typed_error():
     coeffs, bounds = _problem(CORPUS[0])
@@ -216,25 +114,149 @@ def test_replications_that_stalled_the_simplex_polish(seed, rep, objective):
     assert _in_box(pair.h_plus, pair.h_minus, default_bounds(sample))
 
 
-def test_grid_minima_along_one_valley_share_a_newton_run(monkeypatch):
+def test_grid_minima_along_one_valley_share_a_newton_run():
     # same-sign phi with psi = 0: the first-order bias cancels along a
-    # straight valley in log-bandwidth, and the grid aliases that valley
-    # into 12 local minima, all descending to one point
+    # straight valley in log-bandwidth, which a 60 x 60 grid aliased into
+    # 12 local minima; the valley is the ray where A = 0, one node of the
+    # profile, and the minimum lies on h_plus's upper bound next to it
     coeffs = AmseCoefficients(
         phi_plus=2.2185366660897485, phi_minus=0.13003545810999959, psi_plus=0.0, psi_minus=0.0,
         omega_plus=0.0011477444517484863, omega_minus=0.019652011995867268, v=4.8,
         f=2.1815140996716904, tauD=0.5, n=2426,
     )
     bounds = ((0.009989506079307913, 0.39835153720642036), (0.0027062410987643204, 2.30838112865733))
-    runs = []
-
-    def counted(*args, **kwargs):
-        runs.append(args[1])
-        return newton(*args, **kwargs)
-
-    newton = selector._newton
-    monkeypatch.setattr(selector, "_newton", counted)
     pair = minimize_mmse(coeffs, bounds)
-    assert len(runs) <= 3
-    # the value every start reaches
+    assert pair.h_plus == bounds[0][1]
+    assert pair.h_minus / pair.h_plus == pytest.approx(math.sqrt(coeffs.phi_plus / coeffs.phi_minus), rel=1e-4)
+    # the value every grid start reached
     assert pair.objective_value == pytest.approx(1.3445677341231429e-05, rel=1e-12)
+
+
+FIELDS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus", "omega_plus", "omega_minus", "v", "f", "n")
+
+
+def profile_brute_force(coeffs, boxes, nodes=20_000, rays=None):
+    """Least criterion value on `nodes` log-spaced rays h_minus = lam h_plus.
+
+    On a ray the criterion is A h^4 + B h^6 + K C / h in h = h_plus, with
+    one minimum where 6 B h^7 + 4 A h^5 = K C; Newton on that polynomial,
+    from the smaller one-term root (above the root), finds it, and it is
+    clipped to the ray's part of the box.  rays gives (lam_lo, lam_hi) per
+    set; by default every ray that crosses the box.
+    """
+    c = {k: np.array([getattr(s, k) for s in coeffs], dtype=float)[:, None] for k in FIELDS}
+    (lo_p, hi_p), (lo_m, hi_m) = (np.array([b[i] for b in boxes]).T[:, :, None] for i in (0, 1))
+    ends = rays if rays is not None else (lo_m[:, 0] / hi_p[:, 0], hi_m[:, 0] / lo_p[:, 0])
+    lam = np.geomspace(*ends, nodes, axis=1)
+    lam2 = lam * lam
+    big_a = c["phi_plus"] - c["phi_minus"] * lam2
+    big_a *= big_a
+    big_b = c["psi_plus"] - c["psi_minus"] * (lam2 * lam)
+    big_b *= big_b
+    kc = c["v"] / (c["n"] * c["f"]) * (c["omega_plus"] + c["omega_minus"] / lam)
+    lower, upper = np.maximum(lo_p, lo_m / lam), np.minimum(hi_p, hi_m / lam)
+    with np.errstate(divide="ignore"):
+        log_kc = np.log(kc)
+        start = np.minimum((log_kc - np.log(4.0 * big_a)) / 5.0, (log_kc - np.log(6.0 * big_b)) / 7.0)
+    h = np.minimum(upper, np.exp(start))
+    for _ in range(6):
+        h2 = h * h
+        h4 = h2 * h2
+        h = h - (h4 * h * (6.0 * big_b * h2 + 4.0 * big_a) - kc) / (h4 * (42.0 * big_b * h2 + 20.0 * big_a))
+    h = np.minimum(np.maximum(h, lower), upper)
+    h2 = h * h
+    return (h2 * h2 * (big_a + big_b * h2) + kc / h).min(axis=1)
+
+
+def fuzz_sets(count, seed):
+    """Random signs and log-uniform magnitudes; a third of the sets have
+    same-sign phi, a fifth psi_+ = psi_- = 0, and each side's box spans
+    1 to 3 decades."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for i in range(count):
+        mag = lambda: float(10.0 ** rng.uniform(-2.0, 2.0))  # noqa: E731
+        sign = lambda: float(rng.choice([-1.0, 1.0]))  # noqa: E731
+        phi_plus = sign() * mag()
+        phi_minus = (1.0 if i % 3 == 0 else -1.0) * math.copysign(mag(), phi_plus)
+        psi = (0.0, 0.0) if i % 5 == 0 else (sign() * mag(), sign() * mag())
+        coeffs = AmseCoefficients(
+            phi_plus=phi_plus, phi_minus=phi_minus, psi_plus=psi[0], psi_minus=psi[1],
+            omega_plus=mag(), omega_minus=mag(), v=4.8, f=math.sqrt(mag()), tauD=1.0,
+            n=int(rng.integers(200, 5000)),
+        )
+        box = []
+        for _ in range(2):
+            lo = float(10.0 ** rng.uniform(-3.0, -1.0))
+            box.append((lo, lo * float(10.0 ** rng.uniform(1.0, 3.0))))
+        sets.append((coeffs, tuple(box)))
+    return sets
+
+
+def assert_never_above_brute_force(sets):
+    coeffs, boxes = zip(*sets)
+    bounds = tuple((np.array([b[i][0] for b in boxes]), np.array([b[i][1] for b in boxes])) for i in (0, 1))
+    pairs, errors = minimize_mmse(list(coeffs), bounds)
+    assert errors == [None] * len(sets)
+    value = np.array([p.objective_value for p in pairs])
+    brute = np.concatenate([profile_brute_force(coeffs[i:i + 50], boxes[i:i + 50]) for i in range(0, len(sets), 50)])
+    above = np.flatnonzero(value > brute * (1.0 + 1e-12))
+    assert not above.size, [(int(i), value[i] / brute[i] - 1.0) for i in above[:5]]
+
+
+def test_never_above_the_brute_force_profile_on_the_corpus():
+    assert_never_above_brute_force([_problem(entry) for entry in CORPUS])
+
+
+def test_never_above_the_brute_force_profile_on_a_fuzz():
+    assert_never_above_brute_force(fuzz_sets(3000, seed=20150921))
+
+
+def test_a_minimum_in_the_last_node_interval_next_to_a_box_corner():
+    # the optimum runs along h_minus's upper bound to within 2% of a node
+    # step of the corner (lo_plus, hi_minus), the last ray of the profile
+    coeffs = AmseCoefficients(
+        phi_plus=-0.1509219415921617, phi_minus=-21.34264792250359, psi_plus=16.555435530085095,
+        psi_minus=-63.0525394896345, omega_plus=0.032162112591302826, omega_minus=87.21869211220664,
+        v=4.8, f=8.286718340365622, tauD=1.0, n=2860,
+    )
+    bounds = ((0.0621030861712312, 1.6273506787288519), (0.001837583182248981, 0.03701157835900613))
+    pair = minimize_mmse(coeffs, bounds)
+    (lo_p, hi_p), (lo_m, hi_m) = bounds
+    assert pair.h_minus == hi_m and lo_p < pair.h_plus < lo_p * 1.01
+    last = hi_m / lo_p
+    step = (last / (lo_m / hi_p)) ** (1.0 / 63.0)
+    assert last / step < pair.h_minus / pair.h_plus < last
+    brute = profile_brute_force([coeffs], [bounds], rays=(np.array([last / step]), np.array([last])))
+    assert pair.objective_value <= brute[0] * (1.0 + 1e-12)
+
+
+def test_a_minimum_at_a_box_corner_is_the_corner_exactly():
+    # both bandwidths want to be far above the box, so the optimum is the
+    # corner (hi_plus, hi_minus): a kink of the profile, where its slope
+    # is negative just below and positive just above
+    coeffs = AmseCoefficients(
+        phi_plus=1.0, phi_minus=-1.0, psi_plus=0.5, psi_minus=0.5, omega_plus=1.0,
+        omega_minus=1.0, v=4.8, f=1.0, tauD=0.5, n=500,
+    )
+    for bounds in (((0.001, 0.01), (0.001, 0.01)), ((0.001, 0.01), (0.002, 0.05))):
+        pair = minimize_mmse(coeffs, bounds)
+        assert (pair.h_plus, pair.h_minus) == (bounds[0][1], bounds[1][1])
+        assert pair.regime == "boundary_clamped"
+
+
+def test_a_minimum_just_inside_the_clipped_region_at_a_clip_transition():
+    # on the optimal ray the inner optimum lies 1e-5 (in log h) below
+    # h_minus's lower bound: the profile's curvature jumps just beside it
+    coeffs = AmseCoefficients(
+        phi_plus=0.17203538573188215, phi_minus=0.048269892677383464, psi_plus=-10.083707657865364,
+        psi_minus=0.6152766522325668, omega_plus=7.740783397328165, omega_minus=0.015192315024960424,
+        v=4.8, f=9.345467693294735, tauD=1.0, n=2476,
+    )
+    bounds = ((0.06042264759587569, 37.54065611122276), (0.06918256926681904, 14.57699237590729))
+    pair = minimize_mmse(coeffs, bounds)
+    (lo_p, hi_p), (lo_m, hi_m) = bounds
+    assert pair.h_minus == lo_m and lo_p < pair.h_plus < hi_p
+    lam = pair.h_minus / pair.h_plus
+    brute = profile_brute_force([coeffs], [bounds], rays=(np.array([lam / 1.01]), np.array([lam * 1.01])))
+    assert pair.objective_value <= brute[0] * (1.0 + 1e-12)
