@@ -5,7 +5,11 @@ Beta) and the treatment-probability jump at the cutoff, and differ in
 the outcome curvature: design1 has opposite curvature signs across the
 cutoff with a large jump, design2 shares the sign with a small jump.
 Replications are keyed by (seed, rep_index), and a range of indices
-draws as one stack whose slices equal the single draws.  The Monte Carlo
+draws as one stack whose slices equal the single draws.  A unit is
+treated when its uniform draw falls below treatment_prob(x); a vectorised
+approximation with a proven error bound settles that comparison, and
+treatment_prob itself only where the two lie within 1e-6, so the draws
+equal the direct comparison bit for bit.  The Monte Carlo
 engine runs fixed blocks of consecutive replications, each drawn, then
 selected and estimated as one stack (see `rdbw.local_poly`): block k
 holds replications [kB, kB + B) with B = max(1, 16384 // n), so 32 at
@@ -36,6 +40,15 @@ METHODS = ("mmse_f", "mmse_s")
 # shift of the normal index defining the participation probability
 _PROB_SHIFT = 1.28
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+
+# Abramowitz & Stegun 7.1.26 (Handbook of Mathematical Functions, 1964):
+# erfc(w) = t (a1 + t (a2 + ... + t a5)) exp(-w^2) + e(w), t = 1 / (1 + p w),
+# with |e(w)| <= 1.5e-7 for w >= 0, so the normal tail it gives is within
+# 7.5e-8 (measured 6.9e-8 on [-1, 1]); listed as (p, a1, ..., a5)
+_AS_ERFC = (0.3275911, 0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+# draws whose uniform lies within this of the approximation are decided
+# by treatment_prob; every other comparison is settled by the bound
+_REFINE_GAP = 1e-6
 
 # outcome polynomials: per design, per cutoff side, slope coefficients on
 # (x, x^2, x^3, x^4, x^5); arms share slopes and differ by intercept
@@ -124,15 +137,56 @@ def treatment_prob(x):
 
 
 def _trend(design: str, x: np.ndarray) -> np.ndarray:
-    """The quintic part of the outcome, shared by both arms: slopes only."""
-    out = np.empty_like(x)
-    for side, mask in (("plus", x > 0.0), ("minus", x <= 0.0)):
-        xs = x[mask]
-        acc = np.zeros_like(xs)
-        for b in reversed(_SLOPES[design, side]):
-            acc = xs * (acc + b)
-        out[mask] = acc
-    return out
+    """The quintic part of the outcome, shared by both arms: slopes only.
+
+    Each side's polynomial runs by Horner over the whole array, and
+    np.where keeps x > 0 from the plus side and the rest from the minus side.
+    """
+
+    def horner(slopes):
+        acc = x * slopes[-1]
+        for b in reversed(slopes[:-1]):
+            acc += b
+            acc *= x
+        return acc
+
+    return np.where(x > 0.0, horner(_SLOPES[design, "plus"]), horner(_SLOPES[design, "minus"]))
+
+
+def _approx_prob(x: np.ndarray) -> np.ndarray:
+    """treatment_prob(x) to within 7.5e-8, vectorised through A&S 7.1.26."""
+    p, *a = _AS_ERFC
+    # w = |z| / sqrt(2): |x| + 1.28 is |z| exactly on both sides
+    w = np.abs(x)
+    w += _PROB_SHIFT
+    w *= math.sqrt(0.5)
+    t = w * p
+    t += 1.0
+    np.reciprocal(t, out=t)
+    tail = t * a[-1]
+    for coef in reversed(a[:-1]):
+        tail += coef
+        tail *= t
+    w *= w
+    np.negative(w, out=w)
+    tail *= np.exp(w, out=w)
+    tail *= 0.5
+    # tail is Phi(-|z|): the probability left of the cutoff, its complement right of it
+    return np.where(x >= 0.0, 1.0 - tail, tail)
+
+
+def _treated(x: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """uniform < treatment_prob(x) elementwise, calling it only near ties.
+
+    _approx_prob settles every comparison whose gap exceeds _REFINE_GAP,
+    far above its error; the rest go to treatment_prob.
+    """
+    gap = uniform - _approx_prob(x)
+    treated = gap < 0.0
+    near = np.abs(gap) <= _REFINE_GAP
+    if near.any():
+        treated[near] = uniform[near] < treatment_prob(x[near])
+    return treated
 
 
 def mean_outcome(design: str, arm: str, x):
@@ -142,7 +196,7 @@ def mean_outcome(design: str, arm: str, x):
     if arm not in ("treated", "control"):
         raise ValueError(f"arm must be 'treated' or 'control', got {arm!r}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(arr) > 1.0):
+    if not np.all(np.abs(arr) <= 1.0):
         raise ValueError("x must lie in [-1, 1]")
 
     out = _INTERCEPTS[design, arm] + _trend(design, arr)
@@ -155,10 +209,15 @@ def draw_sample(spec: DgpSpec, rep_index=0) -> Sample:
     A range of indices gives the stack of those replications: slice k
     equals draw_sample(spec, rep_index[k]).  Each replication makes its
     own three generator calls; everything after them runs once on the
-    (R, n) arrays.  Raises ValidationError if the draws are not a valid
+    (R, n) arrays.  Treatment is uniform < treatment_prob(x), decided by
+    a bounded approximation and, within 1e-6 of it, by treatment_prob
+    itself, so d is exactly that comparison.  Raises ValueError for an
+    empty range, and ValidationError if the draws are not a valid
     sample, as for an error_sd so large that the outcomes overflow.
     """
     reps = rep_index if isinstance(rep_index, range) else (rep_index,)
+    if not reps:
+        raise ValueError(f"rep_index must hold at least one replication, got {rep_index!r}")
     x, uniform, eps = (np.empty((len(reps), spec.n)) for _ in range(3))
     for k, rep in enumerate(reps):
         rng = np.random.default_rng([spec.seed, rep])
@@ -168,12 +227,12 @@ def draw_sample(spec: DgpSpec, rep_index=0) -> Sample:
     # the Beta draws stretched onto [-1, 1], in place
     x *= 2.0
     x -= 1.0
-    d = (uniform < treatment_prob(x)).astype(float)
-    # the arms share slopes: one trend, then each arm's intercept
-    intercept = np.where(
-        d == 1.0, _INTERCEPTS[spec.design, "treated"], _INTERCEPTS[spec.design, "control"]
-    )
-    y = intercept + _trend(spec.design, x) + eps
+    treated = _treated(x, uniform)
+    d = treated.astype(float)
+    # the arms share slopes: each arm's intercept, then one trend
+    y = np.where(treated, _INTERCEPTS[spec.design, "treated"], _INTERCEPTS[spec.design, "control"])
+    y += _trend(spec.design, x)
+    y += eps
     if not isinstance(rep_index, range):
         x, y, d = x[0], y[0], d[0]
     try:
@@ -252,13 +311,16 @@ def run_monte_carlo(
     Parameters
     ----------
     jobs : int, optional
-        Process count for parallel blocks (at most the number of
-        blocks); results are identical to the serial order for any value.
+        Process count for parallel blocks (at least 1, at most the number
+        of blocks used; None runs serially); results are identical to the
+        serial order for any value.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     run = partial(_run_block, spec, method, kernel, reps)
     blocks = range(-(-reps // _block_reps(spec.n)))

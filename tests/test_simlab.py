@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -64,6 +65,41 @@ class TestTreatmentProb:
         np.testing.assert_allclose(treatment_prob(x), want, rtol=rtol, atol=atol)
 
 
+class TestTreatmentFilter:
+    """The draws decide d by a bounded approximation and refine near ties."""
+
+    # a dense grid of [-1, 1] with both zeros and the points next to the jump
+    GRID = np.concatenate(
+        [
+            np.linspace(-1.0, 1.0, 200_001),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12, -1e-12],
+            [np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)],
+        ]
+    )
+
+    def test_approximation_is_within_its_bound(self):
+        gap = np.abs(simlab._approx_prob(self.GRID) - treatment_prob(self.GRID))
+        assert gap.max() <= 1e-7
+        # the bound leaves the refine threshold ten times the room it needs
+        assert 10 * gap.max() < simlab._REFINE_GAP
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_uniforms_on_the_probability_decide_exactly(self, step):
+        # uniforms on treatment_prob(x) and one float either side: the
+        # approximation alone gets many of these wrong
+        p = treatment_prob(self.GRID)
+        uniform = p if step == 0 else np.nextafter(p, step * np.inf)
+        got = simlab._treated(self.GRID, uniform)
+        np.testing.assert_array_equal(got, uniform < p)
+        assert got.sum() == (self.GRID.size if step < 0 else 0)
+
+    def test_stacked_blocks_decide_exactly(self):
+        rng = np.random.default_rng(2015)
+        x = rng.beta(2.0, 4.0, (20, 32, 500)) * 2.0 - 1.0
+        uniform = rng.uniform(size=x.shape)
+        np.testing.assert_array_equal(simlab._treated(x, uniform), uniform < treatment_prob(x))
+
+
 def test_import_loads_no_process_pool():
     # the pool's modules load only when a run starts workers
     code = (
@@ -108,6 +144,9 @@ class TestMeanOutcome:
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             mean_outcome("design1", "treated", 1.5)
+        for x in (math.nan, np.array([0.5, math.nan]), -math.inf):
+            with pytest.raises(ValueError, match=r"x must lie in \[-1, 1\]"):
+                mean_outcome("design1", "treated", x)
         with pytest.raises(ValueError):
             mean_outcome("design3", "treated", 0.0)
         with pytest.raises(ValueError):
@@ -189,6 +228,35 @@ class TestDrawSample:
             assert np.array_equal(stack.x[k], one.x)
             assert np.array_equal(stack.y[k], one.y)
             assert np.array_equal(stack.d[k], one.d)
+
+
+    # SHA-256 of the little-endian float64 bytes of x, then y, then d, at
+    # the default error_sd; the whole draw path, generator streams included
+    DIGESTS = {
+        ("design1", 0, 500): "a3846135579ff2f79d4fd3af82e4992ee31d64bd57c58831520b3e4f9197e250",
+        ("design1", 0, 20_000): "aeeb94385f9de8a13020430eda70919333835979621d2ed8ddf2f44cd5601ff0",
+        ("design1", 7, 500): "d3289c96fd00df1efadb1c2b973f8da14c7dcaf9faa3b861834ee17fcf064338",
+        ("design1", 7, 20_000): "a77cf1e6db435f1d938e677476a4e84fa32510fad89c88b56567a634fbd4f520",
+        ("design2", 0, 500): "837a7c59109693f5d46d8e50f4fe6ed1a7558a26e8db907edfb33de26623cd3f",
+        ("design2", 0, 20_000): "2083ce558f0500917572479272a1ba5b79b33ae94074bf545801bb084df1f245",
+        ("design2", 7, 500): "40b1d45d47266448cf23566d7d6c8adceea3695c9f0f8c85eb91c72658fcb45f",
+        ("design2", 7, 20_000): "01df1fe56b3a52f6c33423acd1792410a45508b19cc9803b5ccf16b159a594e4",
+    }
+
+    @pytest.mark.parametrize("design, seed, n", sorted(DIGESTS))
+    def test_draw_bytes_are_pinned(self, design, seed, n):
+        # n = 500 draws a whole block of 32, n = 20000 replication 0 alone
+        reps = range(32) if n == 500 else 0
+        s = draw_sample(DgpSpec(design=design, n=n, seed=seed), reps)
+        h = hashlib.sha256()
+        for a in (s.x, s.y, s.d):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        assert h.hexdigest() == self.DIGESTS[design, seed, n]
+
+    @pytest.mark.parametrize("reps", [range(0), range(5, 5), range(3, 1)])
+    def test_an_empty_range_names_rep_index(self, reps):
+        with pytest.raises(ValueError, match="rep_index must hold at least one replication"):
+            draw_sample(DgpSpec(design="design1", n=60), reps)
 
 
 class TestTrimmedStats:
@@ -282,6 +350,12 @@ class TestRunMonteCarlo:
             run_monte_carlo(spec, "ik_f", 5)
         with pytest.raises(ValueError):
             run_monte_carlo(spec, "mmse_f", 0)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        spec = DgpSpec(design="design2", n=500, seed=2)
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_monte_carlo(spec, "mmse_f", 5, jobs=jobs)
 
     def test_failure_accounting_robustness(self):
         # at n = 500 on both designs failures must stay under 2%
