@@ -10,6 +10,7 @@ from .errors import (
     DegenerateSample,
     DenominatorNearZero,
     InsufficientData,
+    OutputError,
     ParseError,
     RdbwError,
     SingularDesign,
@@ -69,6 +70,7 @@ __all__ = [
     "KernelMoments",
     "KernelSpec",
     "McSummary",
+    "OutputError",
     "ParseError",
     "PilotEstimates",
     "RdbwError",

@@ -4,8 +4,9 @@ Four subcommands: `select` picks bandwidths from a data file, `estimate`
 computes the jump ratio (with given or auto-selected bandwidths),
 `simulate` runs the Monte Carlo engine on a built-in design, and
 `dgp-sample` emits one raw simulated data set.  Every command exits 0 on
-success, 1 on a domain error and 2 on a usage error, the last two with a
-single-line error; all randomness flows from an explicit seed.
+success, 1 on a domain error or an output that cannot be written and 2
+on a usage error, the last two with a single-line error; all randomness
+flows from an explicit seed.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from typing import NoReturn, Optional
 
 import numpy as np
 
-from .errors import ParseError, RdbwError, UsageError, ValidationError
+from .errors import OutputError, ParseError, RdbwError, UsageError, ValidationError
 from .estimator import frd_estimate
 from .kernels import FAMILIES, KernelSpec
 from .local_poly import Sample
@@ -265,12 +266,21 @@ def _raise_row_error(path: str, line_no: int, row: str, names, usecols) -> NoRet
 
 
 @contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError on the file or directory at `path` into an OutputError."""
+    try:
+        yield
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror}") from e
+
+
+@contextlib.contextmanager
 def _output(path: Optional[str]):
     """Text stream for a command's output: the file at `path`, else stdout."""
     if path is None:
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _writing(path), open(path, "w", encoding="utf-8") as fh:
             yield fh
 
 
@@ -310,30 +320,20 @@ def _cmd_estimate(ns: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> None:
+    with _writing(ns.out_dir):
+        os.makedirs(ns.out_dir, exist_ok=True)
     summary = run_monte_carlo(ns.spec, ns.method, ns.reps, ns.kernel, jobs=ns.jobs)
+    fields = ["method", "h_plus_mean", "h_plus_sd", "h_minus_mean", "h_minus_sd",
+              "bias_trimmed", "rmse_trimmed", "reps_total", "reps_failed"]
+    tables = {
+        "cdf.csv": [["threshold", "fraction"], *([f"{t:.17g}", f"{frac:.17g}"] for t, frac in summary.cdf)],
+        "table.csv": [fields, [getattr(summary, f) for f in fields]],
+    }
+    for name, rows in tables.items():
+        path = os.path.join(ns.out_dir, name)
+        with _writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
     _emit(dataclasses.asdict(summary), ns.output)
-
-    os.makedirs(ns.out_dir, exist_ok=True)
-    with open(os.path.join(ns.out_dir, "cdf.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fraction"])
-        for t, frac in summary.cdf:
-            writer.writerow([f"{t:.17g}", f"{frac:.17g}"])
-    with open(os.path.join(ns.out_dir, "table.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        fields = [
-            "method",
-            "h_plus_mean",
-            "h_plus_sd",
-            "h_minus_mean",
-            "h_minus_sd",
-            "bias_trimmed",
-            "rmse_trimmed",
-            "reps_total",
-            "reps_failed",
-        ]
-        writer.writerow(fields)
-        writer.writerow([getattr(summary, f) for f in fields])
 
 
 def _cmd_dgp_sample(ns: argparse.Namespace) -> None:

@@ -4,7 +4,9 @@ lists of calls on stacked samples.
 A call on a stack of R samples raises no `RdbwError` for one slice: it
 returns a list of R entries, each None or the exception that the call on
 that slice alone would raise first.  Stages record into the list in the
-order a single-sample call runs them, so the earliest error wins.
+order a single-sample call runs them, so the earliest error wins.  A
+call on one sample runs as the stack of one, and `rdbw.local_poly.stacked`
+raises the error of its slice, if any, through `raise_first`.
 """
 
 import numpy as np
@@ -60,6 +62,10 @@ class ParseError(RdbwError):
 
 class ValidationError(RdbwError):
     """Data violate the sample invariants: a parsed input file, or generated draws."""
+
+
+class OutputError(RdbwError):
+    """An output file or directory cannot be written."""
 
 
 def record(errors, failed, make):

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorNearZero, merge, raise_first, record
+from .errors import DenominatorNearZero, merge, record
 from .kernels import KernelSpec
-from .local_poly import Sample, fit_boundary
+from .local_poly import Sample, fit_boundary, stacked
 
 # below this |tauD| the ratio is reported as invalid, not as a huge number
 _MIN_TAU_D = 1e-6
@@ -35,6 +35,7 @@ class FrdEstimate:
     n_minus: int
 
 
+@stacked
 def frd_estimate(
     sample: Sample,
     h_plus,
@@ -44,32 +45,18 @@ def frd_estimate(
     """Ratio of the outcome jump to the treatment jump at the cutoff.
 
     Each side uses its own bandwidth for both responses.  On a stack,
-    h_plus and h_minus hold one bandwidth per slice, and the call
-    returns (FrdEstimate, errors).
+    h_plus and h_minus hold one bandwidth per slice (or one for all).
 
     Raises
     ------
     DenominatorNearZero
         If |tauD| < 1e-6; the ratio would be numerically meaningless.
     """
-    stack = sample.as_stack()
-    plus, errors = fit_boundary(stack, "plus", h_plus, order=1, kernel=kernel)
-    minus, later = fit_boundary(stack, "minus", h_minus, order=1, kernel=kernel)
+    plus, errors = fit_boundary(sample, "plus", h_plus, order=1, kernel=kernel)
+    minus, later = fit_boundary(sample, "minus", h_minus, order=1, kernel=kernel)
     merge(errors, later)
     tau_y, tau_d = (plus.value - minus.value).T
     record(errors, np.abs(tau_d) < _MIN_TAU_D, lambda r: DenominatorNearZero(
         f"|tauD| = {abs(tau_d[r]):.2e} < {_MIN_TAU_D:.0e}"))
     tau = tau_y / np.where(tau_d == 0.0, 1.0, tau_d)  # zero only where the slice failed
-    if sample.stacked:
-        est = FrdEstimate(tau, tau_y, tau_d, h_plus, h_minus, plus.effective_n, minus.effective_n)
-        return est, errors
-    raise_first(errors)
-    return FrdEstimate(
-        tau=float(tau[0]),
-        tauY=float(tau_y[0]),
-        tauD=float(tau_d[0]),
-        h_plus=h_plus,
-        h_minus=h_minus,
-        n_plus=int(plus.effective_n[0]),
-        n_minus=int(minus.effective_n[0]),
-    )
+    return FrdEstimate(tau, tau_y, tau_d, h_plus, h_minus, plus.effective_n, minus.effective_n), errors

@@ -17,16 +17,18 @@ Comput. 34, 2012), which gives the R of one QR of the whole block up to
 the signs of its rows and rounding.
 
 A `Sample` may hold a stack of R samples of one size as (R, n) arrays.
-Every function taking a Sample is written once over that leading axis:
-a single sample runs as a stack of one.  On a stack a function returns
-(result, errors), the result holding one entry per slice along a leading
-axis and errors as described in `rdbw.errors`; a slice that fails keeps
-finite placeholder values.  A stacked fit pads each slice's window with
-zero rows to the widest window of the stack, so the last bits of one
-slice's fit may depend on the other slices.
+Every function taking a Sample is written once over that leading axis
+and returns (result, errors), the result holding one entry per slice
+along a leading axis and errors as described in `rdbw.errors`; a slice
+that fails keeps finite placeholder values.  The one entry point,
+`stacked`, passes a stack through and runs a single sample as the stack
+of one, raising its error or returning its slice.  A stacked fit pads
+each slice's window with zero rows to the widest window of the stack,
+so the last bits of one slice's fit may depend on the other slices.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -119,29 +121,55 @@ class Sample:
             return self.x < self.c
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
-    def side_x(self, side: str) -> np.ndarray:
-        """The x values of one side, in sample order.
-
-        On a stack, each slice's values are left-aligned in an (R, m)
-        array padded with NaN, m being the largest side.
-        """
-        values, _, _ = self.side_values(side, np.nan)
-        return values if self.stacked else values[0]
-
     def side_sizes(self, side: str) -> np.ndarray:
-        """Observations on one side, per slice of this sample as a stack."""
-        return _row_counts(self.as_stack().side_mask(side))
+        """Observations on one side, per slice of a stack; no gather."""
+        return _row_counts(self.side_mask(side))
 
     def side_values(self, side: str, fill: float):
-        """(values, sizes, where): side_x of this sample as a stack, padded
-        with fill; each slice's side size; and the mask of real values, or
-        True where there is no padding, to pass as a reduction's where."""
-        mask = self.as_stack().side_mask(side)
+        """(values, sizes, where) of one side of a stack: each slice's x
+        values in sample order, left-aligned in an (R, m) array padded
+        with fill, m being the largest side; each slice's side size; and
+        the mask of real values, or True where there is no padding, to
+        pass as a reduction's where."""
+        mask = self.side_mask(side)
         sizes = _row_counts(mask)
         # an index gather is several times faster than a boolean one on large samples
         values = _pad(self.x.take(np.flatnonzero(mask)), sizes, fill)
         where = True if values.size == sizes.sum() else np.arange(values.shape[1]) < sizes[:, None]
         return values, sizes, where
+
+
+def _first(result):
+    """Slice 0 of a stacked result: entry 0 of an array or list, a 0-d
+    entry as a Python scalar; a tuple or dataclass field by field;
+    anything else as it is."""
+    if isinstance(result, (np.ndarray, list)):
+        entry = result[0]
+        return entry.item() if isinstance(entry, np.generic) else entry
+    if isinstance(result, tuple):
+        return tuple(map(_first, result))
+    if is_dataclass(result):
+        return type(result)(**{f.name: _first(getattr(result, f.name)) for f in fields(result)})
+    return result
+
+
+def stacked(body):
+    """The entry point of a function written over a stack of samples.
+
+    body(stack, ...) returns (result, errors).  A stack is passed to it
+    as it is; a single sample runs as the stack of one, whose error is
+    raised and whose slice 0 is returned.
+    """
+
+    @functools.wraps(body)
+    def call(sample: Sample, *args, **kwargs):
+        if sample.stacked:
+            return body(sample, *args, **kwargs)
+        result, errors = body(sample.as_stack(), *args, **kwargs)
+        raise_first(errors)
+        return _first(result)
+
+    return call
 
 
 @dataclass(frozen=True)
@@ -219,6 +247,7 @@ def _weighted_design(stack: Sample, rows: np.ndarray, padded: bool, h, p: int, k
     return rows, count, a
 
 
+@stacked
 def fit_boundary(
     sample: Sample,
     side: str,
@@ -245,7 +274,7 @@ def fit_boundary(
     On a stack, h is one bandwidth per slice (or one for all), every
     slice's positive-weight rows are padded with zero rows to the widest
     window, and each QR, the rank check and the solve are one stacked
-    call for all slices; the call returns (BoundaryFit, errors).
+    call for all slices.
 
     Raises
     ------
@@ -258,22 +287,21 @@ def fit_boundary(
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    stack = sample.as_stack()
-    slices = len(stack.x)
+    slices = len(sample.x)
     h_given = np.broadcast_to(np.asarray(h, dtype=float), (slices,))
     bad = ~((h_given > 0.0) & (h_given < np.inf))
     errors = [None] * slices
     record(errors, bad, lambda r: ValueError("bandwidth must be positive and finite"))
     h = np.where(bad, 1.0, h_given)  # any valid bandwidth: the slice has failed
 
-    candidates = _window(stack, side, h)
+    candidates = _window(sample, side, h)
     padded = candidates.size > 0 and candidates[:, -1].min() < 0  # left-aligned: -1 ends short rows
     p = order + 1
     step = max(_CHUNK_ROWS, _BLOCK_ROWS // slices // _CHUNK_ROWS * _CHUNK_ROWS)
     kept, r = [], None
     effective = np.zeros(slices, dtype=int)
     for start in range(0, candidates.shape[1], step):
-        rows, count, a = _weighted_design(stack, candidates[:, start : start + step], padded, h, p, kernel)
+        rows, count, a = _weighted_design(sample, candidates[:, start : start + step], padded, h, p, kernel)
         kept.append(rows)
         effective += count
         # factor whole chunks in one stacked call; the view copies nothing
@@ -292,23 +320,16 @@ def fit_boundary(
     design, rhs = r[:, :p, :p], r[:, :p, p:]
     sv = np.linalg.svd(design, compute_uv=False)
     singular = (effective < p) | ~(sv[:, -1] >= _SV_RTOL * sv[:, 0])
-    record(errors, singular, lambda s: _rank_error(stack.x.take(rows[s, : effective[s]]), order, sv[s]))
+    record(errors, singular, lambda s: _rank_error(sample.x.take(rows[s, : effective[s]]), order, sv[s]))
     design[singular] = np.eye(p)  # placeholder, so the stacked solve cannot fail
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
     coef = np.linalg.solve(design, rhs) / h[:, None, None] ** np.arange(p)[:, None]
-    if sample.stacked:
-        return BoundaryFit(coef, side, h_given, rows, effective), errors
-    raise_first(errors)
-    return BoundaryFit(coef[0], side, float(h_given[0]), rows[0], int(effective[0]))
+    return BoundaryFit(coef, side, h_given, rows, effective), errors
 
 
+@stacked
 def estimate_level(sample: Sample, side: str, h, kernel: KernelSpec = KernelSpec()):
-    """Local linear (Y, D) levels at the cutoff: row 0 of an order-1 fit.
-
-    On a stack, returns ((R, 2) levels, errors).
-    """
-    if sample.stacked:
-        fit, errors = fit_boundary(sample, side, h, order=1, kernel=kernel)
-        return fit.value, errors
-    return fit_boundary(sample, side, h, order=1, kernel=kernel).value
+    """Local linear (Y, D) levels at the cutoff: row 0 of an order-1 fit."""
+    fit, errors = fit_boundary(sample, side, h, order=1, kernel=kernel)
+    return fit.value, errors

@@ -28,11 +28,10 @@ from .errors import (
     SingularDesign,
     WeakDiscontinuity,
     merge,
-    raise_first,
     record,
 )
 from .kernels import KernelSpec
-from .local_poly import Sample, estimate_level, fit_boundary
+from .local_poly import Sample, estimate_level, fit_boundary, stacked
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -68,11 +67,8 @@ class PilotEstimates:
     tauD: float
     tau: float
 
-    def at(self, r: int) -> "PilotEstimates":
-        """Slice r of stacked pilots, as floats."""
-        return PilotEstimates(**{k: float(v[r]) for k, v in vars(self).items()})
 
-
+@stacked
 def estimate_density(sample: Sample):
     """Density and density derivative at the cutoff from the full sample.
 
@@ -84,8 +80,7 @@ def estimate_density(sample: Sample):
     -------
     (f, f1) : tuple of floats
     """
-    stack = sample.as_stack()
-    x, n = stack.x, stack.n
+    x, n = sample.x, sample.n
     errors = [None] * len(x)
     record(errors, np.full(len(x), n < 10), lambda r: InsufficientData(
         f"density pilot needs n >= 10, got {n}"))
@@ -94,18 +89,16 @@ def estimate_density(sample: Sample):
     sd[sd == 0.0] = 1.0  # placeholder for a failed slice
 
     h0 = 1.06 * sd * n ** (-1 / 5)
-    u = (x - stack.c) / h0[:, None]
+    u = (x - sample.c) / h0[:, None]
     f = np.mean(np.exp(-0.5 * u * u), axis=1) / (_SQRT2PI * h0)
 
     h1 = h0 * n ** (1 / 5 - 1 / 7)
-    u = (x - stack.c) / h1[:, None]
+    u = (x - sample.c) / h1[:, None]
     f1 = np.mean(u * np.exp(-0.5 * u * u), axis=1) / (_SQRT2PI * h1 * h1)
-    if sample.stacked:
-        return (f, f1), errors
-    raise_first(errors)
-    return float(f[0]), float(f1[0])
+    return (f, f1), errors
 
 
+@stacked
 def estimate_derivatives(sample: Sample, side: str):
     """Second and third derivative pilots at the cutoff, one side.
 
@@ -115,22 +108,18 @@ def estimate_derivatives(sample: Sample, side: str):
     observation of the side the same weight.  Returns (2 b2, 6 b3), each
     a (Y, D) array.
     """
-    stack = sample.as_stack()
-    n_side = stack.side_sizes(side)
+    n_side = sample.side_sizes(side)
     errors = [None] * len(n_side)
     record(errors, n_side < 6, lambda r: InsufficientData(
         f"derivative pilot needs >= 6 observations on the {side} side, got {n_side[r]}"))
-    span = stack.x.max(axis=1) - stack.c if side == "plus" else stack.c - stack.x.min(axis=1)
+    span = sample.x.max(axis=1) - sample.c if side == "plus" else sample.c - sample.x.min(axis=1)
     record(errors, span == 0.0, lambda r: SingularDesign(
         f"derivative pilot needs 5 distinct x values on the {side} side"))
     span[span == 0.0] = 1.0  # placeholder for a failed slice
-    fit, later = fit_boundary(stack, side, span, order=4, kernel=KernelSpec("uniform"))
+    fit, later = fit_boundary(sample, side, span, order=4, kernel=KernelSpec("uniform"))
     merge(errors, later)
     coef = fit.coefficients
-    if sample.stacked:
-        return (2.0 * coef[:, 2], 6.0 * coef[:, 3]), errors
-    raise_first(errors)
-    return 2.0 * coef[0, 2], 6.0 * coef[0, 3]
+    return (2.0 * coef[:, 2], 6.0 * coef[:, 3]), errors
 
 
 def _pilot_bandwidth(sd, size):
@@ -142,6 +131,7 @@ def _dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+@stacked
 def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpec()):
     """Conditional variance and covariance pilots at the cutoff, one side.
 
@@ -157,22 +147,21 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     -------
     (sig2Y, sig2D, sigYD) : tuple of floats
     """
-    stack = sample.as_stack()
-    xs, size, side_rows = stack.side_values(side, 0.0)
+    xs, size, side_rows = sample.side_values(side, 0.0)
     errors = [None] * len(size)
     record(errors, size < 10, lambda r: InsufficientData(
         f"variance pilot needs >= 10 observations on the {side} side, got {size[r]}"))
     h = _pilot_bandwidth(np.std(xs, axis=1, where=side_rows), size)
-    fit, later = fit_boundary(stack, side, h, order=1, kernel=kernel)
+    fit, later = fit_boundary(sample, side, h, order=1, kernel=kernel)
     merge(errors, later)
     n_v = fit.effective_n
     record(errors, n_v < 4, lambda r: InsufficientData(
         f"only {n_v[r]} observations carry weight on the {side} side"))
 
     (y0, d0), (y1, d1) = fit.coefficients.transpose(1, 2, 0)[..., None]
-    xc = stack.x.take(fit.rows) - stack.c
-    ey = stack.y.take(fit.rows) - (y0 + y1 * xc)
-    ed = stack.d.take(fit.rows) - (d0 + d1 * xc)
+    xc = sample.x.take(fit.rows) - sample.c
+    ey = sample.y.take(fit.rows) - (y0 + y1 * xc)
+    ed = sample.d.take(fit.rows) - (d0 + d1 * xc)
     if fit.rows.size > n_v.sum():
         ey[fit.rows < 0] = ed[fit.rows < 0] = 0.0  # padding rows
 
@@ -185,47 +174,40 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     sigyd = np.where(np.abs(sigyd) > bound, np.sign(sigyd) * bound, sigyd)
     sharp = sig2d < 1e-12
     sig2d[sharp] = sigyd[sharp] = 0.0
-    if sample.stacked:
-        return (sig2y, sig2d, sigyd), errors
-    raise_first(errors)
-    return float(sig2y[0]), float(sig2d[0]), float(sigyd[0])
+    return (sig2y, sig2d, sigyd), errors
 
 
+@stacked
 def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
     """Jump pilots (tauY, tauD): level contrasts at the rule-of-thumb bandwidth.
 
     Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
     """
-    stack = sample.as_stack()
-    h = _pilot_bandwidth(np.std(stack.x, axis=1), stack.n)
-    plus, errors = estimate_level(stack, "plus", h, kernel)
-    minus, later = estimate_level(stack, "minus", h, kernel)
+    h = _pilot_bandwidth(np.std(sample.x, axis=1), sample.n)
+    plus, errors = estimate_level(sample, "plus", h, kernel)
+    minus, later = estimate_level(sample, "minus", h, kernel)
     merge(errors, later)
     tau_y, tau_d = (plus - minus).T
     record(errors, np.abs(tau_d) < WEAK_TAU_D, lambda r: WeakDiscontinuity(
         f"|tauD| = {abs(tau_d[r]):.4f} < {WEAK_TAU_D}; ratio estimand is unstable"))
-    if sample.stacked:
-        return (tau_y, tau_d), errors
-    raise_first(errors)
-    return float(tau_y[0]), float(tau_d[0])
+    return (tau_y, tau_d), errors
 
 
+@stacked
 def assemble_pilots(sample: Sample, kernel: KernelSpec = KernelSpec()):
     """Run every pilot estimator and combine them into one record.
 
-    A single sample's first error, in the order the estimators run, is
-    raised; a stack returns (PilotEstimates, errors).
+    Each slice's first error is the first in the order the estimators run.
     """
-    stack = sample.as_stack()
     stages = (
-        estimate_density(stack),
-        estimate_derivatives(stack, "plus"),
-        estimate_derivatives(stack, "minus"),
-        estimate_variances(stack, "plus", kernel),
-        estimate_variances(stack, "minus", kernel),
-        estimate_tauD(stack, kernel),
+        estimate_density(sample),
+        estimate_derivatives(sample, "plus"),
+        estimate_derivatives(sample, "minus"),
+        estimate_variances(sample, "plus", kernel),
+        estimate_variances(sample, "minus", kernel),
+        estimate_tauD(sample, kernel),
     )
-    errors = [None] * len(stack.x)
+    errors = [None] * len(sample.x)
     for _, later in stages:
         merge(errors, later)
     (f, f1), (m2_p, m3_p), (m2_m, m3_m), var_p, var_m, (tau_y, tau_d) = (v for v, _ in stages)
@@ -249,7 +231,4 @@ def assemble_pilots(sample: Sample, kernel: KernelSpec = KernelSpec()):
         tauD=tau_d,
         tau=tau_y / np.where(tau_d == 0.0, 1.0, tau_d),  # zero only where the slice failed
     )
-    if sample.stacked:
-        return pilots, errors
-    raise_first(errors)
-    return pilots.at(0)
+    return pilots, errors

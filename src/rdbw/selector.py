@@ -32,7 +32,7 @@ from .errors import (
     record,
 )
 from .kernels import KernelMoments, KernelSpec, compute_moments
-from .local_poly import Sample
+from .local_poly import Sample, stacked
 from .pilot import PilotEstimates, assemble_pilots
 
 REGIMES = ("opposite_sign", "same_sign", "boundary_clamped")
@@ -100,7 +100,7 @@ class BandwidthPair:
 class SelectionResult:
     """Bandwidths plus the intermediate quantities that produced them.
 
-    For a stack, bandwidths and coefficients are tuples with one entry
+    For a stack, bandwidths and coefficients are lists with one entry
     per slice, None where the slice failed, and pilots holds arrays.
     """
 
@@ -126,7 +126,7 @@ def compute_coefficients(
     Parameters
     ----------
     pilots : PilotEstimates
-        Stacked pilots (arrays) give (tuple of AmseCoefficients, errors),
+        Stacked pilots (arrays) give (list of AmseCoefficients, errors),
         one entry per slice, None where the slice's coefficients are
         invalid.
     moments : KernelMoments
@@ -136,13 +136,14 @@ def compute_coefficients(
         denominator jump at 1.
     n : int
         Sample size entering the variance term.
+
+    Raises
+    ------
+    ValueError
+        If mode is neither, for pilots of one sample or of a stack.
     """
-    stacked = np.ndim(pilots.f) == 1
     if mode not in ("fuzzy", "sharp"):
-        error = ValueError(f"mode must be 'fuzzy' or 'sharp', got {mode!r}")
-        if not stacked:
-            raise error
-        return (None,) * pilots.f.size, [error] * pilots.f.size
+        raise ValueError(f"mode must be 'fuzzy' or 'sharp', got {mode!r}")
 
     # a nonpositive density fails AmseCoefficients' own check below
     ratio = pilots.f1 / np.where(pilots.f > 0.0, pilots.f, 1.0)
@@ -168,7 +169,7 @@ def compute_coefficients(
     }
     # one column of floats per slice
     table = np.array(np.broadcast_arrays(*fields.values())).reshape(len(fields), -1).T.tolist()
-    if not stacked:
+    if np.ndim(pilots.f) == 0:
         return AmseCoefficients(**dict(zip(fields, table[0])), n=n)
     coeffs, errors = [], []
     for column in table:
@@ -178,7 +179,7 @@ def compute_coefficients(
         except ValueError as e:
             coeffs.append(None)
             errors.append(e)
-    return tuple(coeffs), errors
+    return coeffs, errors
 
 
 def mmse_objective(h_plus: float, h_minus: float, coeffs: AmseCoefficients) -> float:
@@ -495,6 +496,7 @@ def afo_bandwidths(coeffs: AmseCoefficients) -> BandwidthPair:
     )
 
 
+@stacked
 def default_bounds(sample: Sample):
     """Per-side bandwidth box: [3rd-nearest support distance, data range].
 
@@ -504,13 +506,12 @@ def default_bounds(sample: Sample):
     three masked minimum passes, with no sort.  A stack gives
     (((lo_plus, hi_plus), (lo_minus, hi_minus)) of (R,) arrays, errors).
     """
-    stack = sample.as_stack()
-    errors = [None] * len(stack.x)
+    errors = [None] * len(sample.x)
     out = []
     for side in ("plus", "minus"):
         # padding at infinite distance takes no part in a minimum
-        xs, _, side_rows = stack.side_values(side, np.inf)
-        dist = np.abs(xs - stack.c)
+        xs, _, side_rows = sample.side_values(side, np.inf)
+        dist = np.abs(xs - sample.c)
         lo = np.full(len(xs), -np.inf)
         for _ in range(3):
             lo = np.min(dist, axis=1, where=dist > lo[:, None], initial=np.inf)
@@ -520,12 +521,10 @@ def default_bounds(sample: Sample):
         record(errors, ~(lo < hi), lambda r: DegenerateSample(
             f"bandwidth bounds collapse on the {side} side (lo={lo[r]:g}, hi={hi[r]:g})"))
         out.append((lo, hi))
-    if sample.stacked:
-        return tuple(out), errors
-    raise_first(errors)
-    return tuple((float(lo[0]), float(hi[0])) for lo, hi in out)
+    return tuple(out), errors
 
 
+@stacked
 def select_bandwidths(
     sample: Sample,
     kernel: KernelSpec = KernelSpec(),
@@ -538,11 +537,10 @@ def select_bandwidths(
     (SelectionResult, errors).
     """
     moments = compute_moments(kernel)
-    stack = sample.as_stack()
-    pilots, errors = assemble_pilots(stack, kernel)
-    coeffs, later = compute_coefficients(pilots, moments, mode, n=stack.n)
+    pilots, errors = assemble_pilots(sample, kernel)
+    coeffs, later = compute_coefficients(pilots, moments, mode, n=sample.n)
     merge(errors, later)
-    bounds, later = default_bounds(stack)
+    bounds, later = default_bounds(sample)
     merge(errors, later)
     pairs = [None] * len(errors)
     ok = [r for r, error in enumerate(errors) if error is None]
@@ -550,7 +548,4 @@ def select_bandwidths(
         found, later = minimize_mmse([coeffs[r] for r in ok], tuple((lo[ok], hi[ok]) for lo, hi in bounds))
         for r, pair, error in zip(ok, found, later):
             pairs[r], errors[r] = pair, error
-    if sample.stacked:
-        return SelectionResult(bandwidths=tuple(pairs), pilots=pilots, coefficients=coeffs), errors
-    raise_first(errors)
-    return SelectionResult(bandwidths=pairs[0], pilots=pilots.at(0), coefficients=coeffs[0])
+    return SelectionResult(bandwidths=pairs, pilots=pilots, coefficients=coeffs), errors

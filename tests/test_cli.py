@@ -544,6 +544,22 @@ class TestCommands:
         assert captured.err.count("\n") == 1
         assert "row 3" in captured.err
 
+    @pytest.mark.parametrize("command", ["select", "dgp-sample", "simulate"])
+    def test_unwritable_output_is_a_single_line_error(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing" / "out.json")
+        summary = tmp_path / "summary.json"
+        argv = {
+            "select": ["select", "--input", self.make_data(tmp_path), "--output", missing],
+            "dgp-sample": ["dgp-sample", "--design", "1", "--n", "60", "--output", missing],
+            "simulate": ["simulate", "--design", "2", "--n", "200", "--reps", "2", "--seed", "3",
+                         "--out-dir", write(tmp_path / "taken", ""), "--output", str(summary)],
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+        assert not summary.exists()
+
 
 # boundary values of each numeric flag, plus an ordinary one; every --n and
 # --reps here is small, so a vector that passes validation runs in milliseconds

@@ -50,14 +50,15 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             s.side_mask("left")
         with pytest.raises(ValueError):
-            s.side_x("left")
+            s.as_stack().side_values("left", np.nan)
 
-    def test_side_x_is_the_masked_gather(self):
+    def test_side_values_is_the_masked_gather(self):
         rng = np.random.default_rng(2)
         x = np.concatenate([rng.normal(size=500), [0.25, 0.25]])
         s = make_sample(x, np.zeros_like(x), c=0.25)
         for side in ("plus", "minus"):
-            np.testing.assert_array_equal(s.side_x(side), x[s.side_mask(side)])
+            values, _, _ = s.as_stack().side_values(side, np.nan)
+            np.testing.assert_array_equal(values[0], x[s.side_mask(side)])
 
 
 class TestFitBoundary:

@@ -1,14 +1,23 @@
 """Stacks of samples: every slice of a stacked call gives the result, or
 raises the error, of the same call on that slice alone."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rdbw import selector, simlab
 from rdbw.errors import InsufficientData, RdbwError, SingularDesign, WeakDiscontinuity, merge
 from rdbw.estimator import frd_estimate
-from rdbw.local_poly import Sample, fit_boundary
-from rdbw.pilot import assemble_pilots
+from rdbw.local_poly import Sample, estimate_level, fit_boundary
+from rdbw.pilot import (
+    PilotEstimates,
+    assemble_pilots,
+    estimate_density,
+    estimate_derivatives,
+    estimate_tauD,
+    estimate_variances,
+)
 from rdbw.selector import default_bounds, select_bandwidths
 from rdbw.simlab import DgpSpec, draw_sample, run_monte_carlo
 
@@ -64,9 +73,74 @@ def test_a_single_sample_is_a_stack_of_one():
     sel, errors = select_bandwidths(one)
     assert errors == [None]
     assert sel.bandwidths[0] == select_bandwidths(sample).bandwidths
-    assert sel.pilots.at(0) == assemble_pilots(sample)
+    assert PilotEstimates(**{k: float(v[0]) for k, v in vars(sel.pilots).items()}) == assemble_pilots(sample)
     bounds, _ = default_bounds(one)
     assert tuple((float(lo[0]), float(hi[0])) for lo, hi in bounds) == default_bounds(sample)
+
+
+# every function taking a Sample, with the arguments after the sample
+ENTRY_POINTS = [
+    (fit_boundary, ("plus", 0.3)),
+    (estimate_level, ("plus", 0.3)),
+    (estimate_density, ()),
+    (estimate_derivatives, ("plus",)),
+    (estimate_variances, ("plus",)),
+    (estimate_tauD, ()),
+    (assemble_pilots, ()),
+    (default_bounds, ()),
+    (select_bandwidths, ()),
+    (frd_estimate, (0.3, 0.4)),
+]
+
+
+def assert_is_slice_0(single, stacked):
+    """single is slice 0 of a stacked result, with numpy scalars as Python ones."""
+    if isinstance(stacked, (np.ndarray, list)):
+        want = stacked[0]
+        if isinstance(want, np.generic):
+            assert type(single) is type(want.item()) and type(single) in (float, int)
+            assert single == want
+        elif isinstance(want, np.ndarray):
+            assert isinstance(single, np.ndarray)
+            np.testing.assert_array_equal(single, want)
+        else:
+            assert single == want
+    elif isinstance(stacked, tuple):
+        assert type(single) is tuple and len(single) == len(stacked)
+        for a, b in zip(single, stacked):
+            assert_is_slice_0(a, b)
+    elif dataclasses.is_dataclass(stacked):
+        assert type(single) is type(stacked)
+        for field in dataclasses.fields(stacked):
+            assert_is_slice_0(getattr(single, field.name), getattr(stacked, field.name))
+    else:
+        assert single == stacked
+
+
+@pytest.mark.parametrize("fn, args", ENTRY_POINTS, ids=[fn.__name__ for fn, _ in ENTRY_POINTS])
+def test_a_single_sample_call_is_slice_0_of_the_stack_of_one(fn, args):
+    sample = draw_sample(DgpSpec("design2", 500, seed=3), 1)
+    result, errors = fn(sample.as_stack(), *args)
+    assert errors == [None]
+    assert_is_slice_0(fn(sample, *args), result)
+
+
+@pytest.mark.parametrize("fn, args", ENTRY_POINTS, ids=[fn.__name__ for fn, _ in ENTRY_POINTS])
+def test_a_single_sample_call_raises_the_error_of_its_slice(fn, args):
+    # eight observations, one of them on the plus side: every entry point fails
+    x = np.append(np.linspace(-0.9, -0.1, 7), 0.2)
+    sample = Sample(x, np.sin(x), (x >= 0.0).astype(float), 0.0)
+    _, errors = fn(sample.as_stack(), *args)
+    assert isinstance(errors[0], RdbwError)
+    with pytest.raises(RdbwError) as single:
+        fn(sample, *args)
+    assert_same_error(single.value, errors[0])
+
+
+def test_a_bad_mode_raises_on_a_stack():
+    stack = draw_sample(DgpSpec("design1", 500, seed=1), range(3))
+    with pytest.raises(ValueError, match="mode must be 'fuzzy' or 'sharp'"):
+        select_bandwidths(stack, mode="bogus")
 
 
 def test_a_stack_minimizes_in_one_call(monkeypatch):
