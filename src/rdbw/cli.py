@@ -276,12 +276,34 @@ def _writing(path: str):
 
 @contextlib.contextmanager
 def _output(path: Optional[str]):
-    """Text stream for a command's output: the file at `path`, else stdout."""
+    """Text stream for a command's output: the file at `path`, else stdout.
+
+    Stdout is flushed on the way out, so a reader that has gone (a closed
+    pipe) is an OutputError here; what stdout still buffers then goes to
+    the null device, so the interpreter's own flush at exit cannot fail.
+    """
     if path is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as e:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise OutputError(f"cannot write stdout: {e.strerror}") from e
     else:
         with _writing(path), open(path, "w", encoding="utf-8") as fh:
             yield fh
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OutputError of a file that cannot be written at `path`,
+    leaving an existing file as it is and creating none."""
+    existed = os.path.exists(path)
+    with _writing(path), open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _emit(payload, path: Optional[str]) -> None:
@@ -320,8 +342,11 @@ def _cmd_estimate(ns: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> None:
+    # every output is checked before the run, which may take minutes
     with _writing(ns.out_dir):
         os.makedirs(ns.out_dir, exist_ok=True)
+    if ns.output is not None:
+        _check_writable(ns.output)
     summary = run_monte_carlo(ns.spec, ns.method, ns.reps, ns.kernel, jobs=ns.jobs)
     fields = ["method", "h_plus_mean", "h_plus_sd", "h_minus_mean", "h_minus_sd",
               "bias_trimmed", "rmse_trimmed", "reps_total", "reps_failed"]

@@ -22,9 +22,12 @@ and returns (result, errors), the result holding one entry per slice
 along a leading axis and errors as described in `rdbw.errors`; a slice
 that fails keeps finite placeholder values.  The one entry point,
 `stacked`, passes a stack through and runs a single sample as the stack
-of one, raising its error or returning its slice.  A stacked fit pads
-each slice's window with zero rows to the widest window of the stack,
-so the last bits of one slice's fit may depend on the other slices.
+of one, raising its error or returning its slice.  A stage whose
+temporaries grow with the slices runs them in groups of bounded size
+(`slice_groups`), so a stack costs little memory beyond its own arrays.
+A stacked fit pads each slice's window with zero rows to the widest
+window of its group, so the last bits of one slice's fit may depend on
+the other slices.
 """
 
 import functools
@@ -37,9 +40,13 @@ from .kernels import KernelSpec, eval_kernel
 
 # relative singular-value floor below which the weighted design is declared rank-deficient
 _SV_RTOL = 1e-10
-# rows per block of the QR accumulation, over all slices of a stack; bounds
-# the design's memory for any window
+# rows per block of one slice's QR accumulation; bounds the design's memory
+# for any window of one sample
 _BLOCK_ROWS = 1 << 16
+# values that one stage's temporaries may hold at once over a group of
+# slices (see slice_groups); a stack's memory beyond its own arrays then
+# does not grow with its size
+_GROUP_VALUES = 1 << 16
 # rows per chunk of the stacked QR inside a block; keeps each factorization in cache
 _CHUNK_ROWS = 1 << 10
 
@@ -106,11 +113,17 @@ class Sample:
 
     def as_stack(self) -> "Sample":
         """This sample as a stack of one, sharing its checked arrays; a stack is itself."""
-        if self.stacked:
-            return self
+        return self if self.stacked else self._share(None)
+
+    def part(self, index: slice) -> "Sample":
+        """The slices index of a stack, as a stack sharing its checked arrays."""
+        return self._share(index)
+
+    def _share(self, index) -> "Sample":
+        # the arrays were checked when this sample was made
         stack = object.__new__(Sample)
         for name in ("x", "y", "d"):
-            object.__setattr__(stack, name, getattr(self, name)[None])
+            object.__setattr__(stack, name, getattr(self, name)[index])
         object.__setattr__(stack, "c", self.c)
         return stack
 
@@ -137,6 +150,18 @@ class Sample:
         values = _pad(self.x.take(np.flatnonzero(mask)), sizes, fill)
         where = True if values.size == sizes.sum() else np.arange(values.shape[1]) < sizes[:, None]
         return values, sizes, where
+
+
+def slice_groups(slices: int, per_slice: int):
+    """Consecutive groups of a stack's slices, as slice objects, whose
+    per_slice values each sum to at most _GROUP_VALUES, or that hold one
+    slice; the fewest such groups, as even as can be.
+
+    A stage whose temporaries hold per_slice values for each slice runs
+    group by group, so they stay bounded however many slices a stack has.
+    """
+    count = -(-slices // max(1, _GROUP_VALUES // max(1, per_slice)))
+    return [slice(k * slices // count, (k + 1) * slices // count) for k in range(count)]
 
 
 def _first(result):
@@ -209,7 +234,7 @@ def _rank_error(xs, order, sv):
 
 
 def _window(stack: Sample, side: str, h: np.ndarray) -> np.ndarray:
-    """Flat indices of each slice's rows within reach of the cutoff, left-aligned, padded with -1.
+    """The mask of each slice's rows within reach of the cutoff.
 
     The interval is slightly wider than |x - c| <= h, so no rounding in
     (x - c)/h can drop a point; the kernel decides the weights.
@@ -218,7 +243,7 @@ def _window(stack: Sample, side: str, h: np.ndarray) -> np.ndarray:
     reach = (h + 1e-12 * (abs(c) + h))[:, None]
     near = stack.side_mask(side)
     near &= x <= c + reach if side == "plus" else x >= c - reach
-    return _pad(np.flatnonzero(near), _row_counts(near), -1)
+    return near
 
 
 def _weighted_design(stack: Sample, rows: np.ndarray, padded: bool, h, p: int, kernel: KernelSpec):
@@ -226,7 +251,9 @@ def _weighted_design(stack: Sample, rows: np.ndarray, padded: bool, h, p: int, k
     per slice, and the design [sqrt(w) u^k | sqrt(w) y, sqrt(w) d] with
     u = (x - c)/h as one C-ordered (slices, rows) plane per column.
     Padding rows have zero weight, so their design rows are zero."""
-    u = (stack.x.take(rows) - stack.c) / h[:, None]
+    u = stack.x.take(rows)
+    u -= stack.c
+    u /= h[:, None]
     real = rows.size
     if padded:
         pad = rows < 0
@@ -237,7 +264,7 @@ def _weighted_design(stack: Sample, rows: np.ndarray, padded: bool, h, p: int, k
     count = _row_counts(keep)
     if count.sum() < real:  # drop the zero-weight candidates
         rows, u, w = (_pad(v[keep], count, fill) for v, fill in ((rows, -1), (u, 0.0), (w, 0.0)))
-    sw = np.sqrt(w)
+    sw = np.sqrt(w, out=w)
     a = np.empty((p + 2,) + rows.shape)
     a[0] = sw
     for k in range(1, p):
@@ -245,6 +272,41 @@ def _weighted_design(stack: Sample, rows: np.ndarray, padded: bool, h, p: int, k
     np.multiply(sw, stack.y.take(rows), out=a[p])
     np.multiply(sw, stack.d.take(rows), out=a[p + 1])
     return rows, count, a
+
+
+def _factor(stack: Sample, candidates: np.ndarray, h, p: int, kernel: KernelSpec):
+    """(rows, effective_n, R) of one group of slices: the positive-weight
+    rows among the candidates, left-aligned and padded with -1, their
+    count per slice, and the leading p rows of the triangular factor of
+    each slice's design, as a (slices, p, p + 2) array.
+
+    Each slice's rows are taken in blocks of at most _BLOCK_ROWS; a
+    block's whole 1024-row chunks are factorized by one stacked QR call,
+    and their R factors, the leftover rows and the running R are reduced
+    by one more QR.
+    """
+    slices = len(candidates)
+    padded = candidates.size > 0 and candidates[:, -1].min() < 0  # left-aligned: -1 ends short rows
+    kept, r = [], None
+    effective = np.zeros(slices, dtype=int)
+    for start in range(0, candidates.shape[1], _BLOCK_ROWS):
+        rows, count, a = _weighted_design(stack, candidates[:, start : start + _BLOCK_ROWS], padded, h, p, kernel)
+        kept.append(rows)
+        effective += count
+        # factor whole chunks in one stacked call; the view copies nothing
+        full = rows.shape[1] - rows.shape[1] % _CHUNK_ROWS
+        parts = [] if r is None else [r]
+        if full:
+            chunks = a[:, :, :full].reshape(p + 2, slices, -1, _CHUNK_ROWS).transpose(1, 2, 3, 0)
+            parts.append(np.linalg.qr(chunks, mode="r").reshape(slices, -1, p + 2))
+        parts.append(a[:, :, full:].transpose(1, 2, 0))
+        r = np.linalg.qr(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], mode="r")
+    # only a group of one slice spans several blocks, and a slice's own
+    # rows hold no padding: its blocks' rows follow one another
+    rows = np.concatenate(kept, axis=1) if kept else candidates
+    if r is None or r.shape[1] < p:
+        r = np.zeros((slices, p, p + 2)) if r is None else np.pad(r, ((0, 0), (0, p - r.shape[1]), (0, 0)))
+    return rows, effective, r[:, :p]
 
 
 @stacked
@@ -271,10 +333,14 @@ def fit_boundary(
     their R factors, the leftover rows and the running R are reduced by
     one more QR; a window under 1024 rows takes that last QR alone.
 
-    On a stack, h is one bandwidth per slice (or one for all), every
-    slice's positive-weight rows are padded with zero rows to the widest
-    window, and each QR, the rank check and the solve are one stacked
-    call for all slices.
+    On a stack, h is one bandwidth per slice (or one for all).  The
+    window is found once for all slices, which are then factorized in
+    groups of consecutive slices (see `slice_groups`) whose designs,
+    the QR's copy of them and their rows hold at most 2^16 values;
+    within a group every slice's positive-weight rows are padded with
+    zero rows to the group's widest window, and each QR is one stacked
+    call.  The groups' R factors meet in one rank check and one solve
+    for all slices.
 
     Raises
     ------
@@ -294,30 +360,26 @@ def fit_boundary(
     record(errors, bad, lambda r: ValueError("bandwidth must be positive and finite"))
     h = np.where(bad, 1.0, h_given)  # any valid bandwidth: the slice has failed
 
-    candidates = _window(sample, side, h)
-    padded = candidates.size > 0 and candidates[:, -1].min() < 0  # left-aligned: -1 ends short rows
     p = order + 1
-    step = max(_CHUNK_ROWS, _BLOCK_ROWS // slices // _CHUNK_ROWS * _CHUNK_ROWS)
-    kept, r = [], None
-    effective = np.zeros(slices, dtype=int)
-    for start in range(0, candidates.shape[1], step):
-        rows, count, a = _weighted_design(sample, candidates[:, start : start + step], padded, h, p, kernel)
-        kept.append(rows)
-        effective += count
-        # factor whole chunks in one stacked call; the view copies nothing
-        full = rows.shape[1] - rows.shape[1] % _CHUNK_ROWS
-        parts = [] if r is None else [r]
-        if full:
-            chunks = a[:, :, :full].reshape(p + 2, slices, -1, _CHUNK_ROWS).transpose(1, 2, 3, 0)
-            parts.append(np.linalg.qr(chunks, mode="r").reshape(slices, -1, p + 2))
-        parts.append(a[:, :, full:].transpose(1, 2, 0))
-        r = np.linalg.qr(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], mode="r")
-    rows = np.concatenate(kept, axis=1) if kept else candidates
-    if len(kept) > 1 and rows.size > effective.sum():
-        rows = _pad(rows[rows >= 0], effective, -1)
-    if r is None or r.shape[1] < p:
-        r = np.zeros((slices, p, p + 2)) if r is None else np.pad(r, ((0, 0), (0, p - r.shape[1]), (0, 0)))
-    design, rhs = r[:, :p, :p], r[:, :p, p:]
+    near = _window(sample, side, h)
+    counts = _row_counts(near)
+    width = int(counts.max(initial=0))
+    # a group's design, the QR's copy of it and its rows
+    groups = slice_groups(slices, (2 * p + 5) * width)
+    if len(groups) == 1:
+        rows, effective, r = _factor(sample, _pad(np.flatnonzero(near), counts, -1), h, p, kernel)
+    else:
+        rows = np.full((slices, width), -1)
+        effective = np.empty(slices, dtype=int)
+        r = np.empty((slices, p, p + 2))
+        for g in groups:
+            flat = np.flatnonzero(near[g])
+            flat += g.start * sample.n
+            candidates = _pad(flat, counts[g], -1)
+            part, effective[g], r[g] = _factor(sample, candidates, h[g], p, kernel)
+            rows[g, : part.shape[1]] = part
+        rows = rows[:, : effective.max()]
+    design, rhs = r[..., :p], r[..., p:]
     sv = np.linalg.svd(design, compute_uv=False)
     singular = (effective < p) | ~(sv[:, -1] >= _SV_RTOL * sv[:, 0])
     record(errors, singular, lambda s: _rank_error(sample.x.take(rows[s, : effective[s]]), order, sv[s]))

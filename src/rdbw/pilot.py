@@ -31,7 +31,7 @@ from .errors import (
     record,
 )
 from .kernels import KernelSpec
-from .local_poly import Sample, estimate_level, fit_boundary, stacked
+from .local_poly import Sample, estimate_level, fit_boundary, slice_groups, stacked
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -68,6 +68,15 @@ class PilotEstimates:
     tau: float
 
 
+def _sd(x):
+    """np.std of each row of x, taken on groups of rows: it holds a
+    deviation per entry."""
+    sd = np.empty(len(x))
+    for g in slice_groups(len(x), x.shape[1]):
+        sd[g] = np.std(x[g], axis=1)
+    return sd
+
+
 @stacked
 def estimate_density(sample: Sample):
     """Density and density derivative at the cutoff from the full sample.
@@ -84,18 +93,20 @@ def estimate_density(sample: Sample):
     errors = [None] * len(x)
     record(errors, np.full(len(x), n < 10), lambda r: InsufficientData(
         f"density pilot needs n >= 10, got {n}"))
-    sd = np.std(x, axis=1)
+    sd = _sd(x)
     record(errors, sd == 0.0, lambda r: DegenerateSample("sd(x) = 0; density pilot undefined"))
     sd[sd == 0.0] = 1.0  # placeholder for a failed slice
 
     h0 = 1.06 * sd * n ** (-1 / 5)
-    u = (x - sample.c) / h0[:, None]
-    f = np.mean(np.exp(-0.5 * u * u), axis=1) / (_SQRT2PI * h0)
-
     h1 = h0 * n ** (1 / 5 - 1 / 7)
-    u = (x - sample.c) / h1[:, None]
-    f1 = np.mean(u * np.exp(-0.5 * u * u), axis=1) / (_SQRT2PI * h1 * h1)
-    return (f, f1), errors
+    f, f1 = np.empty(len(x)), np.empty(len(x))
+    # u and up to three temporaries of n values per slice
+    for g in slice_groups(len(x), 4 * n):
+        u = (x[g] - sample.c) / h0[g, None]
+        f[g] = np.mean(np.exp(-0.5 * u * u), axis=1)
+        u = (x[g] - sample.c) / h1[g, None]
+        f1[g] = np.mean(u * np.exp(-0.5 * u * u), axis=1)
+    return (f / (_SQRT2PI * h0), f1 / (_SQRT2PI * h1 * h1)), errors
 
 
 @stacked
@@ -147,11 +158,16 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     -------
     (sig2Y, sig2D, sigYD) : tuple of floats
     """
-    xs, size, side_rows = sample.side_values(side, 0.0)
-    errors = [None] * len(size)
+    slices = len(sample.x)
+    size, sd = np.empty(slices, dtype=int), np.empty(slices)
+    # a group's side values, their indices and their deviations
+    for g in slice_groups(slices, 3 * sample.n):
+        xs, size[g], side_rows = sample.part(g).side_values(side, 0.0)
+        sd[g] = np.std(xs, axis=1, where=side_rows)
+    errors = [None] * slices
     record(errors, size < 10, lambda r: InsufficientData(
         f"variance pilot needs >= 10 observations on the {side} side, got {size[r]}"))
-    h = _pilot_bandwidth(np.std(xs, axis=1, where=side_rows), size)
+    h = _pilot_bandwidth(sd, size)
     fit, later = fit_boundary(sample, side, h, order=1, kernel=kernel)
     merge(errors, later)
     n_v = fit.effective_n
@@ -183,7 +199,7 @@ def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
 
     Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
     """
-    h = _pilot_bandwidth(np.std(sample.x, axis=1), sample.n)
+    h = _pilot_bandwidth(_sd(sample.x), sample.n)
     plus, errors = estimate_level(sample, "plus", h, kernel)
     minus, later = estimate_level(sample, "minus", h, kernel)
     merge(errors, later)

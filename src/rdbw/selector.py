@@ -32,7 +32,7 @@ from .errors import (
     record,
 )
 from .kernels import KernelMoments, KernelSpec, compute_moments
-from .local_poly import Sample, stacked
+from .local_poly import Sample, slice_groups, stacked
 from .pilot import PilotEstimates, assemble_pilots
 
 REGIMES = ("opposite_sign", "same_sign", "boundary_clamped")
@@ -231,6 +231,11 @@ def _unit_free(coeffs, bounds):
     )
 
 
+def _take(prob, index):
+    """The entries index of every array of a problem: a subset of its slices."""
+    return SimpleNamespace(**{name: v[index] for name, v in vars(prob).items()})
+
+
 def _profile(prob, ell):
     """The criterion's minimum along the rays l = ell, and its first two
     derivatives in l.
@@ -289,6 +294,20 @@ def _profile(prob, ell):
         slope=np.where(minus, -f_u, f_w),
         curvature=np.where(minus, f_uu, inner),
     )
+
+
+def _node_profile(prob, points):
+    """_profile on each slice's row of points, without its curvature.
+
+    The profile holds some 35 temporaries of one row of points per slice,
+    so it runs on groups of slices (see `rdbw.local_poly.slice_groups`).
+    """
+    fields = ("t", "upper", "clipped", "minus", "value", "slope")
+    parts = []
+    for g in slice_groups(len(points), 35 * points.shape[1]):
+        at = _profile(_take(prob, g), points[g])
+        parts.append([getattr(at, name) for name in fields])
+    return SimpleNamespace(ell=points, **{name: np.concatenate(column) for name, column in zip(fields, zip(*parts))})
 
 
 def _refine(prob, lo, hi, f_lo, f_hi):
@@ -355,7 +374,8 @@ def minimize_mmse(coeffs, bounds):
 
     A sequence gives (pairs, errors), one entry per slice, the pair None
     where the slice failed (see `rdbw.errors`).  All slices that have not
-    failed are profiled and refined together.
+    failed are profiled on the nodes in groups of bounded size (see
+    `rdbw.local_poly.slice_groups`), and their intervals refined together.
     """
     if isinstance(coeffs, AmseCoefficients):
         pairs, errors = minimize_mmse((coeffs,), tuple(([lo], [hi]) for lo, hi in bounds))
@@ -387,7 +407,8 @@ def minimize_mmse(coeffs, bounds):
         ))
         # the corners once more, a float below: the profile's slope just
         # below a corner, where it may differ from the slope just above
-        at = _profile(prob, np.hstack((nodes, np.nextafter(nodes[:, -2:], -np.inf))))
+        points = np.hstack((nodes, np.nextafter(nodes[:, -2:], -np.inf)))
+        at = _node_profile(prob, points)
         m = nodes.shape[1]
         order = np.argsort(nodes, axis=1)
         ell = np.take_along_axis(nodes, order, axis=1)
@@ -395,7 +416,7 @@ def minimize_mmse(coeffs, bounds):
         left = np.take_along_axis(np.hstack((at.slope[:, : m - 2], at.slope[:, m:])), order, axis=1)
         rows, cols = np.nonzero((right[:, :-1] < 0.0) & (left[:, 1:] > 0.0))
         refined = _refine(
-            SimpleNamespace(**{name: v[rows] for name, v in vars(prob).items()}),
+            _take(prob, rows),
             ell[rows, cols, None],
             ell[rows, cols + 1, None],
             right[rows, cols, None],
@@ -496,6 +517,18 @@ def afo_bandwidths(coeffs: AmseCoefficients) -> BandwidthPair:
     )
 
 
+def _support(stack: Sample, side: str):
+    """Per slice of a stack: the 3rd-smallest distinct |x - c| on one
+    side (inf if there are fewer), and that side's range of x."""
+    # padding at infinite distance takes no part in a minimum
+    xs, _, side_rows = stack.side_values(side, np.inf)
+    dist = np.abs(xs - stack.c)
+    lo = np.full(len(xs), -np.inf)
+    for _ in range(3):
+        lo = np.min(dist, axis=1, where=dist > lo[:, None], initial=np.inf)
+    return lo, np.max(xs, axis=1, where=side_rows, initial=-np.inf) - np.min(xs, axis=1)
+
+
 @stacked
 def default_bounds(sample: Sample):
     """Per-side bandwidth box: [3rd-nearest support distance, data range].
@@ -506,18 +539,16 @@ def default_bounds(sample: Sample):
     three masked minimum passes, with no sort.  A stack gives
     (((lo_plus, hi_plus), (lo_minus, hi_minus)) of (R,) arrays, errors).
     """
-    errors = [None] * len(sample.x)
+    slices = len(sample.x)
+    errors = [None] * slices
     out = []
     for side in ("plus", "minus"):
-        # padding at infinite distance takes no part in a minimum
-        xs, _, side_rows = sample.side_values(side, np.inf)
-        dist = np.abs(xs - sample.c)
-        lo = np.full(len(xs), -np.inf)
-        for _ in range(3):
-            lo = np.min(dist, axis=1, where=dist > lo[:, None], initial=np.inf)
+        lo, hi = np.empty(slices), np.empty(slices)
+        # a group's side values, their indices and their distances
+        for g in slice_groups(slices, 3 * sample.n):
+            lo[g], hi[g] = _support(sample.part(g), side)
         record(errors, lo == np.inf, lambda r: InsufficientData(
             f"need at least 3 distinct support distances on the {side} side"))
-        hi = np.max(xs, axis=1, where=side_rows, initial=-np.inf) - np.min(xs, axis=1)
         record(errors, ~(lo < hi), lambda r: DegenerateSample(
             f"bandwidth bounds collapse on the {side} side (lo={lo[r]:g}, hi={hi[r]:g})"))
         out.append((lo, hi))

@@ -12,12 +12,15 @@ treatment_prob itself only where the two lie within 1e-6, so the draws
 equal the direct comparison bit for bit.  The Monte Carlo
 engine runs fixed blocks of consecutive replications, each drawn, then
 selected and estimated as one stack (see `rdbw.local_poly`): block k
-holds replications [kB, kB + B) with B = max(1, 16384 // n), so 32 at
-n = 500 and one replication per block from n = 16384 on.  Blocks depend
-only on n, and a worker pool of at most one process per block maps
-whole blocks, so summaries are bit-identical for every `jobs` value.  A
-stacked fit pads each slice to the block's widest window, so the last
-bits of one replication's results may depend on its block-mates.
+holds replications [kB, kB + B) with B = max(1, 65536 // n), so 131 at
+n = 500 and one replication per block from n = 65536 on.  Every stage
+runs its per-replication temporaries on bounded groups of a block's
+replications, so a block's memory is mostly its own (B, n) arrays.
+Blocks depend only on n, and a worker pool of at most one process per
+block maps whole blocks, so summaries are bit-identical for every `jobs`
+value.  A stacked fit pads each slice to the widest window of its group
+of block-mates, so the last bits of one replication's results may depend
+on them.
 """
 
 import math
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import AllTrimmed, RdbwError, ValidationError, merge
 from .estimator import frd_estimate
 from .kernels import KernelSpec
-from .local_poly import Sample
+from .local_poly import Sample, slice_groups
 from .selector import select_bandwidths
 
 DESIGNS = ("design1", "design2")
@@ -73,9 +76,11 @@ CDF_POINTS = 200
 
 DEFAULT_ERROR_SD = 0.1295
 
-# observations per block of stacked replications; bounds a block's memory,
-# whose largest part is the whole-side quartic fit's design and its QR copy
-_BLOCK_VALUES = 1 << 14
+# observations per block of stacked replications.  A block pays a fixed
+# cost per stage call, so larger blocks run faster; each stage bounds the
+# temporaries it holds per replication (local_poly.slice_groups), so a
+# block's memory is mostly its own three (B, n) arrays
+_BLOCK_VALUES = 1 << 16
 
 
 def __getattr__(name):
@@ -139,8 +144,8 @@ def treatment_prob(x):
 def _trend(design: str, x: np.ndarray) -> np.ndarray:
     """The quintic part of the outcome, shared by both arms: slopes only.
 
-    Each side's polynomial runs by Horner over the whole array, and
-    np.where keeps x > 0 from the plus side and the rest from the minus side.
+    Each side's polynomial runs by Horner over the whole array; x > 0
+    keeps the plus side's value and the rest take the minus side's.
     """
 
     def horner(slopes):
@@ -150,7 +155,9 @@ def _trend(design: str, x: np.ndarray) -> np.ndarray:
             acc *= x
         return acc
 
-    return np.where(x > 0.0, horner(_SLOPES[design, "plus"]), horner(_SLOPES[design, "minus"]))
+    out = horner(_SLOPES[design, "plus"])
+    np.copyto(out, horner(_SLOPES[design, "minus"]), where=x <= 0.0)
+    return out
 
 
 def _approx_prob(x: np.ndarray) -> np.ndarray:
@@ -172,7 +179,7 @@ def _approx_prob(x: np.ndarray) -> np.ndarray:
     tail *= np.exp(w, out=w)
     tail *= 0.5
     # tail is Phi(-|z|): the probability left of the cutoff, its complement right of it
-    return np.where(x >= 0.0, 1.0 - tail, tail)
+    return np.subtract(1.0, tail, out=tail, where=x >= 0.0)
 
 
 def _treated(x: np.ndarray, uniform: np.ndarray) -> np.ndarray:
@@ -203,36 +210,51 @@ def mean_outcome(design: str, arm: str, x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
+def _fill(spec: DgpSpec, reps, x: np.ndarray, y: np.ndarray, d: np.ndarray):
+    """Draw the replications reps into the rows of x, y and d.
+
+    The uniforms are drawn into d and the errors into y, whose values
+    they become part of, so the fill needs no arrays of its own for them.
+    """
+    for k, rep in enumerate(reps):
+        rng = np.random.default_rng([spec.seed, rep])
+        x[k] = rng.beta(2.0, 4.0, spec.n)
+        d[k] = rng.uniform(size=spec.n)
+        y[k] = rng.normal(0.0, spec.error_sd, spec.n)
+    # the Beta draws stretched onto [-1, 1], in place
+    x *= 2.0
+    x -= 1.0
+    treated = _treated(x, d)
+    d[...] = treated
+    # the arms share slopes: one trend plus each arm's intercept, then the
+    # error; float addition commutes, so this is intercept + trend + error
+    mean = _trend(spec.design, x)
+    mean += np.where(treated, _INTERCEPTS[spec.design, "treated"], _INTERCEPTS[spec.design, "control"])
+    y += mean
+
+
 def draw_sample(spec: DgpSpec, rep_index=0) -> Sample:
     """One replication's data, keyed deterministically by (seed, rep_index).
 
     A range of indices gives the stack of those replications: slice k
     equals draw_sample(spec, rep_index[k]).  Each replication makes its
-    own three generator calls; everything after them runs once on the
-    (R, n) arrays.  Treatment is uniform < treatment_prob(x), decided by
-    a bounded approximation and, within 1e-6 of it, by treatment_prob
-    itself, so d is exactly that comparison.  Raises ValueError for an
-    empty range, and ValidationError if the draws are not a valid
-    sample, as for an error_sd so large that the outcomes overflow.
+    own three generator calls; the elementwise steps after them run on
+    bounded groups of rows of the (R, n) arrays (see
+    `rdbw.local_poly.slice_groups`) and act on each entry alone, so a
+    slice does not depend on the grouping.  Treatment is
+    uniform < treatment_prob(x), decided by a bounded approximation and,
+    within 1e-6 of it, by treatment_prob itself, so d is exactly that
+    comparison.  Raises ValueError for an empty range, and
+    ValidationError if the draws are not a valid sample, as for an
+    error_sd so large that the outcomes overflow.
     """
     reps = rep_index if isinstance(rep_index, range) else (rep_index,)
     if not reps:
         raise ValueError(f"rep_index must hold at least one replication, got {rep_index!r}")
-    x, uniform, eps = (np.empty((len(reps), spec.n)) for _ in range(3))
-    for k, rep in enumerate(reps):
-        rng = np.random.default_rng([spec.seed, rep])
-        x[k] = rng.beta(2.0, 4.0, spec.n)
-        uniform[k] = rng.uniform(size=spec.n)
-        eps[k] = rng.normal(0.0, spec.error_sd, spec.n)
-    # the Beta draws stretched onto [-1, 1], in place
-    x *= 2.0
-    x -= 1.0
-    treated = _treated(x, uniform)
-    d = treated.astype(float)
-    # the arms share slopes: each arm's intercept, then one trend
-    y = np.where(treated, _INTERCEPTS[spec.design, "treated"], _INTERCEPTS[spec.design, "control"])
-    y += _trend(spec.design, x)
-    y += eps
+    x, y, d = (np.empty((len(reps), spec.n)) for _ in range(3))
+    # the elementwise steps hold about three values per observation
+    for part in slice_groups(len(reps), 3 * spec.n):
+        _fill(spec, reps[part], x[part], y[part], d[part])
     if not isinstance(rep_index, range):
         x, y, d = x[0], y[0], d[0]
     try:

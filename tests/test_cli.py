@@ -560,6 +560,26 @@ class TestCommands:
         assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
         assert not summary.exists()
 
+    def test_simulate_checks_its_output_before_the_run(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_monte_carlo", lambda *args, **kwargs: ran.append(args))
+        out_dir = tmp_path / "sim"
+        missing = str(tmp_path / "missing" / "s.json")
+        code = main(["simulate", "--design", "1", "--reps", "1000", "--out-dir", str(out_dir), "--output", missing])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
+        assert ran == [] and list(out_dir.iterdir()) == []
+
+    def test_the_output_check_leaves_no_trace(self, tmp_path, capsys):
+        # a run that fails after the check keeps an existing output and creates none
+        kept, fresh = write(tmp_path / "kept.json", "old"), tmp_path / "fresh.json"
+        for output in (kept, str(fresh)):
+            code = main(["simulate", "--design", "1", "--n", "60", "--reps", "2", "--error-sd", "1e308",
+                         "--out-dir", str(tmp_path / "sim"), "--output", output])
+            assert code == 1 and capsys.readouterr().err.count("\n") == 1
+        assert (tmp_path / "kept.json").read_text() == "old"
+        assert not fresh.exists()
+
 
 # boundary values of each numeric flag, plus an ordinary one; every --n and
 # --reps here is small, so a vector that passes validation runs in milliseconds
@@ -632,6 +652,21 @@ class TestConsoleScript:
         lines = result.stdout.strip().splitlines()
         assert lines[0] == "x,y,d"
         assert len(lines) == 61
+
+    def test_a_reader_that_closes_early_gets_one_error_line(self):
+        # 200,000 rows overflow the pipe's buffer long before the reader closes it
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rdbw.cli", "dgp-sample", "--design", "1", "--n", "200000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "x,y,d\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == "error: cannot write stdout: Broken pipe\n", err
 
     def test_help_exits_zero(self):
         result = subprocess.run(

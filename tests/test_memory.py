@@ -1,0 +1,84 @@
+"""Memory that grows with a Monte Carlo block: every stage bounds the
+temporaries it holds per slice, so a block's memory is mostly its stack."""
+
+import tracemalloc
+
+import numpy as np
+
+from rdbw import local_poly, simlab
+from rdbw.kernels import KernelSpec
+from rdbw.local_poly import fit_boundary
+from rdbw.simlab import DgpSpec, draw_sample
+
+
+def traced_peak(call):
+    """(result, peak bytes traced while call() ran), after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def quartic_fit(stack):
+    # the whole-side quartic fit of the curvature pilot, the widest window of a block
+    span = stack.c - stack.x.min(axis=1)
+    return fit_boundary(stack, "minus", span, order=4, kernel=KernelSpec("uniform"))
+
+
+def test_a_block_at_n_500_peaks_near_its_stack():
+    spec = DgpSpec("design1", 500, seed=42)
+    size = simlab._block_reps(spec.n)
+    out, peak = traced_peak(lambda: simlab._run_block(spec, "mmse_f", KernelSpec(), size, 0))
+    assert len(out) == size
+    stack_bytes = 3 * size * spec.n * 8
+    # 131 replications: a 1.57 MB stack, and 8 MB when the fits and draws were not grouped
+    assert peak < 3.5e6 and peak < 2.25 * stack_bytes, peak
+
+
+def test_a_stacked_fit_holds_one_group_at_a_time():
+    budget = 8 * local_poly._GROUP_VALUES
+    extra = []
+    for slices in (131, 262):
+        stack = draw_sample(DgpSpec("design1", 500, seed=3), range(slices))
+        (fit, errors), peak = traced_peak(lambda: quartic_fit(stack))
+        assert errors == [None] * slices
+        extra.append(peak - fit.rows.nbytes)  # beyond the result's own rows
+    # ungrouped, the fit held 6.5 MB beyond its rows at 131 slices and 13 MB at
+    # 262; grouped, only per-slice results and the window mask grow, by 0.12 MB
+    assert max(extra) < 2 * budget, extra
+    assert extra[1] - extra[0] < budget / 2, extra
+
+
+def test_a_grouped_fit_equals_its_groups_and_the_ungrouped_fit(monkeypatch):
+    stack = draw_sample(DgpSpec("design2", 500, seed=5), range(131))
+    groups = []
+    factor = local_poly._factor
+
+    def recording(sample, candidates, *args):
+        groups.append(len(candidates))
+        return factor(sample, candidates, *args)
+
+    monkeypatch.setattr(local_poly, "_factor", recording)
+    fit, _ = quartic_fit(stack)
+    sizes = list(groups)
+    assert len(sizes) > 1 and sum(sizes) == 131
+    n, lo = stack.n, 0
+    for size in sizes:
+        part, _ = quartic_fit(stack.part(slice(lo, lo + size)))
+        got = slice(lo, lo + size)
+        np.testing.assert_allclose(fit.coefficients[got], part.coefficients, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(fit.effective_n[got], part.effective_n)
+        rows = fit.rows[got, : part.rows.shape[1]]
+        np.testing.assert_array_equal(np.where(rows < 0, -1, rows - lo * n), part.rows)
+        lo += size
+
+    monkeypatch.setattr(local_poly, "_GROUP_VALUES", 1 << 40)
+    groups.clear()
+    whole, _ = quartic_fit(stack)
+    assert groups == [131]
+    np.testing.assert_allclose(fit.coefficients, whole.coefficients, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(fit.effective_n, whole.effective_n)
+    np.testing.assert_array_equal(fit.rows, whole.rows)

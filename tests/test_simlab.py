@@ -25,6 +25,8 @@ from rdbw.simlab import (
 
 # one-sided limits of the participation probability at the cutoff
 PHI_128 = 0.5 * (1.0 + math.erf(1.28 / math.sqrt(2.0)))
+# replications per Monte Carlo block at n = 500
+BLOCK_500 = simlab._block_reps(500)
 
 
 class TestTreatmentProb:
@@ -214,8 +216,8 @@ class TestDrawSample:
     @pytest.mark.parametrize(
         "design, n, reps",
         [
-            ("design1", 500, range(0, 32)),  # a whole block
-            ("design2", 500, range(992, 1000)),  # the partial last block of 1000
+            ("design1", 500, range(0, BLOCK_500)),  # a whole block
+            ("design2", 500, range(1000 - 1000 % BLOCK_500, 1000)),  # the partial last block of 1000
             ("design1", 20_000, range(3, 4)),  # one replication a block
         ],
     )
@@ -245,7 +247,7 @@ class TestDrawSample:
 
     @pytest.mark.parametrize("design, seed, n", sorted(DIGESTS))
     def test_draw_bytes_are_pinned(self, design, seed, n):
-        # n = 500 draws a whole block of 32, n = 20000 replication 0 alone
+        # n = 500 draws a stack of 32, n = 20000 replication 0 alone
         reps = range(32) if n == 500 else 0
         s = draw_sample(DgpSpec(design=design, n=n, seed=seed), reps)
         h = hashlib.sha256()
@@ -325,11 +327,11 @@ class TestRunMonteCarlo:
         parallel = run_monte_carlo(spec, "mmse_f", 2, jobs=6)
         assert seen == []
         assert parallel == run_monte_carlo(spec, "mmse_f", 2)
-        # 40 replications of n = 500 are two blocks: two workers, not four
+        # a block and 8 replications of n = 500 are two blocks: two workers, not four
         spec = DgpSpec(design="design1", n=500, seed=4)
-        parallel = run_monte_carlo(spec, "mmse_f", 40, jobs=4)
+        parallel = run_monte_carlo(spec, "mmse_f", BLOCK_500 + 8, jobs=4)
         assert seen == [2]
-        assert parallel == run_monte_carlo(spec, "mmse_f", 40)
+        assert parallel == run_monte_carlo(spec, "mmse_f", BLOCK_500 + 8)
 
     def test_summary_invariants(self):
         spec = DgpSpec(design="design2", n=500, seed=2)

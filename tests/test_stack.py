@@ -199,10 +199,11 @@ def test_reps_failed_counts_the_failing_single_sample_pipelines():
 
 
 def test_summaries_do_not_depend_on_jobs():
-    # 150 replications of n = 300 fill two whole blocks and part of a third
+    # two whole blocks of n = 300 and 42 replications of a third
     spec = DgpSpec("design2", 300, seed=9)
-    assert simlab._block_reps(spec.n) < 150 < 3 * simlab._block_reps(spec.n)
-    for reps in (1, 7, 150):
+    partial = 2 * simlab._block_reps(spec.n) + 42
+    assert 2 * simlab._block_reps(spec.n) < partial < 3 * simlab._block_reps(spec.n)
+    for reps in (1, 7, partial):
         serial = run_monte_carlo(spec, "mmse_f", reps)
         for jobs in (2, 3):
             assert run_monte_carlo(spec, "mmse_f", reps, jobs=jobs) == serial
