@@ -298,8 +298,14 @@ def _output(path: Optional[str]):
 
 def _check_writable(path: str) -> None:
     """Raise the OutputError of a file that cannot be written at `path`,
-    leaving an existing file as it is and creating none."""
+    leaving an existing file as it is and creating none.
+
+    Only a missing path or a regular file is opened: closing a probe of a
+    named pipe would end its reader, and a device is left to the write
+    itself."""
     existed = os.path.exists(path)
+    if existed and not os.path.isfile(path):
+        return
     with _writing(path), open(path, "a", encoding="utf-8"):
         pass
     if not existed:

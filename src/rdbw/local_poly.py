@@ -366,19 +366,16 @@ def fit_boundary(
     width = int(counts.max(initial=0))
     # a group's design, the QR's copy of it and its rows
     groups = slice_groups(slices, (2 * p + 5) * width)
-    if len(groups) == 1:
-        rows, effective, r = _factor(sample, _pad(np.flatnonzero(near), counts, -1), h, p, kernel)
-    else:
-        rows = np.full((slices, width), -1)
-        effective = np.empty(slices, dtype=int)
-        r = np.empty((slices, p, p + 2))
-        for g in groups:
-            flat = np.flatnonzero(near[g])
-            flat += g.start * sample.n
-            candidates = _pad(flat, counts[g], -1)
-            part, effective[g], r[g] = _factor(sample, candidates, h[g], p, kernel)
-            rows[g, : part.shape[1]] = part
-        rows = rows[:, : effective.max()]
+    rows = np.full((slices, width), -1)
+    effective = np.empty(slices, dtype=int)
+    r = np.empty((slices, p, p + 2))
+    for g in groups:
+        flat = np.flatnonzero(near[g])
+        flat += g.start * sample.n
+        candidates = _pad(flat, counts[g], -1)
+        part, effective[g], r[g] = _factor(sample, candidates, h[g], p, kernel)
+        rows[g, : part.shape[1]] = part
+    rows = rows[:, : effective.max()]
     design, rhs = r[..., :p], r[..., p:]
     sv = np.linalg.svd(design, compute_uv=False)
     singular = (effective < p) | ~(sv[:, -1] >= _SV_RTOL * sv[:, 0])

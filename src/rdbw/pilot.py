@@ -68,15 +68,6 @@ class PilotEstimates:
     tau: float
 
 
-def _sd(x):
-    """np.std of each row of x, taken on groups of rows: it holds a
-    deviation per entry."""
-    sd = np.empty(len(x))
-    for g in slice_groups(len(x), x.shape[1]):
-        sd[g] = np.std(x[g], axis=1)
-    return sd
-
-
 @stacked
 def estimate_density(sample: Sample):
     """Density and density derivative at the cutoff from the full sample.
@@ -93,7 +84,7 @@ def estimate_density(sample: Sample):
     errors = [None] * len(x)
     record(errors, np.full(len(x), n < 10), lambda r: InsufficientData(
         f"density pilot needs n >= 10, got {n}"))
-    sd = _sd(x)
+    sd = np.std(x, axis=1)
     record(errors, sd == 0.0, lambda r: DegenerateSample("sd(x) = 0; density pilot undefined"))
     sd[sd == 0.0] = 1.0  # placeholder for a failed slice
 
@@ -199,7 +190,7 @@ def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
 
     Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
     """
-    h = _pilot_bandwidth(_sd(sample.x), sample.n)
+    h = _pilot_bandwidth(np.std(sample.x, axis=1), sample.n)
     plus, errors = estimate_level(sample, "plus", h, kernel)
     minus, later = estimate_level(sample, "minus", h, kernel)
     merge(errors, later)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -667,6 +668,27 @@ class TestConsoleScript:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == "error: cannot write stdout: Broken pipe\n", err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need a POSIX system")
+    def test_simulate_writes_its_summary_to_a_named_pipe(self, tmp_path):
+        # the output check must not open the pipe: closing it would end the reader
+        fifo = tmp_path / "summary.fifo"
+        os.mkfifo(fifo)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rdbw.cli", "simulate", "--design", "2", "--n", "200", "--reps", "2",
+             "--seed", "3", "--out-dir", str(tmp_path / "sim"), "--output", str(fifo)],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            with open(fifo, encoding="utf-8") as fh:
+                text = fh.read()
+            assert proc.wait(timeout=60) == 0, proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert json.loads(text)["reps_total"] == 2
 
     def test_help_exits_zero(self):
         result = subprocess.run(
