@@ -140,6 +140,12 @@ def load_csv(path: str, cutoff: float) -> Sample:
     although Python's ``float`` accepts the first two.  Error messages
     carry 1-based file line numbers and name the first bad row in file
     order.
+
+    The file is read in blocks of about `_BLOCK_CHARS` characters.  A
+    block of plain data rows, the usual case, goes to numpy as read, and
+    only a block that holds an empty line or a quote, or that fails, is
+    filtered for blank rows row by row; the rules above hold for every
+    block alike.
     """
     try:
         fh = open(path, encoding="utf-8-sig")
@@ -171,23 +177,39 @@ def load_csv(path: str, cutoff: float) -> Sample:
 
 
 def _parse_block(path: str, lines, first_line_no: int, names, usecols) -> np.ndarray:
-    """The x, y, d columns of a block of lines as a (3, n) array, or the error of its first bad row."""
-    kept = [
+    """The x, y, d columns of a block of lines as a (3, n) array, or the error of its first bad row.
+
+    A block with no empty line and no quote is parsed as read, in one
+    numpy call.  The two are excluded because numpy skips an empty line but
+    warns on a block of nothing else, and because a quoted line must pass
+    the csv module too, which rejects a field longer than
+    `csv.field_size_limit()` that numpy would read.  Any other block, and
+    one that numpy rejects or where a check fails, has its blank rows
+    dropped and is parsed again; if that fails too, it is bisected to its
+    first bad row.
+    """
+    width = len(names)
+    if "\n" not in lines and '"' not in "".join(lines):
+        data = _clean(lines, usecols, width)
+        if data is not None:
+            return data.T
+    kept = _nonblank(path, lines, first_line_no)
+    rows = [lines[i] for i in kept]
+    data = _clean(rows, usecols, width)
+    if data is not None:
+        return data.T
+    k = _first_bad_row(rows, usecols, width)
+    _raise_row_error(path, first_line_no + kept[k], rows[k], names, usecols)
+
+
+def _nonblank(path: str, lines, first_line_no: int) -> list:
+    """Indices of the lines that are not blank rows, whose cells are all empty or whitespace."""
+    return [
         i
         for i, line in enumerate(lines)
         if line.replace(",", "").strip()
         and ('"' not in line or any(map(str.strip, _csv_cells(path, line, first_line_no + i))))
     ]
-    rows = [lines[i] for i in kept]
-    width = len(names)
-    try:
-        data, bad = _checked(rows, usecols, width)
-        if not bad.any():
-            return data.T
-    except (ValueError, csv.Error):
-        pass
-    k = _first_bad_row(rows, usecols, width)
-    _raise_row_error(path, first_line_no + kept[k], rows[k], names, usecols)
 
 
 def _parse(rows, usecols) -> np.ndarray:
@@ -224,6 +246,15 @@ def _checked(rows, usecols, width):
     return data, bad
 
 
+def _clean(rows, usecols, width):
+    """The parsed `rows` if every one passes the checks, else None."""
+    try:
+        data, bad = _checked(rows, usecols, width)
+    except (ValueError, csv.Error):
+        return None
+    return None if bad.any() else data
+
+
 def _first_bad_row(rows, usecols, width) -> int:
     """Index of the first row of `rows` that fails a check; some row must.
 
@@ -234,14 +265,10 @@ def _first_bad_row(rows, usecols, width) -> int:
     lo, hi = 0, len(rows)  # rows[:lo] pass; rows[lo:hi] hold a failing row
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        try:
-            passes = not _checked(rows[lo:mid], usecols, width)[1].any()
-        except (ValueError, csv.Error):
-            passes = False
-        if passes:
-            lo = mid
-        else:
+        if _clean(rows[lo:mid], usecols, width) is None:
             hi = mid
+        else:
+            lo = mid
     return lo
 
 
@@ -368,14 +395,19 @@ def _cmd_simulate(ns: argparse.Namespace) -> None:
 
 
 def _cmd_dgp_sample(ns: argparse.Namespace) -> None:
+    """Write the sample as CSV, each block of rows with one `%` format:
+    the row format, repeated once per row, applied to the block's cells
+    interleaved row by row."""
     sample = draw_sample(ns.spec, ns.rep_index)
     x, y, d = sample.x, sample.y, sample.d.astype(int)
     with _output(ns.output) as fh:
         fh.write("x,y,d\n")
         for i in range(0, sample.n, _BLOCK_ROWS):
             part = slice(i, i + _BLOCK_ROWS)
-            rows = zip(x[part].tolist(), y[part].tolist(), d[part].tolist())
-            fh.write("".join(map("%.17g,%.17g,%d\n".__mod__, rows)))
+            size = len(x[part])
+            cells = [None] * (3 * size)
+            cells[0::3], cells[1::3], cells[2::3] = x[part].tolist(), y[part].tolist(), d[part].tolist()
+            fh.write("%.17g,%.17g,%d\n" * size % tuple(cells))
 
 
 def main(argv=None) -> int:

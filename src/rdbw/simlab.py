@@ -213,14 +213,19 @@ def mean_outcome(design: str, arm: str, x):
 def _fill(spec: DgpSpec, reps, x: np.ndarray, y: np.ndarray, d: np.ndarray):
     """Draw the replications reps into the rows of x, y and d.
 
-    The uniforms are drawn into d and the errors into y, whose values
-    they become part of, so the fill needs no arrays of its own for them.
+    The uniforms are drawn in place into d and the standard normal errors
+    into y, whose values they become part of, so the fill needs no arrays
+    of its own for them.  Scaling the errors by error_sd afterwards gives
+    the bits of `rng.normal(0.0, error_sd)`, which computes 0.0 + sd * z.
     """
     for k, rep in enumerate(reps):
         rng = np.random.default_rng([spec.seed, rep])
         x[k] = rng.beta(2.0, 4.0, spec.n)
-        d[k] = rng.uniform(size=spec.n)
-        y[k] = rng.normal(0.0, spec.error_sd, spec.n)
+        rng.random(out=d[k])
+        rng.standard_normal(out=y[k])
+    # rng.normal overflows silently too; draw_sample rejects the draws
+    with np.errstate(over="ignore"):
+        y *= spec.error_sd
     # the Beta draws stretched onto [-1, 1], in place
     x *= 2.0
     x -= 1.0

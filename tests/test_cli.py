@@ -24,6 +24,11 @@ def write(path, text):
 GOOD_CSV = "x,y,d\n-0.5,1.0,0\n-0.2,1.1,0\n0.3,2.0,1\n"
 
 
+def long_rows():
+    """3000 valid data rows on both sides of 0, long enough for many small blocks."""
+    return [f"{(-1) ** k * (k + 1) / 7:.17g},{k / 3:.17g},{k % 2}" for k in range(3000)]
+
+
 class TestParseArgs:
     def test_select_defaults(self):
         ns = parse_args(["select", "--input", "data.csv", "--cutoff", "0"])
@@ -205,6 +210,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 3 has 4 fields, expected 5"):
             load_csv(path, 0.0)
 
+    def test_an_oversized_quoted_cell_is_rejected_in_an_ignored_column(self, tmp_path):
+        # numpy reads the cell, but the csv module, which reads every quoted line, does not
+        cell = '"' + " " * (csv.field_size_limit() + 1) + '"'
+        path = write(tmp_path / "big.csv", f"x,w,y,d\n-0.5,a,1.0,0\n0.3,{cell},2.0,1\n0.4,b,2.0,1\n")
+        with pytest.raises(ParseError, match=r"row 3: field larger than field limit"):
+            load_csv(path, 0.0)
+
     def test_underscore_number_rejected(self, tmp_path):
         # Python's float() reads "1_0" as 10; numpy's parser, which load_csv uses, does not
         path = write(tmp_path / "bad.csv", "x,y,d\n-0.5,1.0,0\n1_0,2.0,1\n")
@@ -231,7 +243,7 @@ class TestLoadCsv:
     def test_first_bad_row_wins_in_a_long_file(self, tmp_path):
         # numpy rejects row 1802, so the row is found by bisection; the
         # non-finite row before it must still be the one reported
-        rows = [f"{(-1) ** k * (k + 1) / 7:.17g},{k / 3:.17g},{k % 2}" for k in range(3000)]
+        rows = long_rows()
         rows[1800] = "oops,1,0"
         text = "x,y,d\n" + "\n".join(rows) + "\n"
         with pytest.raises(ParseError, match="row 1802 column x is not a number: 'oops'"):
@@ -240,6 +252,49 @@ class TestLoadCsv:
         text = "x,y,d\n" + "\n".join(rows) + "\n"
         with pytest.raises(ValidationError, match="row 1001 column y is not finite"):
             load_csv(write(tmp_path / "bad2.csv", text), 0.0)
+
+    def test_only_a_block_holding_a_blank_row_is_filtered(self, tmp_path, monkeypatch):
+        filtered = []
+        nonblank = cli._nonblank
+        monkeypatch.setattr(cli, "_nonblank", lambda path, lines, first: filtered.append(first) or nonblank(path, lines, first))
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", 4096)
+        rows = long_rows()
+        assert load_csv(write(tmp_path / "clean.csv", "x,y,d\n" + "\n".join(rows) + "\n"), 0.0).n == 3000
+        assert filtered == []
+        rows.insert(2500, "")
+        assert load_csv(write(tmp_path / "blank.csv", "x,y,d\n" + "\n".join(rows) + "\n"), 0.0).n == 3000
+        assert len(filtered) == 1 and filtered[0] < 2502
+
+    @pytest.mark.parametrize("block_chars", [4096, 40])
+    @pytest.mark.parametrize(
+        "injected, expected",
+        [
+            ("", 3000),
+            (",,", 3000),
+            (" , ", 3000),
+            ("\n" * 120, 3000),  # at 40 characters, blocks of nothing but empty lines
+            ('"0.5","1",1', 3001),
+            ("oops,1,0", "row 2502 column x is not a number: 'oops'"),
+            ("0.5,nan,1", "row 2502 column y is not finite"),
+            ("0.5,1,2", "row 2502: d must be 0 or 1, got 2"),
+            ("0.5,1", "row 2502 has 2 fields, expected 3"),
+        ],
+    )
+    def test_a_later_block_alone_holding_a_blank_or_bad_row(self, tmp_path, monkeypatch, block_chars, injected, expected):
+        # every other block is parsed as read; the one holding the row must
+        # load, or fail on its file line, as the row-by-row reference does
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
+        rows = long_rows()
+        rows.insert(2500, injected)
+        path = write(tmp_path / "f.csv", "x,y,d\n" + "\n".join(rows) + "\n")
+        want = outcome(reference_load_csv, path)
+        got = outcome(load_csv, path)
+        if isinstance(expected, str):
+            assert got == want and want[1].endswith(expected)
+        else:
+            assert len(want[0]) == expected
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def reference_load_csv(path, cutoff):
@@ -407,7 +462,9 @@ class TestCommands:
         np.testing.assert_array_equal(loaded.y, direct.y)
         np.testing.assert_array_equal(loaded.d, direct.d)
 
-    @pytest.mark.parametrize("block_rows", [None, 300])
+    # 1000 rows: one block, one-row blocks, partial last blocks of 6 and
+    # 100 rows, and four whole blocks
+    @pytest.mark.parametrize("block_rows", [None, 1, 7, 300, 250])
     @pytest.mark.parametrize("design", ["design1", "design2"])
     def test_dgp_sample_matches_per_row_format(self, tmp_path, monkeypatch, design, block_rows):
         if block_rows:
@@ -417,6 +474,14 @@ class TestCommands:
         s = draw_sample(DgpSpec(design=design, n=1000, seed=9), 0)
         lines = ["x,y,d"] + [f"{xi:.17g},{yi:.17g},{di:.0f}" for xi, yi, di in zip(s.x, s.y, s.d)]
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_dgp_sample_round_trip_across_reader_blocks(self, tmp_path):
+        out = tmp_path / "data.csv"
+        assert main(["dgp-sample", "--design", "1", "--n", "70000", "--seed", "6", "--output", str(out)]) == 0
+        assert out.stat().st_size > 2 * cli._BLOCK_CHARS  # at least three reader blocks
+        loaded = load_csv(str(out), 0.0)
+        direct = draw_sample(DgpSpec(design="design1", n=70000, seed=6), 0)
+        assert (loaded.x == direct.x).all() and (loaded.y == direct.y).all() and (loaded.d == direct.d).all()
 
     def test_select_writes_full_json(self, tmp_path):
         data = self.make_data(tmp_path)
