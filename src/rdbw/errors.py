@@ -6,7 +6,7 @@ returns a list of R entries, each None or the exception that the call on
 that slice alone would raise first.  Stages record into the list in the
 order a single-sample call runs them, so the earliest error wins.  A
 call on one sample runs as the stack of one, and `rdbw.local_poly.stacked`
-raises the error of its slice, if any, through `raise_first`.
+raises the error of its slice, if any.
 """
 
 import numpy as np
@@ -75,14 +75,13 @@ def record(errors, failed, make):
             errors[r] = make(r)
 
 
+def failures(errors):
+    """The mask of the slices that have failed."""
+    return np.array([error is not None for error in errors])
+
+
 def merge(errors, later):
     """Add a later stage's per-slice errors, keeping every earlier one."""
     for r, error in enumerate(later):
         if errors[r] is None:
             errors[r] = error
-
-
-def raise_first(errors):
-    """Raise the error of slice 0: a single-sample call ran as a stack of one."""
-    if errors[0] is not None:
-        raise errors[0]

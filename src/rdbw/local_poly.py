@@ -20,9 +20,11 @@ A `Sample` may hold a stack of R samples of one size as (R, n) arrays.
 Every function taking a Sample is written once over that leading axis
 and returns (result, errors), the result holding one entry per slice
 along a leading axis and errors as described in `rdbw.errors`; a slice
-that fails keeps finite placeholder values.  The one entry point,
-`stacked`, passes a stack through and runs a single sample as the stack
-of one, raising its error or returning its slice.  A stage whose
+that fails keeps finite placeholder values.  So does a stage taking, in
+place of a Sample, a dataclass of (R,) arrays.  The one entry point,
+`stacked`, passes a stack through and runs a single sample, or a
+dataclass of scalars, as the stack of one, raising its error or
+returning its slice.  A stage whose
 temporaries grow with the slices runs them in groups of bounded size
 (`slice_groups`), so a stack costs little memory beyond its own arrays.
 A stacked fit pads each slice's window with zero rows to the widest
@@ -31,11 +33,11 @@ the other slices.
 """
 
 import functools
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .errors import SingularDesign, raise_first, record
+from .errors import SingularDesign, record
 from .kernels import KernelSpec, eval_kernel
 
 # relative singular-value floor below which the weighted design is declared rank-deficient
@@ -165,10 +167,10 @@ def slice_groups(slices: int, per_slice: int):
 
 
 def _first(result):
-    """Slice 0 of a stacked result: entry 0 of an array or list, a 0-d
-    entry as a Python scalar; a tuple or dataclass field by field;
-    anything else as it is."""
-    if isinstance(result, (np.ndarray, list)):
+    """Slice 0 of a stacked result: entry 0 of an array, a 0-d entry as a
+    Python scalar; a tuple or dataclass field by field; anything else as
+    it is."""
+    if isinstance(result, np.ndarray):
         entry = result[0]
         return entry.item() if isinstance(entry, np.generic) else entry
     if isinstance(result, tuple):
@@ -178,20 +180,34 @@ def _first(result):
     return result
 
 
+def _as_stack(first):
+    """(stack, single): first as a stack, and whether it held one sample;
+    a dataclass of scalars stacks as one of (1,) arrays."""
+    if isinstance(first, Sample):
+        return first.as_stack(), not first.stacked
+    if any(np.ndim(v) for v in vars(first).values()):
+        return first, False
+    return replace(first, **{name: np.reshape(v, 1) for name, v in vars(first).items()}), True
+
+
 def stacked(body):
     """The entry point of a function written over a stack of samples.
 
-    body(stack, ...) returns (result, errors).  A stack is passed to it
-    as it is; a single sample runs as the stack of one, whose error is
-    raised and whose slice 0 is returned.
+    body(stack, ...) returns (result, errors).  Its first argument is a
+    Sample, or a dataclass of per-slice values: (R,) arrays on a stack,
+    scalars for one sample.  A stack is passed to body as it is; a single
+    sample runs as the stack of one, whose error is raised and whose
+    slice 0 is returned.
     """
 
     @functools.wraps(body)
-    def call(sample: Sample, *args, **kwargs):
-        if sample.stacked:
-            return body(sample, *args, **kwargs)
-        result, errors = body(sample.as_stack(), *args, **kwargs)
-        raise_first(errors)
+    def call(first, *args, **kwargs):
+        stack, single = _as_stack(first)
+        if not single:
+            return body(stack, *args, **kwargs)
+        result, (error,) = body(stack, *args, **kwargs)
+        if error is not None:
+            raise error
         return _first(result)
 
     return call
@@ -383,7 +399,9 @@ def fit_boundary(
     design[singular] = np.eye(p)  # placeholder, so the stacked solve cannot fail
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
-    coef = np.linalg.solve(design, rhs) / h[:, None, None] ** np.arange(p)[:, None]
+    # from h ~ 1e+-78 on, h^4 leaves the floats: only the quartic's top coefficient, which no pilot reads, is lost
+    with np.errstate(over="ignore", divide="ignore"):
+        coef = np.linalg.solve(design, rhs) / h[:, None, None] ** np.arange(p)[:, None]
     return BoundaryFit(coef, side, h_given, rows, effective), errors
 
 

@@ -9,14 +9,15 @@ profile over lambda alone (see `minimize_mmse`).  Closed-form optimal
 pairs exist in both curvature regimes and double as oracle and
 fallback.
 
-`select_bandwidths`, `compute_coefficients` and `default_bounds` run on
-a stack of samples as on one (see `rdbw.local_poly`).  The minimizer
-takes the coefficients and bounds of every slice that has not failed in
-one call and profiles all of them at once.
+`select_bandwidths`, `compute_coefficients`, `default_bounds` and
+`minimize_mmse` run on a stack of samples as on one (see
+`rdbw.local_poly`): coefficients and pairs hold floats for one sample and
+(R,) arrays for a stack.  The minimizer profiles every slice of a stack
+in one call.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
     DegenerateSample,
     InsufficientData,
     ZeroCurvature,
+    failures,
     merge,
-    raise_first,
     record,
 )
 from .kernels import KernelMoments, KernelSpec, compute_moments
@@ -57,7 +58,8 @@ class AmseCoefficients:
     phi_* multiply h^2 in the first-order bias, psi_* multiply h^3 in
     the second-order bias, omega_* are the variance numerators; v is the
     kernel variance constant, f the density at the cutoff, tauD the
-    denominator jump and n the sample size.
+    denominator jump and n the sample size.  Floats for one sample; (R,)
+    arrays, one entry per slice, for a stack.
     """
 
     phi_plus: float
@@ -72,14 +74,14 @@ class AmseCoefficients:
     n: int
 
     def __post_init__(self):
-        if self.omega_plus < 0.0 or self.omega_minus < 0.0:
+        if np.any(self.omega_plus < 0.0) or np.any(self.omega_minus < 0.0):
             raise ValueError("omega coefficients must be nonnegative")
-        if self.f <= 0.0:
+        if np.any(self.f <= 0.0):
             raise ValueError("density at the cutoff must be positive")
-        if self.v <= 0.0:
+        if np.any(self.v <= 0.0):
             raise ValueError("kernel variance constant must be positive")
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+        if np.any(self.n < 2):
+            raise ValueError(f"n must be at least 2, got {np.min(self.n)}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,9 @@ class BandwidthPair:
     objective_value: float
 
     def __post_init__(self):
-        if not (self.h_plus > 0.0 and self.h_minus > 0.0):
+        if not np.all((self.h_plus > 0.0) & (self.h_minus > 0.0)):
             raise ValueError("bandwidths must be positive")
-        if self.regime not in REGIMES:
+        if not np.all(np.isin(self.regime, REGIMES)):
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
 
 
@@ -100,8 +102,8 @@ class BandwidthPair:
 class SelectionResult:
     """Bandwidths plus the intermediate quantities that produced them.
 
-    For a stack, bandwidths and coefficients are lists with one entry
-    per slice, None where the slice failed, and pilots holds arrays.
+    For a stack, every field holds (R,) arrays, one entry per slice; a
+    slice that failed holds placeholders, among them the pair (1, 1).
     """
 
     bandwidths: BandwidthPair
@@ -114,6 +116,7 @@ def _zeta(side_sign: float, m2: float, m3: float, slope_ratio: float, xi1, xi2):
     return side_sign * (xi1 * (0.5 * m2 * slope_ratio + m3 / 6.0) - xi2 * 0.5 * m2 * slope_ratio)
 
 
+@stacked
 def compute_coefficients(
     pilots: PilotEstimates,
     moments: KernelMoments,
@@ -126,9 +129,9 @@ def compute_coefficients(
     Parameters
     ----------
     pilots : PilotEstimates
-        Stacked pilots (arrays) give (list of AmseCoefficients, errors),
-        one entry per slice, None where the slice's coefficients are
-        invalid.
+        Stacked pilots (arrays) give (AmseCoefficients of arrays, errors);
+        a slice whose density is not positive fails and goes on with a
+        density of 1.
     moments : KernelMoments
     mode : {"fuzzy", "sharp"}
         Fuzzy combines outcome and treatment terms through the pilot
@@ -140,13 +143,17 @@ def compute_coefficients(
     Raises
     ------
     ValueError
-        If mode is neither, for pilots of one sample or of a stack.
+        If mode is neither or n is below 2, for pilots of one sample or
+        of a stack.
     """
     if mode not in ("fuzzy", "sharp"):
         raise ValueError(f"mode must be 'fuzzy' or 'sharp', got {mode!r}")
 
-    # a nonpositive density fails AmseCoefficients' own check below
-    ratio = pilots.f1 / np.where(pilots.f > 0.0, pilots.f, 1.0)
+    errors = [None] * len(pilots.f)
+    nonpositive = pilots.f <= 0.0
+    record(errors, nonpositive, lambda r: ValueError("density at the cutoff must be positive"))
+    f = np.where(nonpositive, 1.0, pilots.f)
+    ratio = pilots.f1 / f
     zy_p = _zeta(-1.0, pilots.m2Y_plus, pilots.m3Y_plus, ratio, moments.xi1, moments.xi2)
     zy_m = _zeta(+1.0, pilots.m2Y_minus, pilots.m3Y_minus, ratio, moments.xi1, moments.xi2)
 
@@ -164,44 +171,32 @@ def compute_coefficients(
         "omega_plus": np.maximum(0.0, omega_p),
         "omega_minus": np.maximum(0.0, omega_m),
         "v": moments.v,
-        "f": pilots.f,
+        "f": f,
         "tauD": pilots.tauD if mode == "fuzzy" else 1.0,
+        "n": n,
     }
-    # one column of floats per slice
-    table = np.array(np.broadcast_arrays(*fields.values())).reshape(len(fields), -1).T.tolist()
-    if np.ndim(pilots.f) == 0:
-        return AmseCoefficients(**dict(zip(fields, table[0])), n=n)
-    coeffs, errors = [], []
-    for column in table:
-        try:
-            coeffs.append(AmseCoefficients(**dict(zip(fields, column)), n=n))
-            errors.append(None)
-        except ValueError as e:
-            coeffs.append(None)
-            errors.append(e)
-    return coeffs, errors
+    return AmseCoefficients(**dict(zip(fields, np.broadcast_arrays(*fields.values())))), errors
 
 
-def mmse_objective(h_plus: float, h_minus: float, coeffs: AmseCoefficients) -> float:
-    """Criterion value at one bandwidth pair.
+def mmse_objective(h_plus, h_minus, coeffs: AmseCoefficients):
+    """Criterion value at one bandwidth pair; on the coefficients of a
+    stack, at one pair per slice.
 
     Squared first-order bias contrast plus squared second-order bias
     contrast plus the variance term v/(n f) (omega_+/h_+ + omega_-/h_-).
+    Powers are products, so floats and arrays round alike, and a value
+    beyond the floats is inf rather than an OverflowError.
     """
-    if not (h_plus > 0.0 and h_minus > 0.0):
+    if not np.all((h_plus > 0.0) & (h_minus > 0.0)):
         raise ValueError("bandwidths must be positive")
     c = coeffs
-    bias1 = c.phi_plus * h_plus**2 - c.phi_minus * h_minus**2
-    bias2 = c.psi_plus * h_plus**3 - c.psi_minus * h_minus**3
+    bias1 = c.phi_plus * (h_plus * h_plus) - c.phi_minus * (h_minus * h_minus)
+    bias2 = c.psi_plus * (h_plus * h_plus * h_plus) - c.psi_minus * (h_minus * h_minus * h_minus)
     var = (c.v / (c.n * c.f)) * (c.omega_plus / h_plus + c.omega_minus / h_minus)
-    return float(bias1 * bias1 + bias2 * bias2 + var)
+    return bias1 * bias1 + bias2 * bias2 + var
 
 
-def _classify(coeffs: AmseCoefficients) -> str:
-    return "opposite_sign" if coeffs.phi_plus * coeffs.phi_minus < 0.0 else "same_sign"
-
-
-def _unit_free(coeffs, bounds):
+def _unit_free(c, bounds):
     """Each slice's criterion and box as (R, 1) columns free of the data's units.
 
     Bandwidths are measured in h_ref = sqrt(lo_plus hi_plus) and the
@@ -211,10 +206,10 @@ def _unit_free(coeffs, bounds):
     a = p_+ - p_- e^2l, b = q_+ - q_- e^3l and kappa = k_+ + k_- e^-l.
     The box is u_lo <= t <= u_hi and w_lo <= t + l <= w_hi.
     """
-    phi_p, phi_m, psi_p, psi_m, omega_p, omega_m, k = np.array(
-        [[c.phi_plus, c.phi_minus, c.psi_plus, c.psi_minus, c.omega_plus, c.omega_minus,
-          c.v / (c.n * c.f)] for c in coeffs]
-    ).T[:, :, None]
+    phi_p, phi_m, psi_p, psi_m, omega_p, omega_m, k = (
+        v[:, None]
+        for v in (c.phi_plus, c.phi_minus, c.psi_plus, c.psi_minus, c.omega_plus, c.omega_minus, c.v / (c.n * c.f))
+    )
     (lo_p, hi_p), (lo_m, hi_m) = ((np.log(lo)[:, None], np.log(hi)[:, None]) for lo, hi in bounds)
     log_ref = 0.5 * (lo_p + hi_p)
     omega = omega_p + omega_m
@@ -341,7 +336,8 @@ def _refine(prob, lo, hi, f_lo, f_hi):
     return at
 
 
-def minimize_mmse(coeffs, bounds):
+@stacked
+def minimize_mmse(coeffs: AmseCoefficients, bounds):
     """Global minimizer of the criterion over a per-side bound box.
 
     Along a ray h_minus = lambda h_plus the criterion is
@@ -367,35 +363,31 @@ def minimize_mmse(coeffs, bounds):
 
     Parameters
     ----------
-    coeffs : AmseCoefficients, or a sequence of R of them
+    coeffs : AmseCoefficients
+        Of floats, or of (R,) arrays for a stack.
     bounds : ((lo_plus, hi_plus), (lo_minus, hi_minus))
-        Floats, or (R,) arrays for a sequence of coefficients, as
-        default_bounds gives them for a stack.
+        Floats, or (R,) arrays for a stack, as default_bounds gives them.
 
-    A sequence gives (pairs, errors), one entry per slice, the pair None
-    where the slice failed (see `rdbw.errors`).  All slices that have not
-    failed are profiled on the nodes in groups of bounded size (see
-    `rdbw.local_poly.slice_groups`), and their intervals refined together.
+    A stack gives (BandwidthPair of arrays, errors) (see `rdbw.errors`);
+    a slice that failed holds a finite placeholder pair.  Every slice
+    is profiled on the nodes in groups of bounded size (see
+    `rdbw.local_poly.slice_groups`), and the intervals of all slices are
+    refined together.  A pair at which the criterion is not finite, as
+    where x is in units beyond about 1e+-100, fails its slice.
     """
-    if isinstance(coeffs, AmseCoefficients):
-        pairs, errors = minimize_mmse((coeffs,), tuple(([lo], [hi]) for lo, hi in bounds))
-        raise_first(errors)
-        return pairs[0]
-    bounds = tuple((np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in bounds)
-    (lo_p, hi_p), (lo_m, hi_m) = bounds
-    errors = [None] * len(coeffs)
+    slices = len(coeffs.f)
+    (lo_p, hi_p), (lo_m, hi_m) = bounds = tuple(
+        tuple(np.broadcast_to(np.asarray(b, dtype=float), slices) for b in side) for side in bounds
+    )
+    errors = [None] * slices
     record(errors, ~((0.0 < lo_p) & (lo_p < hi_p) & (0.0 < lo_m) & (lo_m < hi_m)),
            lambda r: ValueError("bounds must satisfy 0 < lo < hi on each side"))
-    record(errors, [c.omega_plus == 0.0 and c.omega_minus == 0.0 for c in coeffs],
+    record(errors, (coeffs.omega_plus == 0.0) & (coeffs.omega_minus == 0.0),
            lambda r: DegenerateObjective(
                "both variance numerators are zero; the criterion has no interior minimum"))
-    ok = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
-    out = [None] * len(coeffs)
-    if not len(ok):
-        return out, errors
     with np.errstate(all="ignore"):
         # a coefficient that is not finite makes its slice's profile NaN
-        prob = _unit_free([coeffs[r] for r in ok], tuple((lo[ok], hi[ok]) for lo, hi in bounds))
+        prob = _unit_free(coeffs, bounds)
         analytic = np.hstack((0.5 * np.log(prob.p_plus / prob.p_minus),
                               np.log(prob.q_plus / prob.q_minus) / 3.0))
         first, last = prob.w_lo - prob.u_hi, prob.w_hi - prob.u_lo
@@ -429,39 +421,41 @@ def minimize_mmse(coeffs, bounds):
     undefined = np.isnan(value).all(axis=1)
     value[rows, cols] = value[rows, cols + 1] = np.inf
     best = np.where(np.isnan(value), np.inf, value).argmin(axis=1)
-    slices = np.arange(len(ok))
-    node = order[slices, best]
-    owner = np.concatenate((slices, rows))
+    every = np.arange(slices)
+    node = order[every, best]
+    owner = np.concatenate((every, rows))
     candidates = {
-        name: np.concatenate((getattr(at, name)[slices, node], getattr(refined, name)[:, 0]))
+        name: np.concatenate((getattr(at, name)[every, node], getattr(refined, name)[:, 0]))
         for name in ("t", "ell", "upper", "clipped", "minus")
     }
-    score = np.concatenate((value[slices, best], refined.value[:, 0]))
+    score = np.concatenate((value[every, best], refined.value[:, 0]))
     ranked = np.lexsort((np.where(np.isnan(score), np.inf, score), owner))
-    chosen = ranked[np.searchsorted(owner[ranked], slices)]
+    chosen = ranked[np.searchsorted(owner[ranked], every)]
     t, ell, upper, clipped, minus = (candidates[name][chosen] for name in candidates)
 
-    (lo_p, hi_p), (lo_m, hi_m) = ((lo[ok], hi[ok]) for lo, hi in bounds)
     h_p = np.clip(np.exp(t + prob.log_ref[:, 0]), lo_p, hi_p)
     h_m = np.clip(np.exp(t + ell + prob.log_ref[:, 0]), lo_m, hi_m)
     # a clipped side sits exactly on its bound
     h_p = np.where(clipped & ~minus, np.where(upper, hi_p, lo_p), h_p)
     h_m = np.where(clipped & minus, np.where(upper, hi_m, lo_m), h_m)
-    for i, r in enumerate(ok.tolist()):
-        if undefined[i]:
-            errors[r] = DegenerateObjective("the criterion is not a number anywhere on the grid")
-            continue
-        hp, hm = float(h_p[i]), float(h_m[i])
-        on_edge = (
-            hp <= lo_p[i] * (1 + _EDGE_RTOL)
-            or hp >= hi_p[i] * (1 - _EDGE_RTOL)
-            or hm <= lo_m[i] * (1 + _EDGE_RTOL)
-            or hm >= hi_m[i] * (1 - _EDGE_RTOL)
-        )
-        regime = "boundary_clamped" if on_edge else _classify(coeffs[r])
-        out[r] = BandwidthPair(h_plus=hp, h_minus=hm, regime=regime,
-                               objective_value=mmse_objective(hp, hm, coeffs[r]))
-    return out, errors
+    record(errors, undefined, lambda r: DegenerateObjective("the criterion is not a number anywhere on the grid"))
+    # a failed slice takes a placeholder pair, at which the criterion is defined
+    failed = failures(errors)
+    h_p, h_m = np.where(failed, 1.0, h_p), np.where(failed, 1.0, h_m)
+    on_edge = (
+        (h_p <= lo_p * (1 + _EDGE_RTOL))
+        | (h_p >= hi_p * (1 - _EDGE_RTOL))
+        | (h_m <= lo_m * (1 + _EDGE_RTOL))
+        | (h_m >= hi_m * (1 - _EDGE_RTOL))
+    )
+    # by the signs: the product of the phi underflows or overflows for x in extreme units
+    opposite = np.sign(coeffs.phi_plus) * np.sign(coeffs.phi_minus) < 0.0
+    regime = np.where(on_edge, "boundary_clamped", np.where(opposite, "opposite_sign", "same_sign"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = mmse_objective(h_p, h_m, coeffs)
+    record(errors, ~np.isfinite(value), lambda r: DegenerateObjective(
+        "the criterion is not finite at the selected pair"))
+    return BandwidthPair(h_p, h_m, regime, value), errors
 
 
 def afo_bandwidths(coeffs: AmseCoefficients) -> BandwidthPair:
@@ -563,9 +557,8 @@ def select_bandwidths(
 ):
     """Full pipeline: pilots, criterion coefficients, joint minimization.
 
-    A stack runs pilots, coefficients and bounds once for all slices and
-    the minimizer once for the slices that have not failed, and returns
-    (SelectionResult, errors).
+    A stack runs pilots, coefficients, bounds and the minimizer once for
+    all slices, and returns (SelectionResult, errors).
     """
     moments = compute_moments(kernel)
     pilots, errors = assemble_pilots(sample, kernel)
@@ -573,10 +566,10 @@ def select_bandwidths(
     merge(errors, later)
     bounds, later = default_bounds(sample)
     merge(errors, later)
-    pairs = [None] * len(errors)
-    ok = [r for r, error in enumerate(errors) if error is None]
-    if ok:
-        found, later = minimize_mmse([coeffs[r] for r in ok], tuple((lo[ok], hi[ok]) for lo, hi in bounds))
-        for r, pair, error in zip(ok, found, later):
-            pairs[r], errors[r] = pair, error
+    pairs, later = minimize_mmse(coeffs, bounds)
+    merge(errors, later)
+    # every failed slice holds the pair (1, 1): a stacked estimate pads each
+    # fit to the widest window of its group, so the others' last bits depend on it
+    failed = failures(errors)
+    pairs = replace(pairs, h_plus=np.where(failed, 1.0, pairs.h_plus), h_minus=np.where(failed, 1.0, pairs.h_minus))
     return SelectionResult(bandwidths=pairs, pilots=pilots, coefficients=coeffs), errors

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AllTrimmed, RdbwError, ValidationError, merge
+from .errors import AllTrimmed, RdbwError, ValidationError, failures, merge
 from .estimator import frd_estimate
 from .kernels import KernelSpec
 from .local_poly import Sample, slice_groups
@@ -298,25 +298,20 @@ def _block_reps(n: int) -> int:
 
 
 def _run_block(spec: DgpSpec, method: str, kernel: KernelSpec, reps: int, block: int):
-    """(h_plus, h_minus, error) per replication of one block, None where it failed."""
+    """(h_plus, h_minus, error) of the replications of one block that did not fail, as arrays."""
     size = _block_reps(spec.n)
     stack = draw_sample(spec, range(block * size, min((block + 1) * size, reps)))
     mode = "fuzzy" if method == "mmse_f" else "sharp"
     sel, errors = select_bandwidths(stack, kernel, mode)
-    # a failed slice estimates at placeholder bandwidths; its error stays first
-    h_plus = np.array([p.h_plus if p else 1.0 for p in sel.bandwidths])
-    h_minus = np.array([p.h_minus if p else 1.0 for p in sel.bandwidths])
-    est, later = frd_estimate(stack, h_plus, h_minus, kernel)
+    # a failed slice estimates at the placeholder pair; its error stays first
+    pair = sel.bandwidths
+    est, later = frd_estimate(stack, pair.h_plus, pair.h_minus, kernel)
     merge(errors, later)
-    out = []
-    for r, error in enumerate(errors):
-        if error is None:
-            out.append((h_plus[r], h_minus[r], est.tau[r] - TRUE_TAU[spec.design]))
-        elif isinstance(error, RdbwError):
-            out.append(None)
-        else:
+    for error in errors:
+        if error is not None and not isinstance(error, RdbwError):
             raise error
-    return out
+    ok = ~failures(errors)
+    return pair.h_plus[ok], pair.h_minus[ok], est.tau[ok] - TRUE_TAU[spec.design]
 
 
 def run_monte_carlo(
@@ -355,18 +350,13 @@ def run_monte_carlo(
     if workers > 1:
         # looked up on the module, which imports the pool on first use
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = [rep for block in pool.map(run, blocks) for rep in block]
+            parts = list(pool.map(run, blocks))
     else:
-        raw = [rep for block in blocks for rep in run(block)]
-
-    results = [r for r in raw if r is not None]
-    failed = reps - len(results)
-    if not results:
+        parts = [run(block) for block in blocks]
+    hp, hm, err = (np.concatenate(column) for column in zip(*parts))
+    failed = reps - len(err)
+    if not len(err):
         raise AllTrimmed(f"all {reps} replications failed")
-
-    hp = np.array([r[0] for r in results])
-    hm = np.array([r[1] for r in results])
-    err = np.array([r[2] for r in results])
 
     try:
         bias, rmse = trimmed_stats(err)

@@ -610,6 +610,17 @@ class TestCommands:
         assert captured.err.count("\n") == 1
         assert "row 3" in captured.err
 
+    def test_selection_beyond_the_floats_is_a_single_line_error(self, tmp_path, capsys):
+        # x in units of 1e104: the criterion overflows at the selected pair
+        sample = draw_sample(DgpSpec("design1", 500, seed=1), 0)
+        path = tmp_path / "far.csv"
+        np.savetxt(path, np.column_stack((sample.x * 1e104, sample.y, sample.d)), delimiter=",",
+                   header="x,y,d", comments="", fmt="%.17g")
+        code = main(["select", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
     @pytest.mark.parametrize("command", ["select", "dgp-sample", "simulate"])
     def test_unwritable_output_is_a_single_line_error(self, tmp_path, capsys, command):
         missing = str(tmp_path / "missing" / "out.json")

@@ -16,16 +16,16 @@ from rdbw.local_poly import Sample
 from rdbw.selector import select_bandwidths
 from rdbw.simlab import DgpSpec, draw_sample
 
-SCALES = (1e-6, 1e-3, 10.0, 1e4, 1e6)
+SCALES = (1e-90, 1e-6, 1e-3, 10.0, 1e4, 1e6, 1e90)
 # y alone may go much further: its powers never meet the bandwidths'
-Y_SCALES = SCALES + (1e-150, 1e-120, 1e-90, 1e90, 1e120, 1e150)
+Y_SCALES = SCALES + (1e-150, 1e-120, 1e120, 1e150)
 REPS = 25
 RTOL = 1e-8
 
 
 def _analysis(sample):
     pair = select_bandwidths(sample).bandwidths
-    return pair.h_plus, pair.h_minus, frd_estimate(sample, pair.h_plus, pair.h_minus).tau
+    return pair.h_plus, pair.h_minus, frd_estimate(sample, pair.h_plus, pair.h_minus).tau, pair.regime
 
 
 @pytest.fixture(scope="module", params=("design1", "design2"))
@@ -39,20 +39,25 @@ def draws(request):
 
 def test_bandwidths_scale_with_x_and_tau_does_not_move(draws):
     worst_h = worst_tau = 0.0
-    for sample, (h_plus, h_minus, tau) in draws:
+    moved = []
+    for sample, (h_plus, h_minus, tau, regime) in draws:
         for a in SCALES:
-            hp, hm, t = _analysis(Sample(x=a * sample.x, y=sample.y, d=sample.d, c=a * sample.c))
+            hp, hm, t, r = _analysis(Sample(x=a * sample.x, y=sample.y, d=sample.d, c=a * sample.c))
             worst_h = max(worst_h, abs(hp / (a * h_plus) - 1.0), abs(hm / (a * h_minus) - 1.0))
             worst_tau = max(worst_tau, abs(t / tau - 1.0))
+            if r != regime:
+                moved.append((a, regime, r))
     assert worst_h < RTOL
     assert worst_tau < RTOL
+    # the regime too: the product of the phi underflows at x in units of 1e-90
+    assert not moved
 
 
 def test_tau_scales_with_y_and_bandwidths_do_not_move(draws):
     worst_h = worst_tau = 0.0
-    for sample, (h_plus, h_minus, tau) in draws:
+    for sample, (h_plus, h_minus, tau, _) in draws:
         for b in Y_SCALES:
-            hp, hm, t = _analysis(Sample(x=sample.x, y=b * sample.y, d=sample.d, c=sample.c))
+            hp, hm, t, _ = _analysis(Sample(x=sample.x, y=b * sample.y, d=sample.d, c=sample.c))
             worst_h = max(worst_h, abs(hp / h_plus - 1.0), abs(hm / h_minus - 1.0))
             worst_tau = max(worst_tau, abs(t / (b * tau) - 1.0))
     assert worst_h < RTOL

@@ -32,7 +32,7 @@ def test_a_block_at_n_500_peaks_near_its_stack():
     spec = DgpSpec("design1", 500, seed=42)
     size = simlab._block_reps(spec.n)
     out, peak = traced_peak(lambda: simlab._run_block(spec, "mmse_f", KernelSpec(), size, 0))
-    assert len(out) == size
+    assert [len(column) for column in out] == [size] * 3
     stack_bytes = 3 * size * spec.n * 8
     # 131 replications: a 1.57 MB stack, and 8 MB when the fits and draws were not grouped
     assert peak < 3.5e6 and peak < 2.25 * stack_bytes, peak

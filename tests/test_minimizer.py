@@ -4,7 +4,7 @@ and replications that once stalled the polish."""
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +76,17 @@ def test_a_criterion_that_is_nan_on_the_whole_grid_is_a_typed_error():
     sample = draw_sample(DgpSpec("design1", 500, seed=1), 0)
     with pytest.raises(DegenerateObjective, match="not a number anywhere"):
         select_bandwidths(Sample(sample.x * 1e-110, sample.y, sample.d, 0.0))
+
+
+def test_a_criterion_beyond_the_floats_at_the_selected_pair_is_a_typed_error():
+    # x in units of 1e104: the criterion overflows at the selected pair; its
+    # powers once raised a bare OverflowError on one sample and on a stack
+    sample = draw_sample(DgpSpec("design1", 500, seed=1), 0)
+    far = Sample(sample.x * 1e104, sample.y, sample.d, 0.0)
+    with pytest.raises(DegenerateObjective, match="not finite at the selected pair"):
+        select_bandwidths(far)
+    _, errors = select_bandwidths(far.as_stack())
+    assert isinstance(errors[0], DegenerateObjective)
 
 
 @pytest.mark.parametrize("a", [1e-6, 1e-3, 10.0, 1e4, 1e6])
@@ -195,10 +206,13 @@ def fuzz_sets(count, seed):
 
 def assert_never_above_brute_force(sets):
     coeffs, boxes = zip(*sets)
+    stack = AmseCoefficients(
+        **{f.name: np.array([getattr(c, f.name) for c in coeffs]) for f in fields(AmseCoefficients)}
+    )
     bounds = tuple((np.array([b[i][0] for b in boxes]), np.array([b[i][1] for b in boxes])) for i in (0, 1))
-    pairs, errors = minimize_mmse(list(coeffs), bounds)
+    pair, errors = minimize_mmse(stack, bounds)
     assert errors == [None] * len(sets)
-    value = np.array([p.objective_value for p in pairs])
+    value = pair.objective_value
     brute = np.concatenate([profile_brute_force(coeffs[i:i + 50], boxes[i:i + 50]) for i in range(0, len(sets), 50)])
     above = np.flatnonzero(value > brute * (1.0 + 1e-12))
     assert not above.size, [(int(i), value[i] / brute[i] - 1.0) for i in above[:5]]
