@@ -14,7 +14,8 @@ are split into cache-sized chunks whose QR factorizations run as one
 stacked call; their triangular factors are then reduced to one, as in
 the tall-skinny QR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
 Comput. 34, 2012), which gives the R of one QR of the whole block up to
-the signs of its rows and rounding.
+the signs of its rows and rounding.  A fit holds its window's row
+indices and one block's design; `window_rows` lists its rows.
 
 A `Sample` may hold a stack of R samples of one size as (R, n) arrays.
 Every function taking a Sample is written once over that leading axis
@@ -218,17 +219,15 @@ class BoundaryFit:
     """Result of a one-sided weighted polynomial fit.
 
     coefficients[k] estimates m^(k)(c) / k! with one column per response,
-    Y then D; coefficients[0] is the fitted value at the cutoff.  rows
-    indexes the sample's observations with positive weight, effective_n
-    counts them.  The fit of a stack has a leading slice axis on
-    coefficients, h and effective_n; its rows are flat indices into the
-    (R, n) arrays, left-aligned per slice and padded with -1.
+    Y then D; coefficients[0] is the fitted value at the cutoff.
+    effective_n counts the observations with positive weight, which
+    `window_rows` lists.  The fit of a stack has a leading slice axis on
+    coefficients, h and effective_n.
     """
 
     coefficients: np.ndarray
     side: str
     h: float
-    rows: np.ndarray
     effective_n: int
 
     @property
@@ -262,24 +261,17 @@ def _window(stack: Sample, side: str, h: np.ndarray) -> np.ndarray:
     return near
 
 
-def _weighted_design(stack: Sample, rows: np.ndarray, padded: bool, h, p: int, kernel: KernelSpec):
-    """The positive-weight rows among one block's candidates, their count
-    per slice, and the design [sqrt(w) u^k | sqrt(w) y, sqrt(w) d] with
+def _weighted_design(stack: Sample, rows: np.ndarray, h, p: int, kernel: KernelSpec):
+    """The positive-weight count per slice among one block's candidate
+    rows, and the design [sqrt(w) u^k | sqrt(w) y, sqrt(w) d] with
     u = (x - c)/h as one C-ordered (slices, rows) plane per column.
-    Padding rows have zero weight, so their design rows are zero."""
+    Padding rows and candidates of zero weight have zero design rows."""
     u = stack.x.take(rows)
     u -= stack.c
     u /= h[:, None]
-    real = rows.size
-    if padded:
-        pad = rows < 0
-        u[pad] = 2.0  # outside the kernel's support: zero weight
-        real -= np.count_nonzero(pad)
+    u[rows < 0] = 2.0  # outside the kernel's support: zero weight
     w = eval_kernel(kernel, u)
-    keep = w > 0.0
-    count = _row_counts(keep)
-    if count.sum() < real:  # drop the zero-weight candidates
-        rows, u, w = (_pad(v[keep], count, fill) for v, fill in ((rows, -1), (u, 0.0), (w, 0.0)))
+    count = _row_counts(w > 0.0)
     sw = np.sqrt(w, out=w)
     a = np.empty((p + 2,) + rows.shape)
     a[0] = sw
@@ -287,42 +279,53 @@ def _weighted_design(stack: Sample, rows: np.ndarray, padded: bool, h, p: int, k
         np.multiply(a[k - 1], u, out=a[k])
     np.multiply(sw, stack.y.take(rows), out=a[p])
     np.multiply(sw, stack.d.take(rows), out=a[p + 1])
-    return rows, count, a
+    return count, a
 
 
 def _factor(stack: Sample, candidates: np.ndarray, h, p: int, kernel: KernelSpec):
-    """(rows, effective_n, R) of one group of slices: the positive-weight
-    rows among the candidates, left-aligned and padded with -1, their
-    count per slice, and the leading p rows of the triangular factor of
-    each slice's design, as a (slices, p, p + 2) array.
+    """(effective_n, R) of one group of slices: the count of positive
+    weights among the candidate rows per slice, and the leading p rows of
+    the triangular factor of each slice's design, as a (slices, p, p + 2)
+    array.
 
     Each slice's rows are taken in blocks of at most _BLOCK_ROWS; a
     block's whole 1024-row chunks are factorized by one stacked QR call,
     and their R factors, the leftover rows and the running R are reduced
     by one more QR.
     """
-    slices = len(candidates)
-    padded = candidates.size > 0 and candidates[:, -1].min() < 0  # left-aligned: -1 ends short rows
-    kept, r = [], None
+    slices, width = candidates.shape
+    r = None
     effective = np.zeros(slices, dtype=int)
-    for start in range(0, candidates.shape[1], _BLOCK_ROWS):
-        rows, count, a = _weighted_design(stack, candidates[:, start : start + _BLOCK_ROWS], padded, h, p, kernel)
-        kept.append(rows)
+    for start in range(0, width, _BLOCK_ROWS):
+        count, a = _weighted_design(stack, candidates[:, start : start + _BLOCK_ROWS], h, p, kernel)
         effective += count
         # factor whole chunks in one stacked call; the view copies nothing
-        full = rows.shape[1] - rows.shape[1] % _CHUNK_ROWS
+        full = a.shape[2] - a.shape[2] % _CHUNK_ROWS
         parts = [] if r is None else [r]
         if full:
             chunks = a[:, :, :full].reshape(p + 2, slices, -1, _CHUNK_ROWS).transpose(1, 2, 3, 0)
             parts.append(np.linalg.qr(chunks, mode="r").reshape(slices, -1, p + 2))
         parts.append(a[:, :, full:].transpose(1, 2, 0))
         r = np.linalg.qr(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], mode="r")
-    # only a group of one slice spans several blocks, and a slice's own
-    # rows hold no padding: its blocks' rows follow one another
-    rows = np.concatenate(kept, axis=1) if kept else candidates
     if r is None or r.shape[1] < p:
         r = np.zeros((slices, p, p + 2)) if r is None else np.pad(r, ((0, 0), (0, p - r.shape[1]), (0, 0)))
-    return rows, effective, r[:, :p]
+    return effective, r[:, :p]
+
+
+def window_rows(sample: Sample, side: str, h, kernel: KernelSpec = KernelSpec()) -> np.ndarray:
+    """The observations `fit_boundary` weighs positively, in sample order:
+    one index array for one sample; for a stack, flat indices into the
+    (R, n) arrays, left-aligned per slice and padded with -1.  h is taken
+    as the fit takes it, 1 standing in where it is not positive and finite."""
+    stack = sample.as_stack()
+    h = np.broadcast_to(np.asarray(h, dtype=float), (len(stack.x),))
+    h = np.where((h > 0.0) & (h < np.inf), h, 1.0)
+    flat = np.flatnonzero(_window(stack, side, h))
+    slice_of = flat // stack.n
+    # u as the fit computes it, so exactly the rows it counts in effective_n
+    keep = eval_kernel(kernel, (stack.x.take(flat) - stack.c) / h[slice_of]) > 0.0
+    rows = _pad(flat[keep], np.bincount(slice_of[keep], minlength=len(h)), -1)
+    return rows if sample.stacked else rows[0]
 
 
 @stacked
@@ -335,11 +338,11 @@ def fit_boundary(
 ):
     """Weighted least squares of Y and D on powers of (x - c), one side only.
 
-    Weights are K((x_i - c)/h); only observations with strictly positive
-    weight enter the solve, so points outside the bandwidth have no
-    influence at all.  The design holds the powers of (x - c)/h, built by
-    repeated multiplication, so its conditioning does not depend on the
-    units of x; the coefficients are rescaled by h^-k afterwards.
+    Weights are K((x_i - c)/h); a zero weight makes a zero row, so points
+    outside the bandwidth have no influence at all.  The design holds the
+    powers of (x - c)/h, built by repeated multiplication, so its
+    conditioning does not depend on the units of x; the coefficients are
+    rescaled by h^-k afterwards.  No row index is returned.
 
     Y and D are two right-hand sides of one design: R of the QR
     factorization of [sqrt(w) powers | sqrt(w) Y, sqrt(w) D] is
@@ -353,10 +356,9 @@ def fit_boundary(
     window is found once for all slices, which are then factorized in
     groups of consecutive slices (see `slice_groups`) whose designs,
     the QR's copy of them and their rows hold at most 2^16 values;
-    within a group every slice's positive-weight rows are padded with
-    zero rows to the group's widest window, and each QR is one stacked
-    call.  The groups' R factors meet in one rank check and one solve
-    for all slices.
+    within a group every slice's window is padded with zero rows to the
+    group's widest window, and each QR is one stacked call.  The groups'
+    R factors meet in one rank check and one solve for all slices.
 
     Raises
     ------
@@ -380,29 +382,25 @@ def fit_boundary(
     near = _window(sample, side, h)
     counts = _row_counts(near)
     width = int(counts.max(initial=0))
-    # a group's design, the QR's copy of it and its rows
-    groups = slice_groups(slices, (2 * p + 5) * width)
-    rows = np.full((slices, width), -1)
     effective = np.empty(slices, dtype=int)
     r = np.empty((slices, p, p + 2))
-    for g in groups:
+    # a group's design, the QR's copy of it and its candidate rows
+    for g in slice_groups(slices, (2 * p + 5) * width):
         flat = np.flatnonzero(near[g])
         flat += g.start * sample.n
-        candidates = _pad(flat, counts[g], -1)
-        part, effective[g], r[g] = _factor(sample, candidates, h[g], p, kernel)
-        rows[g, : part.shape[1]] = part
-    rows = rows[:, : effective.max()]
+        effective[g], r[g] = _factor(sample, _pad(flat, counts[g], -1), h[g], p, kernel)
     design, rhs = r[..., :p], r[..., p:]
     sv = np.linalg.svd(design, compute_uv=False)
     singular = (effective < p) | ~(sv[:, -1] >= _SV_RTOL * sv[:, 0])
-    record(errors, singular, lambda s: _rank_error(sample.x.take(rows[s, : effective[s]]), order, sv[s]))
+    record(errors, singular, lambda s: _rank_error(
+        sample.x[s].take(window_rows(sample.part(slice(s, s + 1)), side, h[s], kernel)), order, sv[s]))
     design[singular] = np.eye(p)  # placeholder, so the stacked solve cannot fail
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
     # from h ~ 1e+-78 on, h^4 leaves the floats: only the quartic's top coefficient, which no pilot reads, is lost
     with np.errstate(over="ignore", divide="ignore"):
         coef = np.linalg.solve(design, rhs) / h[:, None, None] ** np.arange(p)[:, None]
-    return BoundaryFit(coef, side, h_given, rows, effective), errors
+    return BoundaryFit(coef, side, h_given, effective), errors
 
 
 @stacked

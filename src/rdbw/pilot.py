@@ -31,7 +31,7 @@ from .errors import (
     record,
 )
 from .kernels import KernelSpec
-from .local_poly import Sample, estimate_level, fit_boundary, slice_groups, stacked
+from .local_poly import Sample, estimate_level, fit_boundary, slice_groups, stacked, window_rows
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -120,8 +120,8 @@ def estimate_derivatives(sample: Sample, side: str):
     span[span == 0.0] = 1.0  # placeholder for a failed slice
     fit, later = fit_boundary(sample, side, span, order=4, kernel=KernelSpec("uniform"))
     merge(errors, later)
-    coef = fit.coefficients
-    return (2.0 * coef[:, 2], 6.0 * coef[:, 3]), errors
+    with np.errstate(over="ignore", invalid="ignore"):  # x in extreme units; the criterion then fails
+        return (2.0 * fit.coefficients[:, 2], 6.0 * fit.coefficients[:, 3]), errors
 
 
 def _pilot_bandwidth(sd, size):
@@ -166,11 +166,11 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
         f"only {n_v[r]} observations carry weight on the {side} side"))
 
     (y0, d0), (y1, d1) = fit.coefficients.transpose(1, 2, 0)[..., None]
-    xc = sample.x.take(fit.rows) - sample.c
-    ey = sample.y.take(fit.rows) - (y0 + y1 * xc)
-    ed = sample.d.take(fit.rows) - (d0 + d1 * xc)
-    if fit.rows.size > n_v.sum():
-        ey[fit.rows < 0] = ed[fit.rows < 0] = 0.0  # padding rows
+    rows = window_rows(sample, side, h, kernel)
+    xc = sample.x.take(rows) - sample.c
+    ey = sample.y.take(rows) - (y0 + y1 * xc)
+    ed = sample.d.take(rows) - (d0 + d1 * xc)
+    ey[rows < 0] = ed[rows < 0] = 0.0  # padding rows
 
     dof = np.maximum(n_v - 2, 1)  # only a failed slice has fewer than 4 rows
     sig2y = _dot(ey, ey) / dof

@@ -154,20 +154,21 @@ def compute_coefficients(
     record(errors, nonpositive, lambda r: ValueError("density at the cutoff must be positive"))
     f = np.where(nonpositive, 1.0, pilots.f)
     ratio = pilots.f1 / f
-    zy_p = _zeta(-1.0, pilots.m2Y_plus, pilots.m3Y_plus, ratio, moments.xi1, moments.xi2)
-    zy_m = _zeta(+1.0, pilots.m2Y_minus, pilots.m3Y_minus, ratio, moments.xi1, moments.xi2)
-
     # a zero ratio drops every treatment term, which is the sharp criterion
     tau = pilots.tau if mode == "fuzzy" else 0.0
-    zd_p = _zeta(-1.0, pilots.m2D_plus, pilots.m3D_plus, ratio, moments.xi1, moments.xi2)
-    zd_m = _zeta(+1.0, pilots.m2D_minus, pilots.m3D_minus, ratio, moments.xi1, moments.xi2)
+    with np.errstate(over="ignore", invalid="ignore"):  # psi (a^-3) overflows for x in extreme units
+        zy_p = _zeta(-1.0, pilots.m2Y_plus, pilots.m3Y_plus, ratio, moments.xi1, moments.xi2)
+        zy_m = _zeta(+1.0, pilots.m2Y_minus, pilots.m3Y_minus, ratio, moments.xi1, moments.xi2)
+        zd_p = _zeta(-1.0, pilots.m2D_plus, pilots.m3D_plus, ratio, moments.xi1, moments.xi2)
+        zd_m = _zeta(+1.0, pilots.m2D_minus, pilots.m3D_minus, ratio, moments.xi1, moments.xi2)
+        psi_p, psi_m = zy_p - tau * zd_p, zy_m - tau * zd_m
     omega_p = pilots.sig2Y_plus + tau * tau * pilots.sig2D_plus - 2.0 * tau * pilots.sigYD_plus
     omega_m = pilots.sig2Y_minus + tau * tau * pilots.sig2D_minus - 2.0 * tau * pilots.sigYD_minus
     fields = {
         "phi_plus": moments.c1 * (pilots.m2Y_plus - tau * pilots.m2D_plus),
         "phi_minus": moments.c1 * (pilots.m2Y_minus - tau * pilots.m2D_minus),
-        "psi_plus": zy_p - tau * zd_p,
-        "psi_minus": zy_m - tau * zd_m,
+        "psi_plus": psi_p,
+        "psi_minus": psi_m,
         "omega_plus": np.maximum(0.0, omega_p),
         "omega_minus": np.maximum(0.0, omega_m),
         "v": moments.v,

@@ -4,7 +4,7 @@ import pytest
 from rdbw import local_poly
 from rdbw.errors import SingularDesign
 from rdbw.kernels import FAMILIES, KernelSpec, eval_kernel
-from rdbw.local_poly import BoundaryFit, Sample, estimate_level, fit_boundary
+from rdbw.local_poly import BoundaryFit, Sample, estimate_level, fit_boundary, window_rows
 
 
 def make_sample(x, y, d=None, c=0.0):
@@ -187,7 +187,7 @@ class TestWindow:
             for side in ("plus", "minus"):
                 want = np.flatnonzero(s.side_mask(side) & (w > 0.0))
                 fit = fit_boundary(s, side, h, order=1, kernel=kernel)
-                np.testing.assert_array_equal(fit.rows, want)
+                np.testing.assert_array_equal(window_rows(s, side, h, kernel), want)
                 assert fit.effective_n == want.size
 
 
@@ -207,7 +207,8 @@ class TestJointResponses:
                 for side in ("plus", "minus"):
                     fit = fit_boundary(s, side, 0.4, order=order, kernel=kernel)
                     rows = np.flatnonzero(s.side_mask(side) & (w > 0.0))
-                    np.testing.assert_array_equal(fit.rows, rows)
+                    np.testing.assert_array_equal(window_rows(s, side, 0.4, kernel), rows)
+                    assert fit.effective_n == rows.size
                     design = np.vander(x[rows], order + 1, increasing=True)
                     gram = design.T @ (w[rows, None] * design)
                     rhs = design.T @ (w[rows, None] * np.column_stack([y, d])[rows])
@@ -225,12 +226,13 @@ class TestJointResponses:
         y = np.exp(x) + d + rng.normal(0.0, 0.1, x.size)
         s = make_sample(x, y, d=d)
         fit = fit_boundary(s, "plus", 0.75, order=3)
-        xs = x[fit.rows]
-        assert xs.size > 140_000
+        rows = window_rows(s, "plus", 0.75)
+        xs = x[rows]
+        assert xs.size > 140_000 and fit.effective_n == xs.size
         w = eval_kernel(KernelSpec(), xs / 0.75)
         design = np.vander(xs, 4, increasing=True)
         gram = design.T @ (w[:, None] * design)
-        ref = np.linalg.solve(gram, design.T @ (w[:, None] * np.column_stack([y, d])[fit.rows]))
+        ref = np.linalg.solve(gram, design.T @ (w[:, None] * np.column_stack([y, d])[rows]))
         np.testing.assert_allclose(fit.coefficients, ref, rtol=1e-9, atol=1e-10)
 
 
@@ -263,8 +265,8 @@ class TestChunkedQR:
                 for side in ("plus", "minus"):
                     fit = fit_boundary(s, side, 1.0, order=order, kernel=kernel)
                     rows = np.flatnonzero(s.side_mask(side) & (w > 0.0))
-                    assert rows.size == m
-                    np.testing.assert_array_equal(fit.rows, rows)
+                    assert rows.size == m == fit.effective_n
+                    np.testing.assert_array_equal(window_rows(s, side, 1.0, kernel), rows)
                     lstsq = np.polynomial.Polynomial.fit
                     sw = np.sqrt(w[rows])
                     ref = np.column_stack(

@@ -89,6 +89,22 @@ def test_a_criterion_beyond_the_floats_at_the_selected_pair_is_a_typed_error():
     assert isinstance(errors[0], DegenerateObjective)
 
 
+@pytest.mark.parametrize("scale", [1e-102, 1e-105, 1e-110])
+def test_x_in_units_below_1e_100_fails_with_a_typed_error_alone(scale):
+    # the psi pilots scale as a^-3 and overflow; under the tests' warnings as
+    # errors a RuntimeWarning from the pilots or the coefficients once escaped
+    spec = DgpSpec("design1", 500, seed=1)
+    sample = draw_sample(spec, 0)
+    stack = draw_sample(spec, range(4))
+    x = stack.x.copy()
+    x[0] *= scale
+    for mode in ("fuzzy", "sharp"):
+        with pytest.raises(DegenerateObjective):
+            select_bandwidths(Sample(sample.x * scale, sample.y, sample.d, 0.0), mode=mode)
+        _, errors = select_bandwidths(Sample(x, stack.y, stack.d, 0.0), mode=mode)
+        assert isinstance(errors[0], DegenerateObjective) and errors[1:] == [None] * 3
+
+
 @pytest.mark.parametrize("a", [1e-6, 1e-3, 10.0, 1e4, 1e6])
 def test_unit_equivariance(a):
     # x -> a x maps phi -> phi / a^2, psi -> psi / a^3, f -> f / a and the

@@ -3,8 +3,10 @@ import pytest
 
 from rdbw.errors import InsufficientData, SingularDesign, WeakDiscontinuity
 from rdbw.estimator import frd_estimate
+from rdbw.kernels import FAMILIES, KernelSpec
 from rdbw.local_poly import Sample
 from rdbw.pilot import (
+    PILOT_BANDWIDTH_SCALE,
     assemble_pilots,
     estimate_density,
     estimate_derivatives,
@@ -167,6 +169,56 @@ class TestEstimateVariances:
         s = two_sided([-0.5, 0.1, 0.2, 0.3], np.zeros(4))
         with pytest.raises(InsufficientData):
             estimate_variances(s, "plus")
+
+    @staticmethod
+    def reference(x, y, d, c, side, family):
+        # the positive-weight rows found directly, each response fitted by
+        # numpy's weighted least squares, the moments over n_v - 2
+        on_side = x >= c if side == "plus" else x < c
+        h = PILOT_BANDWIDTH_SCALE * np.std(x[on_side]) * np.count_nonzero(on_side) ** (-1 / 5)
+        u = (x - c) / h
+        shape = {
+            "triangular": 1.0 - np.abs(u),
+            "uniform": np.full_like(u, 0.5),
+            "epanechnikov": 0.75 * (1.0 - u * u),
+        }
+        w = np.where(on_side & (np.abs(u) <= 1.0), shape[family], 0.0)
+        rows = np.flatnonzero(w > 0.0)
+        xs, sw = x[rows], np.sqrt(w[rows])
+        fit = np.polynomial.Polynomial.fit
+        ey, ed = (col[rows] - fit(xs, col[rows], 1, w=sw)(xs) for col in (y, d))
+        dof = rows.size - 2
+        sig2y, sig2d, sigyd = ey @ ey / dof, ed @ ed / dof, ey @ ed / dof
+        bound = np.sqrt(sig2y * sig2d)
+        sigyd = float(np.clip(sigyd, -bound, bound))
+        return (sig2y, 0.0, 0.0) if sig2d < 1e-12 else (sig2y, sig2d, sigyd)
+
+    def test_moments_match_an_explicit_reference(self):
+        samples = [
+            draw_sample(DgpSpec(design, n, seed=4), 0)
+            for design in ("design1", "design2")
+            for n in (500, 5000)
+        ]
+        fuzzy = samples[0]
+        sharp = Sample(fuzzy.x, fuzzy.y, (fuzzy.x >= fuzzy.c).astype(float), fuzzy.c)
+        dependent = Sample(fuzzy.x, fuzzy.d, fuzzy.d, fuzzy.c)  # sigYD at the Cauchy-Schwarz bound
+        for s in samples + [sharp, dependent]:
+            for family in FAMILIES:
+                for side in ("plus", "minus"):
+                    got = estimate_variances(s, side, KernelSpec(family))
+                    want = self.reference(s.x, s.y, s.d, s.c, side, family)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_stacked_moments_match_an_explicit_reference(self):
+        # 64 slices whose windows differ in width: each is padded to the widest
+        stack = draw_sample(DgpSpec("design2", 500, seed=6), range(64))
+        for family in FAMILIES:
+            for side in ("plus", "minus"):
+                got, errors = estimate_variances(stack, side, KernelSpec(family))
+                assert errors == [None] * 64
+                for r in range(64):
+                    want = self.reference(stack.x[r], stack.y[r], stack.d[r], stack.c, side, family)
+                    np.testing.assert_allclose([v[r] for v in got], want, rtol=1e-12, atol=0.0)
 
 
 class TestEstimateTauD:

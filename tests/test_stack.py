@@ -10,7 +10,7 @@ from rdbw import selector, simlab
 from rdbw.errors import InsufficientData, RdbwError, SingularDesign, WeakDiscontinuity, merge
 from rdbw.estimator import frd_estimate
 from rdbw.kernels import KernelSpec, compute_moments
-from rdbw.local_poly import Sample, estimate_level, fit_boundary
+from rdbw.local_poly import Sample, estimate_level, fit_boundary, window_rows
 from rdbw.pilot import (
     PilotEstimates,
     assemble_pilots,
@@ -201,17 +201,22 @@ def test_a_stack_minimizes_in_one_call(monkeypatch):
 def test_a_bad_bandwidth_fails_its_slice_only():
     spec = DgpSpec("design1", 300, seed=2)
     samples = [draw_sample(spec, r) for r in range(3)]
-    fit, errors = fit_boundary(draw_sample(spec, range(3)), "plus", np.array([0.3, np.nan, 0.4]))
+    stack, h = draw_sample(spec, range(3)), np.array([0.3, np.nan, 0.4])
+    fit, errors = fit_boundary(stack, "plus", h)
     assert errors[0] is None and errors[2] is None
     with pytest.raises(ValueError) as single:
         fit_boundary(samples[1], "plus", np.nan)
     assert_same_error(errors[1], single.value)
-    for r, h in ((0, 0.3), (2, 0.4)):
-        want = fit_boundary(samples[r], "plus", h)
+    rows = window_rows(stack, "plus", h)
+    for r in (0, 2):
+        want = fit_boundary(samples[r], "plus", h[r])
         np.testing.assert_allclose(fit.coefficients[r], want.coefficients, rtol=1e-12, atol=1e-14)
         assert fit.effective_n[r] == want.effective_n
-        rows = fit.rows[r, : fit.effective_n[r]] - r * samples[r].n
-        np.testing.assert_array_equal(rows, want.rows)
+        got = rows[r, : fit.effective_n[r]] - r * samples[r].n
+        np.testing.assert_array_equal(got, window_rows(samples[r], "plus", h[r]))
+    # the failed slice keeps the window of the placeholder bandwidth 1, in the fit as in its rows
+    np.testing.assert_array_equal(np.count_nonzero(rows >= 0, axis=1), fit.effective_n)
+    assert fit.effective_n[1] == window_rows(samples[1], "plus", 1.0).size
 
 
 def test_a_slice_with_too_few_distinct_values_keeps_its_message():
