@@ -7,6 +7,12 @@ that slice alone would raise first.  Stages record into the list in the
 order a single-sample call runs them, so the earliest error wins.  A
 call on one sample runs as the stack of one, and `rdbw.local_poly.stacked`
 raises the error of its slice, if any.
+
+`stacked` runs every stage with numpy's warnings off: a slice whose
+values leave the floats, as for data in extreme units, computes through
+inf and NaN until a check records its error (`DegenerateSample` for an
+sd(x) that is not finite, `DegenerateObjective` for a criterion that is
+not), so only `RdbwError` subclasses leave a stage.
 """
 
 import numpy as np
@@ -37,7 +43,8 @@ class DenominatorNearZero(RdbwError):
 
 
 class DegenerateObjective(RdbwError):
-    """Bandwidth objective has no interior minimum (both variance terms zero)."""
+    """Bandwidth objective has no interior minimum (both variance terms
+    zero), or is not finite at the selected pair or anywhere on the profile."""
 
 
 class ZeroCurvature(RdbwError):

@@ -25,12 +25,12 @@ that fails keeps finite placeholder values.  So does a stage taking, in
 place of a Sample, a dataclass of (R,) arrays.  The one entry point,
 `stacked`, passes a stack through and runs a single sample, or a
 dataclass of scalars, as the stack of one, raising its error or
-returning its slice.  A stage whose
-temporaries grow with the slices runs them in groups of bounded size
-(`slice_groups`), so a stack costs little memory beyond its own arrays.
-A stacked fit pads each slice's window with zero rows to the widest
-window of its group, so the last bits of one slice's fit may depend on
-the other slices.
+returning its slice; it also sets every stage's one floating-point
+policy, numpy's warnings off.  A stage whose temporaries grow with the
+slices runs them in groups of bounded size (`slice_groups`), so a stack
+costs little memory beyond its own arrays.  A stacked fit pads each
+slice's window with zero rows to the widest window of its group, so the
+last bits of one slice's fit may depend on the other slices.
 """
 
 import functools
@@ -137,10 +137,6 @@ class Sample:
             return self.x < self.c
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
-    def side_sizes(self, side: str) -> np.ndarray:
-        """Observations on one side, per slice of a stack; no gather."""
-        return _row_counts(self.side_mask(side))
-
     def side_values(self, side: str, fill: float):
         """(values, sizes, where) of one side of a stack: each slice's x
         values in sample order, left-aligned in an (R, m) array padded
@@ -199,17 +195,21 @@ def stacked(body):
     scalars for one sample.  A stack is passed to body as it is; a single
     sample runs as the stack of one, whose error is raised and whose
     slice 0 is returned.
+
+    body runs under np.errstate(all="ignore"), for a stack and one sample
+    alike, and the caller's state comes back when the call returns or
+    raises: a slice may compute through inf and NaN, which the stages'
+    checks turn into an `RdbwError` (see `rdbw.errors`).
     """
 
     @functools.wraps(body)
     def call(first, *args, **kwargs):
         stack, single = _as_stack(first)
-        if not single:
-            return body(stack, *args, **kwargs)
-        result, (error,) = body(stack, *args, **kwargs)
-        if error is not None:
-            raise error
-        return _first(result)
+        with np.errstate(all="ignore"):
+            result, errors = body(stack, *args, **kwargs)
+        if single and errors[0] is not None:
+            raise errors[0]
+        return _first(result) if single else (result, errors)
 
     return call
 
@@ -398,8 +398,7 @@ def fit_boundary(
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
     # from h ~ 1e+-78 on, h^4 leaves the floats: only the quartic's top coefficient, which no pilot reads, is lost
-    with np.errstate(over="ignore", divide="ignore"):
-        coef = np.linalg.solve(design, rhs) / h[:, None, None] ** np.arange(p)[:, None]
+    coef = np.linalg.solve(design, rhs) / h[:, None, None] ** np.arange(p)[:, None]
     return BoundaryFit(coef, side, h_given, effective), errors
 
 

@@ -68,6 +68,14 @@ class PilotEstimates:
     tau: float
 
 
+def _checked_sd(errors, sd, pilot):
+    """sd, with 1 in place of a zero or non-finite value (x beyond about
+    1e154 overflows it), whose slice records DegenerateSample."""
+    bad = ~((sd > 0.0) & (sd < np.inf))
+    record(errors, bad, lambda r: DegenerateSample(f"sd(x) = {sd[r]:g}; {pilot} pilot undefined"))
+    return np.where(bad, 1.0, sd)
+
+
 @stacked
 def estimate_density(sample: Sample):
     """Density and density derivative at the cutoff from the full sample.
@@ -84,10 +92,7 @@ def estimate_density(sample: Sample):
     errors = [None] * len(x)
     record(errors, np.full(len(x), n < 10), lambda r: InsufficientData(
         f"density pilot needs n >= 10, got {n}"))
-    sd = np.std(x, axis=1)
-    record(errors, sd == 0.0, lambda r: DegenerateSample("sd(x) = 0; density pilot undefined"))
-    sd[sd == 0.0] = 1.0  # placeholder for a failed slice
-
+    sd = _checked_sd(errors, np.std(x, axis=1), "density")
     h0 = 1.06 * sd * n ** (-1 / 5)
     h1 = h0 * n ** (1 / 5 - 1 / 7)
     f, f1 = np.empty(len(x)), np.empty(len(x))
@@ -108,20 +113,18 @@ def estimate_derivatives(sample: Sample, side: str):
     observation of the side: `fit_boundary` at order 4 under the uniform
     kernel with h the side's largest |x - c|, which gives every
     observation of the side the same weight.  Returns (2 b2, 6 b3), each
-    a (Y, D) array.
+    a (Y, D) array; the fit's effective_n is the side's size.
     """
-    n_side = sample.side_sizes(side)
-    errors = [None] * len(n_side)
-    record(errors, n_side < 6, lambda r: InsufficientData(
-        f"derivative pilot needs >= 6 observations on the {side} side, got {n_side[r]}"))
     span = sample.x.max(axis=1) - sample.c if side == "plus" else sample.c - sample.x.min(axis=1)
+    # 1 in place of a zero span, whose slice fails below
+    fit, later = fit_boundary(sample, side, np.where(span == 0.0, 1.0, span), order=4, kernel=KernelSpec("uniform"))
+    errors = [None] * len(span)
+    record(errors, fit.effective_n < 6, lambda r: InsufficientData(
+        f"derivative pilot needs >= 6 observations on the {side} side, got {fit.effective_n[r]}"))
     record(errors, span == 0.0, lambda r: SingularDesign(
         f"derivative pilot needs 5 distinct x values on the {side} side"))
-    span[span == 0.0] = 1.0  # placeholder for a failed slice
-    fit, later = fit_boundary(sample, side, span, order=4, kernel=KernelSpec("uniform"))
     merge(errors, later)
-    with np.errstate(over="ignore", invalid="ignore"):  # x in extreme units; the criterion then fails
-        return (2.0 * fit.coefficients[:, 2], 6.0 * fit.coefficients[:, 3]), errors
+    return (2.0 * fit.coefficients[:, 2], 6.0 * fit.coefficients[:, 3]), errors
 
 
 def _pilot_bandwidth(sd, size):
@@ -158,7 +161,7 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     errors = [None] * slices
     record(errors, size < 10, lambda r: InsufficientData(
         f"variance pilot needs >= 10 observations on the {side} side, got {size[r]}"))
-    h = _pilot_bandwidth(sd, size)
+    h = _pilot_bandwidth(_checked_sd(errors, sd, f"{side}-side variance"), size)
     fit, later = fit_boundary(sample, side, h, order=1, kernel=kernel)
     merge(errors, later)
     n_v = fit.effective_n
@@ -190,8 +193,10 @@ def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
 
     Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
     """
-    h = _pilot_bandwidth(np.std(sample.x, axis=1), sample.n)
-    plus, errors = estimate_level(sample, "plus", h, kernel)
+    errors = [None] * len(sample.x)
+    h = _pilot_bandwidth(_checked_sd(errors, np.std(sample.x, axis=1), "jump"), sample.n)
+    plus, later = estimate_level(sample, "plus", h, kernel)
+    merge(errors, later)
     minus, later = estimate_level(sample, "minus", h, kernel)
     merge(errors, later)
     tau_y, tau_d = (plus - minus).T

@@ -6,8 +6,8 @@ estimate.  It is minimized jointly over (h_plus, h_minus) through its
 exact one-dimensional structure: on each ray h_minus = lambda h_plus it
 has one minimum in h_plus, so the box minimum is the minimum of a
 profile over lambda alone (see `minimize_mmse`).  Closed-form optimal
-pairs exist in both curvature regimes and double as oracle and
-fallback.
+pairs exist in both curvature regimes (`afo_bandwidths`); they serve as
+an oracle, and no selection falls back to them.
 
 `select_bandwidths`, `compute_coefficients`, `default_bounds` and
 `minimize_mmse` run on a stack of samples as on one (see
@@ -58,8 +58,9 @@ class AmseCoefficients:
     phi_* multiply h^2 in the first-order bias, psi_* multiply h^3 in
     the second-order bias, omega_* are the variance numerators; v is the
     kernel variance constant, f the density at the cutoff, tauD the
-    denominator jump and n the sample size.  Floats for one sample; (R,)
-    arrays, one entry per slice, for a stack.
+    denominator jump, reported but not read (see `mmse_objective`), and
+    n the sample size.  Floats for one sample; (R,) arrays, one entry
+    per slice, for a stack.
     """
 
     phi_plus: float
@@ -156,12 +157,12 @@ def compute_coefficients(
     ratio = pilots.f1 / f
     # a zero ratio drops every treatment term, which is the sharp criterion
     tau = pilots.tau if mode == "fuzzy" else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # psi (a^-3) overflows for x in extreme units
-        zy_p = _zeta(-1.0, pilots.m2Y_plus, pilots.m3Y_plus, ratio, moments.xi1, moments.xi2)
-        zy_m = _zeta(+1.0, pilots.m2Y_minus, pilots.m3Y_minus, ratio, moments.xi1, moments.xi2)
-        zd_p = _zeta(-1.0, pilots.m2D_plus, pilots.m3D_plus, ratio, moments.xi1, moments.xi2)
-        zd_m = _zeta(+1.0, pilots.m2D_minus, pilots.m3D_minus, ratio, moments.xi1, moments.xi2)
-        psi_p, psi_m = zy_p - tau * zd_p, zy_m - tau * zd_m
+    # psi (a^-3) overflows for x in extreme units; minimize_mmse then fails the slice
+    zy_p = _zeta(-1.0, pilots.m2Y_plus, pilots.m3Y_plus, ratio, moments.xi1, moments.xi2)
+    zy_m = _zeta(+1.0, pilots.m2Y_minus, pilots.m3Y_minus, ratio, moments.xi1, moments.xi2)
+    zd_p = _zeta(-1.0, pilots.m2D_plus, pilots.m3D_plus, ratio, moments.xi1, moments.xi2)
+    zd_m = _zeta(+1.0, pilots.m2D_minus, pilots.m3D_minus, ratio, moments.xi1, moments.xi2)
+    psi_p, psi_m = zy_p - tau * zd_p, zy_m - tau * zd_m
     omega_p = pilots.sig2Y_plus + tau * tau * pilots.sig2D_plus - 2.0 * tau * pilots.sigYD_plus
     omega_m = pilots.sig2Y_minus + tau * tau * pilots.sig2D_minus - 2.0 * tau * pilots.sigYD_minus
     fields = {
@@ -185,8 +186,10 @@ def mmse_objective(h_plus, h_minus, coeffs: AmseCoefficients):
 
     Squared first-order bias contrast plus squared second-order bias
     contrast plus the variance term v/(n f) (omega_+/h_+ + omega_-/h_-).
-    Powers are products, so floats and arrays round alike, and a value
-    beyond the floats is inf rather than an OverflowError.
+    In fuzzy mode this is the ratio estimate's AMSE times tauD^2, which
+    has the same minimizer, so coeffs.tauD is not read.  Powers are
+    products, so floats and arrays round alike, and a value beyond the
+    floats is inf rather than an OverflowError.
     """
     if not np.all((h_plus > 0.0) & (h_minus > 0.0)):
         raise ValueError("bandwidths must be positive")
@@ -352,7 +355,7 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     where the clipping bound changes sides; every node interval where
     the slope turns from negative to positive is refined to its root.
     The best of those roots and of the nodes that end no refined
-    interval wins.
+    interval wins, the one on the lowest ray if they tie.
 
     The profile is computed with bandwidths in units of
     sqrt(lo_plus hi_plus) and the criterion in units of
@@ -373,8 +376,9 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     a slice that failed holds a finite placeholder pair.  Every slice
     is profiled on the nodes in groups of bounded size (see
     `rdbw.local_poly.slice_groups`), and the intervals of all slices are
-    refined together.  A pair at which the criterion is not finite, as
-    where x is in units beyond about 1e+-100, fails its slice.
+    refined together.  A slice whose profile is not a number on any
+    node, or whose criterion is not finite at its pair, as where x is
+    in units beyond about 1e+-100, fails with DegenerateObjective.
     """
     slices = len(coeffs.f)
     (lo_p, hi_p), (lo_m, hi_m) = bounds = tuple(
@@ -386,60 +390,45 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     record(errors, (coeffs.omega_plus == 0.0) & (coeffs.omega_minus == 0.0),
            lambda r: DegenerateObjective(
                "both variance numerators are zero; the criterion has no interior minimum"))
-    with np.errstate(all="ignore"):
-        # a coefficient that is not finite makes its slice's profile NaN
-        prob = _unit_free(coeffs, bounds)
-        analytic = np.hstack((0.5 * np.log(prob.p_plus / prob.p_minus),
-                              np.log(prob.q_plus / prob.q_minus) / 3.0))
-        first, last = prob.w_lo - prob.u_hi, prob.w_hi - prob.u_lo
-        nodes = np.hstack((
-            np.linspace(first[:, 0], last[:, 0], PROFILE_NODES, axis=1),
-            np.where((first < analytic) & (analytic < last), analytic, np.nan),
-            prob.w_lo - prob.u_lo,
-            prob.w_hi - prob.u_hi,
-        ))
-        # the corners once more, a float below: the profile's slope just
-        # below a corner, where it may differ from the slope just above
-        points = np.hstack((nodes, np.nextafter(nodes[:, -2:], -np.inf)))
-        at = _node_profile(prob, points)
-        m = nodes.shape[1]
-        order = np.argsort(nodes, axis=1)
-        ell = np.take_along_axis(nodes, order, axis=1)
-        right = np.take_along_axis(at.slope[:, :m], order, axis=1)
-        left = np.take_along_axis(np.hstack((at.slope[:, : m - 2], at.slope[:, m:])), order, axis=1)
-        rows, cols = np.nonzero((right[:, :-1] < 0.0) & (left[:, 1:] > 0.0))
-        refined = _refine(
-            _take(prob, rows),
-            ell[rows, cols, None],
-            ell[rows, cols + 1, None],
-            right[rows, cols, None],
-            left[rows, cols + 1, None],
-        )
-
-    # the best node, leaving out those that end a refined interval: they
-    # lie above its root
-    value = np.take_along_axis(at.value[:, :m], order, axis=1)
-    undefined = np.isnan(value).all(axis=1)
-    value[rows, cols] = value[rows, cols + 1] = np.inf
-    best = np.where(np.isnan(value), np.inf, value).argmin(axis=1)
-    every = np.arange(slices)
-    node = order[every, best]
-    owner = np.concatenate((every, rows))
-    candidates = {
-        name: np.concatenate((getattr(at, name)[every, node], getattr(refined, name)[:, 0]))
-        for name in ("t", "ell", "upper", "clipped", "minus")
-    }
-    score = np.concatenate((value[every, best], refined.value[:, 0]))
-    ranked = np.lexsort((np.where(np.isnan(score), np.inf, score), owner))
-    chosen = ranked[np.searchsorted(owner[ranked], every)]
-    t, ell, upper, clipped, minus = (candidates[name][chosen] for name in candidates)
+    # a coefficient that is not finite makes its slice's profile NaN: a DegenerateObjective below
+    prob = _unit_free(coeffs, bounds)
+    analytic = np.hstack((0.5 * np.log(prob.p_plus / prob.p_minus),
+                          np.log(prob.q_plus / prob.q_minus) / 3.0))
+    first, last = prob.w_lo - prob.u_hi, prob.w_hi - prob.u_lo
+    nodes = np.hstack((
+        np.linspace(first[:, 0], last[:, 0], PROFILE_NODES, axis=1),
+        np.where((first < analytic) & (analytic < last), analytic, np.nan),
+        prob.w_lo - prob.u_lo,
+        prob.w_hi - prob.u_hi,
+    ))
+    # the corners once more, a float below: the profile's slope just
+    # below a corner, where it may differ from the slope just above
+    at = _node_profile(prob, np.hstack((nodes, np.nextafter(nodes[:, -2:], -np.inf))))
+    m = nodes.shape[1]
+    order = np.argsort(nodes, axis=1)
+    left = np.take_along_axis(np.hstack((at.slope[:, : m - 2], at.slope[:, m:])), order, axis=1)
+    # the nodes' columns of every field in ray order, in place
+    for column in vars(at).values():
+        column[:, :m] = np.take_along_axis(column[:, :m], order, axis=1)
+    undefined = np.isnan(at.value[:, :m]).all(axis=1)
+    rows, cols = np.nonzero((at.slope[:, : m - 1] < 0.0) & (left[:, 1:] > 0.0))
+    refined = _refine(_take(prob, rows), at.ell[rows, cols, None], at.ell[rows, cols + 1, None],
+                      at.slope[rows, cols, None], left[rows, cols + 1, None])
+    # an interval's ends lie above its root, which takes its left end's
+    # place (a right end that starts the next interval takes that one's root)
+    at.value[rows, cols + 1] = np.inf
+    for name, column in vars(at).items():
+        column[rows, cols] = getattr(refined, name)[:, 0]
+    best = np.where(np.isnan(at.value[:, :m]), np.inf, at.value[:, :m]).argmin(axis=1)[:, None]
+    t, ell, upper, clipped, minus = (np.take_along_axis(getattr(at, name), best, axis=1)[:, 0]
+                                     for name in ("t", "ell", "upper", "clipped", "minus"))
 
     h_p = np.clip(np.exp(t + prob.log_ref[:, 0]), lo_p, hi_p)
     h_m = np.clip(np.exp(t + ell + prob.log_ref[:, 0]), lo_m, hi_m)
     # a clipped side sits exactly on its bound
     h_p = np.where(clipped & ~minus, np.where(upper, hi_p, lo_p), h_p)
     h_m = np.where(clipped & minus, np.where(upper, hi_m, lo_m), h_m)
-    record(errors, undefined, lambda r: DegenerateObjective("the criterion is not a number anywhere on the grid"))
+    record(errors, undefined, lambda r: DegenerateObjective("the criterion is not a number anywhere on the profile"))
     # a failed slice takes a placeholder pair, at which the criterion is defined
     failed = failures(errors)
     h_p, h_m = np.where(failed, 1.0, h_p), np.where(failed, 1.0, h_m)
@@ -452,8 +441,7 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     # by the signs: the product of the phi underflows or overflows for x in extreme units
     opposite = np.sign(coeffs.phi_plus) * np.sign(coeffs.phi_minus) < 0.0
     regime = np.where(on_edge, "boundary_clamped", np.where(opposite, "opposite_sign", "same_sign"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = mmse_objective(h_p, h_m, coeffs)
+    value = mmse_objective(h_p, h_m, coeffs)
     record(errors, ~np.isfinite(value), lambda r: DegenerateObjective(
         "the criterion is not finite at the selected pair"))
     return BandwidthPair(h_p, h_m, regime, value), errors

@@ -10,7 +10,7 @@ the lower bandwidth bounds exist to rule out.
 import numpy as np
 import pytest
 
-from rdbw.errors import RdbwError, SingularDesign
+from rdbw.errors import DegenerateObjective, DegenerateSample, RdbwError, SingularDesign
 from rdbw.estimator import frd_estimate
 from rdbw.local_poly import Sample
 from rdbw.selector import select_bandwidths
@@ -108,3 +108,53 @@ def test_estimation_at_a_selected_pair_is_never_singular():
                 pass
     assert selected > 300
     assert not singular
+
+
+@pytest.fixture(scope="module")
+def unit_stacks():
+    # ten samples: designs 1 and 2, reps 0-4, as one stack each
+    return [draw_sample(DgpSpec(design=design, n=500, seed=42), range(5)) for design in ("design1", "design2")]
+
+
+def _outcomes(stack):
+    """Each slice's selection, alone and as a slice of the stack: a pair or
+    an error.  Under the tests' warnings as errors, a numpy warning fails."""
+    alone = []
+    for r in range(len(stack.x)):
+        try:
+            pair = select_bandwidths(Sample(stack.x[r], stack.y[r], stack.d[r], stack.c)).bandwidths
+            alone.append((pair.h_plus, pair.h_minus))
+        except RdbwError as e:
+            alone.append(e)
+    sel, errors = select_bandwidths(stack)
+    pairs = sel.bandwidths
+    together = [e or (pairs.h_plus[r], pairs.h_minus[r]) for r, e in enumerate(errors)]
+    return alone, together
+
+
+@pytest.mark.parametrize("a", [1e154, 1e200, 1e307])
+def test_x_in_units_where_its_sd_overflows_is_a_degenerate_sample(unit_stacks, a):
+    # sd(x) overflows from about 1e154 on; the variance pilot's bandwidth
+    # was then infinite, and its ValueError escaped
+    for stack in unit_stacks:
+        for outcome in sum(_outcomes(Sample(a * stack.x, stack.y, stack.d, a * stack.c)), []):
+            assert isinstance(outcome, DegenerateSample), outcome
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e-320])
+def test_x_in_units_where_its_sd_underflows_is_a_typed_error(unit_stacks, a):
+    for stack in unit_stacks:
+        for outcome in sum(_outcomes(Sample(a * stack.x, stack.y, stack.d, a * stack.c)), []):
+            assert isinstance(outcome, RdbwError), outcome
+
+
+@pytest.mark.parametrize("b", [1e154, 1e200, 1e307])
+def test_y_in_extreme_units_keeps_the_pair_or_fails_typed(unit_stacks, b):
+    for stack in unit_stacks:
+        unit = _outcomes(stack)[1]
+        for outcomes in _outcomes(Sample(stack.x, b * stack.y, stack.d, stack.c)):
+            for want, got in zip(unit, outcomes):
+                if isinstance(got, RdbwError):
+                    assert isinstance(got, DegenerateObjective), got
+                else:
+                    assert got == pytest.approx(want, rel=RTOL)

@@ -67,14 +67,13 @@ def test_never_worse_than_in_box_afo_pair():
     assert checked > 100
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_criterion_that_is_nan_on_the_whole_grid_is_a_typed_error():
     coeffs, bounds = _problem(CORPUS[0])
-    with pytest.raises(DegenerateObjective, match="not a number anywhere"):
+    with pytest.raises(DegenerateObjective, match="not a number anywhere on the profile"):
         minimize_mmse(replace(coeffs, phi_plus=math.nan), bounds)
     # x in units of 1e-110: the squared bias terms overflow on the whole grid
     sample = draw_sample(DgpSpec("design1", 500, seed=1), 0)
-    with pytest.raises(DegenerateObjective, match="not a number anywhere"):
+    with pytest.raises(DegenerateObjective, match="not a number anywhere on the profile"):
         select_bandwidths(Sample(sample.x * 1e-110, sample.y, sample.d, 0.0))
 
 

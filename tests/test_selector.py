@@ -253,6 +253,16 @@ class TestAfoBandwidths:
         with pytest.raises(ZeroCurvature):
             afo_bandwidths(coeffs(phi_plus=0.0))
 
+    def test_opposite_signs_need_variance_on_both_sides(self):
+        with pytest.raises(DegenerateObjective, match="positive variance on both sides"):
+            afo_bandwidths(coeffs(omega_plus=0.0))
+        with pytest.raises(DegenerateObjective, match="positive variance on both sides"):
+            afo_bandwidths(coeffs(omega_minus=0.0))
+
+    def test_same_signs_need_some_variance(self):
+        with pytest.raises(DegenerateObjective, match="both variance numerators are zero"):
+            afo_bandwidths(coeffs(phi_minus=1.0, psi_plus=1.0, psi_minus=-1.0, omega_plus=0.0, omega_minus=0.0))
+
     def test_assumption_violated_on_cancelling_psi(self):
         with pytest.raises(AssumptionViolated):
             afo_bandwidths(coeffs(phi_plus=1.0, phi_minus=1.0, psi_plus=1.0, psi_minus=1.0))

@@ -359,6 +359,23 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             run_monte_carlo(spec, "mmse_f", 5, jobs=jobs)
 
+    def test_a_slice_error_outside_the_package_is_raised(self, monkeypatch):
+        # a failed replication is one that raised a module error; anything else is a bug
+        def select(stack, kernel, mode):
+            sel, errors = select_bandwidths(stack, kernel, mode)
+            errors[1] = ValueError("not a module error")
+            return sel, errors
+
+        monkeypatch.setattr(simlab, "select_bandwidths", select)
+        with pytest.raises(ValueError, match="not a module error"):
+            run_monte_carlo(DgpSpec(design="design1", n=500, seed=3), "mmse_f", 3)
+
+    def test_outcomes_in_extreme_units_fail_every_replication(self):
+        # y in units of about 1e200: the draws are finite, every selection
+        # fails with a module error, and none is left to summarize
+        with pytest.raises(AllTrimmed, match="all 3 replications failed"):
+            run_monte_carlo(DgpSpec(design="design1", n=500, error_sd=1e200), "mmse_f", 3)
+
     def test_failure_accounting_robustness(self):
         # at n = 500 on both designs failures must stay under 2%
         for design in ("design1", "design2"):

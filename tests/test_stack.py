@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rdbw import selector, simlab
-from rdbw.errors import InsufficientData, RdbwError, SingularDesign, WeakDiscontinuity, merge
+from rdbw.errors import DegenerateSample, InsufficientData, RdbwError, SingularDesign, WeakDiscontinuity, merge
 from rdbw.estimator import frd_estimate
 from rdbw.kernels import KernelSpec, compute_moments
 from rdbw.local_poly import Sample, estimate_level, fit_boundary, window_rows
@@ -177,6 +177,24 @@ def test_a_selector_stage_on_one_sample_raises_the_error_of_its_slice():
         with pytest.raises(type(errors[0])) as single:
             call(first)
         assert_same_error(single.value, errors[0])
+
+
+def test_a_stage_ignores_floating_point_errors_and_restores_the_callers_state():
+    # x in units of 1e200: the stages compute through inf and NaN, which
+    # the caller's "raise" would turn into FloatingPointError
+    sample = draw_sample(DgpSpec("design1", 500, seed=42), 0)
+    far = Sample(1e200 * sample.x, sample.y, sample.d, 0.0)
+    with np.errstate(all="raise"):
+        _, errors = select_bandwidths(far.as_stack())
+        assert [type(e) for e in errors] == [DegenerateSample]
+        assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+        with pytest.raises(DegenerateSample):
+            select_bandwidths(far)
+        assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "raise")
+    # a function that takes no sample keeps numpy's default state
+    coeffs = select_bandwidths(sample).coefficients
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        selector.mmse_objective(np.float64(1e200), np.float64(1e200), coeffs)
 
 
 def test_a_bad_mode_raises_on_a_stack():
