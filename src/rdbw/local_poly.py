@@ -28,9 +28,7 @@ dataclass of scalars, as the stack of one, raising its error or
 returning its slice; it also sets every stage's one floating-point
 policy, numpy's warnings off.  A stage whose temporaries grow with the
 slices runs them in groups of bounded size (`slice_groups`), so a stack
-costs little memory beyond its own arrays.  A stacked fit pads each
-slice's window with zero rows to the widest window of its group, so the
-last bits of one slice's fit may depend on the other slices.
+costs little memory beyond its own arrays.
 """
 
 import functools
@@ -289,9 +287,11 @@ def _factor(stack: Sample, candidates: np.ndarray, h, p: int, kernel: KernelSpec
     array.
 
     Each slice's rows are taken in blocks of at most _BLOCK_ROWS; a
-    block's whole 1024-row chunks are factorized by one stacked QR call,
-    and their R factors, the leftover rows and the running R are reduced
-    by one more QR.
+    block's whole 1024-row chunks are factorized by one stacked QR call
+    and its partial last chunk by another, and their R factors and the
+    running R are reduced by one more QR.  A slice padded with zero rows
+    past its own last chunk gets zero R factors there, which leave the
+    reduction's triangular result as it is.
     """
     slices, width = candidates.shape
     r = None
@@ -305,8 +305,11 @@ def _factor(stack: Sample, candidates: np.ndarray, h, p: int, kernel: KernelSpec
         if full:
             chunks = a[:, :, :full].reshape(p + 2, slices, -1, _CHUNK_ROWS).transpose(1, 2, 3, 0)
             parts.append(np.linalg.qr(chunks, mode="r").reshape(slices, -1, p + 2))
-        parts.append(a[:, :, full:].transpose(1, 2, 0))
-        r = np.linalg.qr(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0], mode="r")
+        if full < a.shape[2]:
+            parts.append(np.linalg.qr(a[:, :, full:].transpose(1, 2, 0), mode="r"))
+        r = np.concatenate(parts, axis=1)
+        if r.shape[1] > p + 2:  # more than one triangular factor; one would come back unchanged
+            r = np.linalg.qr(r, mode="r")
     if r is None or r.shape[1] < p:
         r = np.zeros((slices, p, p + 2)) if r is None else np.pad(r, ((0, 0), (0, p - r.shape[1]), (0, 0)))
     return effective, r[:, :p]
@@ -348,16 +351,19 @@ def fit_boundary(
     factorization of [sqrt(w) powers | sqrt(w) Y, sqrt(w) D] is
     accumulated over blocks of rows, and the (order + 1, 2) coefficients
     come from a triangular solve with its leading block.  Each block's
-    whole 1024-row chunks are factorized by one stacked QR call, and
-    their R factors, the leftover rows and the running R are reduced by
-    one more QR; a window under 1024 rows takes that last QR alone.
+    whole 1024-row chunks are factorized by one stacked QR call and its
+    partial last chunk by another; their R factors and the running R are
+    reduced by one more QR, which a window of one chunk skips.
 
     On a stack, h is one bandwidth per slice (or one for all).  The
     window is found once for all slices, which are then factorized in
     groups of consecutive slices (see `slice_groups`) whose designs,
     the QR's copy of them and their rows hold at most 2^16 values;
     within a group every slice's window is padded with zero rows to the
-    group's widest window, and each QR is one stacked call.  The groups'
+    group's widest window, and each QR is one stacked call.  A slice's
+    chunks are those of its window alone, followed by chunks of zero
+    rows, so its R is the one it has alone, up to LAPACK's rounding of a
+    last chunk padded with zero rows (README, Determinism).  The groups'
     R factors meet in one rank check and one solve for all slices.
 
     Raises

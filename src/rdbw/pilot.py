@@ -131,11 +131,6 @@ def _pilot_bandwidth(sd, size):
     return PILOT_BANDWIDTH_SCALE * sd * size ** (-1 / 5)
 
 
-def _dot(a, b):
-    # per-slice dot products of (R, m) arrays, one BLAS dot each
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 @stacked
 def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpec()):
     """Conditional variance and covariance pilots at the cutoff, one side.
@@ -143,7 +138,9 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     One local linear fit under a rule-of-thumb bandwidth gives the
     Y and D residuals on its kernel window; the moments are averages of
     residual products over those positive-weight observations with a
-    two-parameter degrees-of-freedom correction.
+    two-parameter degrees-of-freedom correction.  Each moment is summed
+    in sample order, so the zeros that pad a slice's residuals on a stack
+    cannot change it, as they can a BLAS dot or numpy's pairwise sum.
     The covariance is shrunk into the Cauchy-Schwarz bound and a
     near-sharp side (sig2D ~ 0) zeroes both treatment moments so the
     downstream variance combination stays nonnegative.
@@ -176,9 +173,9 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     ey[rows < 0] = ed[rows < 0] = 0.0  # padding rows
 
     dof = np.maximum(n_v - 2, 1)  # only a failed slice has fewer than 4 rows
-    sig2y = _dot(ey, ey) / dof
-    sig2d = _dot(ed, ed) / dof
-    sigyd = _dot(ey, ed) / dof
+    # a stack of slices with no window row has empty rows, whose sums are 0
+    sums = np.cumsum([ey * ey, ed * ed, ey * ed], axis=2)[..., -1] if rows.shape[1] else np.zeros((3, slices))
+    sig2y, sig2d, sigyd = sums / dof
 
     bound = np.sqrt(sig2y * sig2d)
     sigyd = np.where(np.abs(sigyd) > bound, np.sign(sigyd) * bound, sigyd)

@@ -17,7 +17,7 @@ in one call.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,7 +104,7 @@ class SelectionResult:
     """Bandwidths plus the intermediate quantities that produced them.
 
     For a stack, every field holds (R,) arrays, one entry per slice; a
-    slice that failed holds placeholders, among them the pair (1, 1).
+    slice that failed holds finite placeholder values.
     """
 
     bandwidths: BandwidthPair
@@ -557,8 +557,4 @@ def select_bandwidths(
     merge(errors, later)
     pairs, later = minimize_mmse(coeffs, bounds)
     merge(errors, later)
-    # every failed slice holds the pair (1, 1): a stacked estimate pads each
-    # fit to the widest window of its group, so the others' last bits depend on it
-    failed = failures(errors)
-    pairs = replace(pairs, h_plus=np.where(failed, 1.0, pairs.h_plus), h_minus=np.where(failed, 1.0, pairs.h_minus))
     return SelectionResult(bandwidths=pairs, pilots=pilots, coefficients=coeffs), errors

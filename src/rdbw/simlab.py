@@ -18,9 +18,8 @@ runs its per-replication temporaries on bounded groups of a block's
 replications, so a block's memory is mostly its own (B, n) arrays.
 Blocks depend only on n, and a worker pool of at most one process per
 block maps whole blocks, so summaries are bit-identical for every `jobs`
-value.  A stacked fit pads each slice to the widest window of its group
-of block-mates, so the last bits of one replication's results may depend
-on them.
+value.  Each replication's results come from its own rows, so they do
+not depend on its block either (see README, Determinism).
 """
 
 import math

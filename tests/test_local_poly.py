@@ -244,7 +244,7 @@ def _side_window(m, rng):
 
 class TestChunkedQR:
     # window sizes around the 1024-row chunk and the 65,536-row block
-    SIZES = (1023, 1024, 1025, 3 * 1024 + 17, 65_537, 65_536 + 1024 + 5)
+    SIZES = (1023, 1024, 1025, 2048, 3 * 1024 + 17, 65_537, 65_536 + 1024 + 5)
 
     @pytest.mark.parametrize("m", SIZES)
     def test_matches_least_squares_reference(self, m, monkeypatch):

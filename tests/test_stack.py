@@ -60,17 +60,69 @@ def test_every_slice_matches_its_single_sample_pipeline(seed, mode):
         if isinstance(want, RdbwError):
             assert_same_error(errors[r], want)
             failures.add(type(want))
-            # the others' fits are padded to its window: a fixed placeholder keeps them reproducible
-            assert (sel.bandwidths.h_plus[r], sel.bandwidths.h_minus[r]) == (1.0, 1.0)
             continue
         assert errors[r] is None
         pair, got = want[0].bandwidths, sel.bandwidths
         assert got.regime[r] == pair.regime
         for a, b in ((got.h_plus[r], pair.h_plus), (got.h_minus[r], pair.h_minus), (est.tau[r], want[1].tau)):
-            assert a == pytest.approx(b, rel=1e-12)
+            assert a == b
         assert (est.n_plus[r], est.n_minus[r]) == (want[1].n_plus, want[1].n_minus)
     assert InsufficientData in failures and len(failures) >= 2
     assert failures & {SingularDesign, WeakDiscontinuity}
+
+
+def slice_of(result, r):
+    return {name: values[r] for name, values in vars(result).items()}
+
+
+@pytest.mark.parametrize("design, n, mode, residual", [
+    ("design1", 500, "fuzzy", 0),
+    ("design1", 500, "sharp", 0),
+    ("design2", 500, "fuzzy", 0),
+    ("design2", 500, "sharp", 0),
+    # LAPACK's QR of a window padded with zero rows can round a last bit
+    # differently from the unpadded QR (README, Determinism): on OpenBLAS
+    # 0.3.31 (Haswell), replication 1's 257-row jump-pilot window, padded to 302
+    ("design2", 3000, "fuzzy", 1),
+])
+def test_every_slice_of_a_monte_carlo_block_equals_its_single_sample_calls(design, n, mode, residual):
+    # the first whole block of a simulate cell, as run_monte_carlo stacks it
+    spec = DgpSpec(design, n, seed=42)
+    reps = range(simlab._block_reps(n))
+    sel, est, errors = stacked_pipeline(draw_sample(spec, reps), mode)
+    differing = 0
+    for r in reps:
+        want = single_pipeline(draw_sample(spec, r), mode)
+        if isinstance(want, RdbwError):
+            assert_same_error(errors[r], want)
+            continue
+        assert errors[r] is None
+        single, single_est = want
+        got = [slice_of(sel.pilots, r), slice_of(sel.coefficients, r), slice_of(sel.bandwidths, r), slice_of(est, r)]
+        alone = [vars(single.pilots), vars(single.coefficients), vars(single.bandwidths), vars(single_est)]
+        if got != alone:
+            differing += 1
+            assert got == [{k: pytest.approx(v, rel=1e-13) for k, v in fields.items()} for fields in alone]
+    assert differing <= residual
+
+
+@pytest.mark.parametrize("design", ["design1", "design2"])
+@pytest.mark.parametrize("seed", [42, 5, 9])
+def test_a_fit_in_a_stack_equals_its_fit_alone(design, seed):
+    # windows of 144 to 3628 rows: a group has chunks past the last chunk of its narrower slices
+    spec = DgpSpec(design, 5000, seed=seed)
+    stack = draw_sample(spec, range(13))
+    samples = [draw_sample(spec, r) for r in range(13)]
+    rng = np.random.default_rng(seed)
+    for side in ("plus", "minus"):
+        for _ in range(4):
+            h = rng.uniform(0.05, 0.8, 13)
+            fit, errors = fit_boundary(stack, side, h)
+            assert errors == [None] * 13
+            for r, sample in enumerate(samples):
+                alone = fit_boundary(sample, side, h[r])
+                assert np.array_equal(fit.coefficients[r], alone.coefficients)
+                assert fit.effective_n[r] == alone.effective_n
 
 
 def test_a_single_sample_is_a_stack_of_one():
@@ -272,3 +324,13 @@ def test_summaries_do_not_depend_on_jobs():
         serial = run_monte_carlo(spec, "mmse_f", reps)
         for jobs in (2, 3):
             assert run_monte_carlo(spec, "mmse_f", reps, jobs=jobs) == serial
+
+
+@pytest.mark.parametrize("design, method", [("design1", "mmse_f"), ("design2", "mmse_s")])
+def test_summaries_do_not_depend_on_the_block_size(design, method, monkeypatch):
+    spec = DgpSpec(design, 500, seed=42)
+    summaries = []
+    for values in (1 << 16, 1 << 13, 1 << 9):  # blocks of 131, 16 and 1 replications
+        monkeypatch.setattr(simlab, "_BLOCK_VALUES", values)
+        summaries.append(run_monte_carlo(spec, method, 300))
+    assert summaries[0] == summaries[1] == summaries[2]
