@@ -32,7 +32,7 @@ _COLUMNS = ("x", "y", "d")
 # CSV is read and written in blocks of about this many characters or rows,
 # so the memory it takes beyond the data does not grow with the file
 _BLOCK_CHARS = 1 << 20
-_BLOCK_ROWS = 1 << 15
+_BLOCK_ROWS = 1 << 13
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,14 +399,14 @@ def _cmd_dgp_sample(ns: argparse.Namespace) -> None:
     the row format, repeated once per row, applied to the block's cells
     interleaved row by row."""
     sample = draw_sample(ns.spec, ns.rep_index)
-    x, y, d = sample.x, sample.y, sample.d.astype(int)
+    x, y, d = sample.x, sample.y, sample.d
     with _output(ns.output) as fh:
         fh.write("x,y,d\n")
         for i in range(0, sample.n, _BLOCK_ROWS):
             part = slice(i, i + _BLOCK_ROWS)
             size = len(x[part])
             cells = [None] * (3 * size)
-            cells[0::3], cells[1::3], cells[2::3] = x[part].tolist(), y[part].tolist(), d[part].tolist()
+            cells[0::3], cells[1::3], cells[2::3] = x[part].tolist(), y[part].tolist(), d[part].astype(int).tolist()
             fh.write("%.17g,%.17g,%d\n" * size % tuple(cells))
 
 

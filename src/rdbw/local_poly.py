@@ -10,12 +10,14 @@ A fit gathers only the rows near the cutoff, regresses Y and D together
 on powers of the unit-free coordinate (x - c)/h, and accumulates the
 triangular factor of the weighted least-squares problem over blocks of
 rows, so no full design matrix is ever formed.  Within a block the rows
-are split into cache-sized chunks whose QR factorizations run as one
-stacked call; their triangular factors are then reduced to one, as in
+are split into cache-sized chunks whose QR factorizations run as
+stacked calls; their triangular factors are then reduced to one, as in
 the tall-skinny QR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
 Comput. 34, 2012), which gives the R of one QR of the whole block up to
-the signs of its rows and rounding.  A fit holds its window's row
-indices and one block's design; `window_rows` lists its rows.
+the signs of its rows and rounding.  A block's design is built in
+pieces, one at a time, and a long sample's window is found row tile by
+row tile, so a fit holds one piece's design and rows however long the
+sample; `window_rows` lists its rows.
 
 A `Sample` may hold a stack of R samples of one size as (R, n) arrays.
 Every function taking a Sample is written once over that leading axis
@@ -26,9 +28,18 @@ place of a Sample, a dataclass of (R,) arrays.  The one entry point,
 `stacked`, passes a stack through and runs a single sample, or a
 dataclass of scalars, as the stack of one, raising its error or
 returning its slice; it also sets every stage's one floating-point
-policy, numpy's warnings off.  A stage whose temporaries grow with the
-slices runs them in groups of bounded size (`slice_groups`), so a stack
-costs little memory beyond its own arrays.
+policy, numpy's warnings off.
+
+One memory rule holds for every stage, in both directions of a stack.
+A stage whose temporaries grow with the data works it in blocks of
+slices and rows (`slice_tiles`): slices of at most _TILE_ROWS rows in
+groups of whole slices of bounded size (`slice_groups`), a longer slice
+alone, in row tiles of _TILE_ROWS rows.  Tile boundaries depend on n
+alone, so a slice computes the same alone and in a stack, and a sample
+of any size costs its own arrays plus a fixed working set.  A slice of
+one tile runs as one block, as numpy would run it whole; a longer slice
+combines its tiles' partial results in order, which can round in the
+last bits otherwise than one pass over the slice would.
 """
 
 import functools
@@ -41,13 +52,20 @@ from .kernels import KernelSpec, eval_kernel
 
 # relative singular-value floor below which the weighted design is declared rank-deficient
 _SV_RTOL = 1e-10
-# rows per block of one slice's QR accumulation; bounds the design's memory
-# for any window of one sample
+# window rows per block of one slice's QR accumulation, whose R factors
+# are reduced to one
 _BLOCK_ROWS = 1 << 16
+# window rows per piece of a block whose design is built at once; bounds
+# the fit's memory for any window (numpy's QR copies what it factors)
+_PIECE_ROWS = 1 << 13
 # values that one stage's temporaries may hold at once over a group of
 # slices (see slice_groups); a stack's memory beyond its own arrays then
 # does not grow with its size
 _GROUP_VALUES = 1 << 16
+# rows per tile of a slice longer than this (see slice_tiles); each tile
+# costs a few dozen numpy calls, and tiles of 2^14 rows made an n = 5e5
+# analysis about 10% slower
+_TILE_ROWS = 1 << 16
 # rows per chunk of the stacked QR inside a block; keeps each factorization in cache
 _CHUNK_ROWS = 1 << 10
 
@@ -67,6 +85,14 @@ def _pad(values, counts, fill):
     out = np.full((counts.size, width), fill, dtype=values.dtype)
     out[np.arange(width) < counts[:, None]] = values
     return out
+
+
+def _holds(test, values) -> bool:
+    """Whether the elementwise test holds on every entry of an (n,) or
+    (R, n) array, taken block by block (see `slice_tiles`)."""
+    rows = values.reshape(-1, values.shape[-1])
+    blocks = slice_tiles(len(rows), rows.shape[1], rows.shape[1])
+    return all(test(rows[g, t]).all() for g, tiles in blocks for t in tiles)
 
 
 @dataclass(frozen=True)
@@ -94,11 +120,12 @@ class Sample:
             raise ValueError("x, y, d must share one length")
         if x.shape[-1] < 2 or x.size == 0:
             raise ValueError("need at least two observations")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(d))):
+        if not (_holds(np.isfinite, x) and _holds(np.isfinite, y) and _holds(np.isfinite, d)):
             raise ValueError("all values must be finite")
-        if not np.all((d == 0.0) | (d == 1.0)):
+        if not _holds(lambda v: (v == 0.0) | (v == 1.0), d):
             raise ValueError("treatment indicator must be 0 or 1")
-        if not (np.all(np.any(x >= self.c, axis=-1)) and np.all(np.any(x < self.c, axis=-1))):
+        # x is finite: a slice has a row on each side if its extremes do
+        if not (np.all(x.max(axis=-1) >= self.c) and np.all(x.min(axis=-1) < self.c)):
             raise ValueError("need observations on both sides of the cutoff")
         for arr, name in ((x, "x"), (y, "y"), (d, "d")):
             arr.setflags(write=False)
@@ -116,9 +143,10 @@ class Sample:
         """This sample as a stack of one, sharing its checked arrays; a stack is itself."""
         return self if self.stacked else self._share(None)
 
-    def part(self, index: slice) -> "Sample":
-        """The slices index of a stack, as a stack sharing its checked arrays."""
-        return self._share(index)
+    def part(self, index: slice, rows: slice = slice(None)) -> "Sample":
+        """The slices index of a stack, or their rows in rows, as a stack
+        sharing its checked arrays."""
+        return self._share((index, rows))
 
     def _share(self, index) -> "Sample":
         # the arrays were checked when this sample was made
@@ -156,9 +184,32 @@ def slice_groups(slices: int, per_slice: int):
 
     A stage whose temporaries hold per_slice values for each slice runs
     group by group, so they stay bounded however many slices a stack has.
+    A group of one slice still holds all of its values: a stage whose
+    values grow with n groups through `slice_tiles`, which works a slice
+    of more than _TILE_ROWS rows alone, in row tiles.
     """
     count = -(-slices // max(1, _GROUP_VALUES // max(1, per_slice)))
     return [slice(k * slices // count, (k + 1) * slices // count) for k in range(count)]
+
+
+def slice_tiles(slices: int, n: int, per_slice: int):
+    """The blocks a stage works a stack of slices of n rows in, as
+    (group, tiles) pairs: a group of slices and the row tiles, as slice
+    objects, that cover its rows in order.
+
+    Slices of at most _TILE_ROWS rows are grouped by `slice_groups` with
+    per_slice values each, and have the one tile of all their rows.  A
+    longer slice is a group alone, tiled in _TILE_ROWS rows from its
+    first row on, the last tile partial.  Either way a block's data is
+    a C-contiguous view of the stack's arrays, and a block holds at most
+    max(_GROUP_VALUES, per-row values x _TILE_ROWS) values.
+    """
+    if n <= _TILE_ROWS:
+        groups = slice_groups(slices, per_slice)
+    else:
+        groups = [slice(s, s + 1) for s in range(slices)]
+    rows = [slice(i, min(i + _TILE_ROWS, n)) for i in range(0, n, _TILE_ROWS)]
+    return [(g, rows) for g in groups]
 
 
 def _first(result):
@@ -275,41 +326,77 @@ def _weighted_design(stack: Sample, rows: np.ndarray, h, p: int, kernel: KernelS
     a[0] = sw
     for k in range(1, p):
         np.multiply(a[k - 1], u, out=a[k])
-    np.multiply(sw, stack.y.take(rows), out=a[p])
-    np.multiply(sw, stack.d.take(rows), out=a[p + 1])
+    for k, values in ((p, stack.y), (p + 1, stack.d)):
+        values.take(rows, out=a[k], mode="wrap")  # "raise" would buffer the take; -1 wraps as it does
+        a[k] *= sw
     return count, a
 
 
-def _factor(stack: Sample, candidates: np.ndarray, h, p: int, kernel: KernelSpec):
+def window_pieces(stack: Sample, side: str, h: np.ndarray, group: slice, tiles, near=None):
+    """The candidate rows of a group of a stack's slices, with the row
+    tiles `slice_tiles` gives it, as flat indices into the stack's arrays:
+    each slice's rows within reach of bandwidth h[s], in sample order,
+    left-aligned and padded with -1, in pieces of _PIECE_ROWS columns, the
+    last one partial.  They are the rows `fit_boundary` weighs, with the
+    rows of zero weight at the window's edge.  The window is read from
+    near, the stack's window mask where the caller has it, or else found
+    tile by tile, so a long slice's mask and rows are never held whole;
+    the pieces are those of its whole window all the same."""
+    held = None
+    for t in tiles:
+        mask = _window(stack.part(group, t), side, h[group]) if near is None else near[group, t]
+        flat = np.flatnonzero(mask)
+        flat += group.start * stack.n + t.start
+        rows = _pad(flat, _row_counts(mask), -1)
+        held = rows if held is None else np.concatenate((held, rows), axis=1)
+        while held.shape[1] >= _PIECE_ROWS:
+            yield held[:, :_PIECE_ROWS]
+            held = held[:, _PIECE_ROWS:]
+    if held.shape[1]:  # a slice has at least one tile
+        yield held
+
+
+def _reduce(r, parts, p: int):
+    """The running R and the R factors in parts reduced to one triangular factor."""
+    r = np.concatenate(parts if r is None else [r] + parts, axis=1)
+    return np.linalg.qr(r, mode="r") if r.shape[1] > p + 2 else r  # one factor would come back unchanged
+
+
+def _factor(stack: Sample, pieces, h, p: int, kernel: KernelSpec):
     """(effective_n, R) of one group of slices: the count of positive
     weights among the candidate rows per slice, and the leading p rows of
     the triangular factor of each slice's design, as a (slices, p, p + 2)
     array.
 
-    Each slice's rows are taken in blocks of at most _BLOCK_ROWS; a
-    block's whole 1024-row chunks are factorized by one stacked QR call
-    and its partial last chunk by another, and their R factors and the
-    running R are reduced by one more QR.  A slice padded with zero rows
-    past its own last chunk gets zero R factors there, which leave the
-    reduction's triangular result as it is.
+    pieces holds the group's candidate rows (see `window_pieces`), whose
+    designs are built one piece at a time.  A piece's whole 1024-row
+    chunks are factorized by one stacked QR call and its partial last
+    chunk by another; after every _BLOCK_ROWS rows, and after the last
+    piece, those R factors and the running R are reduced by one more QR.
+    The pieces thus bound the fit's memory without changing its
+    arithmetic.  A slice padded with zero rows past its own last chunk
+    gets zero R factors there, which leave the reduction's triangular
+    result as it is.
     """
-    slices, width = candidates.shape
-    r = None
+    slices = len(h)
+    r, parts, done = None, [], 0
     effective = np.zeros(slices, dtype=int)
-    for start in range(0, width, _BLOCK_ROWS):
-        count, a = _weighted_design(stack, candidates[:, start : start + _BLOCK_ROWS], h, p, kernel)
+    for candidates in pieces:
+        count, a = _weighted_design(stack, candidates, h, p, kernel)
         effective += count
         # factor whole chunks in one stacked call; the view copies nothing
         full = a.shape[2] - a.shape[2] % _CHUNK_ROWS
-        parts = [] if r is None else [r]
         if full:
             chunks = a[:, :, :full].reshape(p + 2, slices, -1, _CHUNK_ROWS).transpose(1, 2, 3, 0)
             parts.append(np.linalg.qr(chunks, mode="r").reshape(slices, -1, p + 2))
         if full < a.shape[2]:
             parts.append(np.linalg.qr(a[:, :, full:].transpose(1, 2, 0), mode="r"))
-        r = np.concatenate(parts, axis=1)
-        if r.shape[1] > p + 2:  # more than one triangular factor; one would come back unchanged
-            r = np.linalg.qr(r, mode="r")
+        a = chunks = None  # the next piece's design is not built while this one is held
+        done += candidates.shape[1]
+        if done % _BLOCK_ROWS == 0:  # every piece but the last is whole, and pieces tile a block
+            r, parts = _reduce(r, parts, p), []
+    if parts:
+        r = _reduce(r, parts, p)
     if r is None or r.shape[1] < p:
         r = np.zeros((slices, p, p + 2)) if r is None else np.pad(r, ((0, 0), (0, p - r.shape[1]), (0, 0)))
     return effective, r[:, :p]
@@ -349,22 +436,27 @@ def fit_boundary(
 
     Y and D are two right-hand sides of one design: R of the QR
     factorization of [sqrt(w) powers | sqrt(w) Y, sqrt(w) D] is
-    accumulated over blocks of rows, and the (order + 1, 2) coefficients
-    come from a triangular solve with its leading block.  Each block's
-    whole 1024-row chunks are factorized by one stacked QR call and its
-    partial last chunk by another; their R factors and the running R are
-    reduced by one more QR, which a window of one chunk skips.
+    accumulated over blocks of 2^16 window rows, and the (order + 1, 2)
+    coefficients come from a triangular solve with its leading block.
+    Each block's whole 1024-row chunks are factorized by stacked QR
+    calls of at most 2^13 rows, one per piece of the block whose design
+    is built at once, and its partial last chunk by another; their R
+    factors and the running R are reduced by one more QR, which a window
+    of one chunk skips.
 
-    On a stack, h is one bandwidth per slice (or one for all).  The
-    window is found once for all slices, which are then factorized in
-    groups of consecutive slices (see `slice_groups`) whose designs,
-    the QR's copy of them and their rows hold at most 2^16 values;
-    within a group every slice's window is padded with zero rows to the
-    group's widest window, and each QR is one stacked call.  A slice's
-    chunks are those of its window alone, followed by chunks of zero
-    rows, so its R is the one it has alone, up to LAPACK's rounding of a
-    last chunk padded with zero rows (README, Determinism).  The groups'
-    R factors meet in one rank check and one solve for all slices.
+    On a stack, h is one bandwidth per slice (or one for all).  Slices of
+    at most 2^16 rows are factorized in groups of consecutive slices
+    (see `slice_tiles`) whose designs, the QR's copy of them and their
+    rows hold at most 2^16 values; within a group every slice's window
+    is padded with zero rows to the group's widest window, and each QR
+    is one stacked call.  A slice's chunks are those of its window alone,
+    followed by chunks of zero rows, so its R is the one it has alone, up
+    to LAPACK's rounding of a last chunk padded with zero rows (README,
+    Determinism).  A longer slice is factorized alone, its window found
+    tile by tile, so the fit holds one piece's design and rows however
+    long the sample; its chunks and blocks do not depend on the tiles.
+    The groups' R factors meet in one rank check and one solve for all
+    slices.
 
     Raises
     ------
@@ -385,16 +477,17 @@ def fit_boundary(
     h = np.where(bad, 1.0, h_given)  # any valid bandwidth: the slice has failed
 
     p = order + 1
-    near = _window(sample, side, h)
-    counts = _row_counts(near)
-    width = int(counts.max(initial=0))
+    n = sample.n
+    # short slices are grouped by their widest window, found once for the
+    # stack; a long slice is a group alone, its window found tile by tile
+    near = _window(sample, side, h) if n <= _TILE_ROWS else None
+    width = n if near is None else int(_row_counts(near).max(initial=0))
     effective = np.empty(slices, dtype=int)
     r = np.empty((slices, p, p + 2))
     # a group's design, the QR's copy of it and its candidate rows
-    for g in slice_groups(slices, (2 * p + 5) * width):
-        flat = np.flatnonzero(near[g])
-        flat += g.start * sample.n
-        effective[g], r[g] = _factor(sample, _pad(flat, counts[g], -1), h[g], p, kernel)
+    for g, tiles in slice_tiles(slices, n, (2 * p + 5) * width):
+        pieces = window_pieces(sample, side, h, g, tiles, near)
+        effective[g], r[g] = _factor(sample, pieces, h[g], p, kernel)
     design, rhs = r[..., :p], r[..., p:]
     sv = np.linalg.svd(design, compute_uv=False)
     singular = (effective < p) | ~(sv[:, -1] >= _SV_RTOL * sv[:, 0])

@@ -30,8 +30,8 @@ from .errors import (
     merge,
     record,
 )
-from .kernels import KernelSpec
-from .local_poly import Sample, estimate_level, fit_boundary, slice_groups, stacked, window_rows
+from .kernels import KernelSpec, eval_kernel
+from .local_poly import Sample, estimate_level, fit_boundary, slice_tiles, stacked, window_pieces
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -68,6 +68,41 @@ class PilotEstimates:
     tau: float
 
 
+def _spread(sample: Sample, side=None):
+    """(size, sd) of x per slice of a stack: over one side's rows, or over
+    all rows for side None.
+
+    Each block (see `slice_tiles`) takes np.std's two steps: the mean of
+    its values, then the mean of their squared deviations from it.  A
+    slice of one tile therefore gets np.std of its values; a longer
+    slice's tiles are merged in order by the pairwise update of Chan,
+    Golub and LeVeque (Amer. Statist. 37, 1983).
+    """
+    slices = len(sample.x)
+    size, mean, m2 = np.zeros(slices, dtype=int), np.zeros(slices), np.zeros(slices)
+    # a block's values, their indices and their deviations
+    for g, tiles in slice_tiles(slices, sample.n, 3 * sample.n):
+        for t in tiles:
+            part = sample.part(g, t)
+            if side is None:
+                xs, k, where = part.x, t.stop - t.start, True
+            else:
+                xs, k, where = part.side_values(side, 0.0)
+            mu = np.sum(xs, axis=1, where=where) / np.maximum(k, 1)  # a tile may hold no row of the side
+            dev = xs - mu[:, None]
+            q = np.sum(np.multiply(dev, dev, out=dev), axis=1, where=where)
+            if t.start == 0:
+                size[g], mean[g], m2[g] = k, mu, q
+            else:
+                total = size[g] + k
+                delta = mu - mean[g]
+                share = k / np.maximum(total, 1)
+                mean[g] += delta * share
+                m2[g] += q + delta * size[g] * (delta * share)
+                size[g] = total
+    return size, np.sqrt(m2 / size)
+
+
 def _checked_sd(errors, sd, pilot):
     """sd, with 1 in place of a zero or non-finite value (x beyond about
     1e154 overflows it), whose slice records DegenerateSample."""
@@ -92,17 +127,19 @@ def estimate_density(sample: Sample):
     errors = [None] * len(x)
     record(errors, np.full(len(x), n < 10), lambda r: InsufficientData(
         f"density pilot needs n >= 10, got {n}"))
-    sd = _checked_sd(errors, np.std(x, axis=1), "density")
+    sd = _checked_sd(errors, _spread(sample)[1], "density")
     h0 = 1.06 * sd * n ** (-1 / 5)
     h1 = h0 * n ** (1 / 5 - 1 / 7)
-    f, f1 = np.empty(len(x)), np.empty(len(x))
+    f, f1 = np.zeros(len(x)), np.zeros(len(x))
     # u and up to three temporaries of n values per slice
-    for g in slice_groups(len(x), 4 * n):
-        u = (x[g] - sample.c) / h0[g, None]
-        f[g] = np.mean(np.exp(-0.5 * u * u), axis=1)
-        u = (x[g] - sample.c) / h1[g, None]
-        f1[g] = np.mean(u * np.exp(-0.5 * u * u), axis=1)
-    return (f / (_SQRT2PI * h0), f1 / (_SQRT2PI * h1 * h1)), errors
+    for g, tiles in slice_tiles(len(x), n, 4 * n):
+        for t in tiles:
+            u = (x[g, t] - sample.c) / h0[g, None]
+            f[g] += np.sum(np.exp(-0.5 * u * u), axis=1)
+            u = (x[g, t] - sample.c) / h1[g, None]
+            f1[g] += np.sum(u * np.exp(-0.5 * u * u), axis=1)
+    # the means of the kernel terms, as np.mean gives them over one tile
+    return (f / n / (_SQRT2PI * h0), f1 / n / (_SQRT2PI * h1 * h1)), errors
 
 
 @stacked
@@ -138,9 +175,12 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     One local linear fit under a rule-of-thumb bandwidth gives the
     Y and D residuals on its kernel window; the moments are averages of
     residual products over those positive-weight observations with a
-    two-parameter degrees-of-freedom correction.  Each moment is summed
-    in sample order, so the zeros that pad a slice's residuals on a stack
-    cannot change it, as they can a BLAS dot or numpy's pairwise sum.
+    two-parameter degrees-of-freedom correction.  Each moment is one sum
+    in sample order over the fit's window (`rdbw.local_poly.window_pieces`),
+    running through its pieces, to which padding and rows of zero weight
+    add zeros, so neither the pieces nor the zeros that pad a slice's
+    residuals on a stack can change it, as they can a BLAS dot or numpy's
+    pairwise sum.
     The covariance is shrunk into the Cauchy-Schwarz bound and a
     near-sharp side (sig2D ~ 0) zeroes both treatment moments so the
     downstream variance combination stays nonnegative.
@@ -150,11 +190,7 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     (sig2Y, sig2D, sigYD) : tuple of floats
     """
     slices = len(sample.x)
-    size, sd = np.empty(slices, dtype=int), np.empty(slices)
-    # a group's side values, their indices and their deviations
-    for g in slice_groups(slices, 3 * sample.n):
-        xs, size[g], side_rows = sample.part(g).side_values(side, 0.0)
-        sd[g] = np.std(xs, axis=1, where=side_rows)
+    size, sd = _spread(sample, side)
     errors = [None] * slices
     record(errors, size < 10, lambda r: InsufficientData(
         f"variance pilot needs >= 10 observations on the {side} side, got {size[r]}"))
@@ -166,15 +202,21 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
         f"only {n_v[r]} observations carry weight on the {side} side"))
 
     (y0, d0), (y1, d1) = fit.coefficients.transpose(1, 2, 0)[..., None]
-    rows = window_rows(sample, side, h, kernel)
-    xc = sample.x.take(rows) - sample.c
-    ey = sample.y.take(rows) - (y0 + y1 * xc)
-    ed = sample.d.take(rows) - (d0 + d1 * xc)
-    ey[rows < 0] = ed[rows < 0] = 0.0  # padding rows
+    sums = np.zeros((3, slices))
+    # a piece's rows, their residuals and the moments' terms and sums
+    for g, tiles in slice_tiles(slices, sample.n, 13 * int(n_v.max(initial=0))):
+        for rows in window_pieces(sample, side, h, g, tiles):
+            xc = sample.x.take(rows) - sample.c
+            # the rows the fit weighs; padding and rows of zero weight add zero terms
+            drop = (rows < 0) | ~(eval_kernel(kernel, xc / h[g, None]) > 0.0)
+            ey = sample.y.take(rows) - (y0[g] + y1[g] * xc)
+            ed = sample.d.take(rows) - (d0[g] + d1[g] * xc)
+            ey[drop] = ed[drop] = 0.0
+            # each slice's sum so far leads the piece's terms, so one sum runs through the pieces
+            terms = np.concatenate((sums[:, g, None], [ey * ey, ed * ed, ey * ed]), axis=2)
+            sums[:, g] = np.cumsum(terms, axis=2, out=terms)[..., -1]
 
     dof = np.maximum(n_v - 2, 1)  # only a failed slice has fewer than 4 rows
-    # a stack of slices with no window row has empty rows, whose sums are 0
-    sums = np.cumsum([ey * ey, ed * ed, ey * ed], axis=2)[..., -1] if rows.shape[1] else np.zeros((3, slices))
     sig2y, sig2d, sigyd = sums / dof
 
     bound = np.sqrt(sig2y * sig2d)
@@ -191,7 +233,7 @@ def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
     Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
     """
     errors = [None] * len(sample.x)
-    h = _pilot_bandwidth(_checked_sd(errors, np.std(sample.x, axis=1), "jump"), sample.n)
+    h = _pilot_bandwidth(_checked_sd(errors, _spread(sample)[1], "jump"), sample.n)
     plus, later = estimate_level(sample, "plus", h, kernel)
     merge(errors, later)
     minus, later = estimate_level(sample, "minus", h, kernel)

@@ -33,7 +33,7 @@ from .errors import (
     record,
 )
 from .kernels import KernelMoments, KernelSpec, compute_moments
-from .local_poly import Sample, slice_groups, stacked
+from .local_poly import Sample, slice_groups, slice_tiles, stacked
 from .pilot import PilotEstimates, assemble_pilots
 
 REGIMES = ("opposite_sign", "same_sign", "boundary_clamped")
@@ -500,16 +500,35 @@ def afo_bandwidths(coeffs: AmseCoefficients) -> BandwidthPair:
     )
 
 
+def _three_smallest(values):
+    """The three smallest distinct values of each row, inf where there are fewer."""
+    out = np.empty((len(values), 3))
+    lo = np.full(len(values), -np.inf)
+    for k in range(3):
+        lo = out[:, k] = np.min(values, axis=1, where=values > lo[:, None], initial=np.inf)
+    return out
+
+
 def _support(stack: Sample, side: str):
     """Per slice of a stack: the 3rd-smallest distinct |x - c| on one
-    side (inf if there are fewer), and that side's range of x."""
-    # padding at infinite distance takes no part in a minimum
-    xs, _, side_rows = stack.side_values(side, np.inf)
-    dist = np.abs(xs - stack.c)
-    lo = np.full(len(xs), -np.inf)
-    for _ in range(3):
-        lo = np.min(dist, axis=1, where=dist > lo[:, None], initial=np.inf)
-    return lo, np.max(xs, axis=1, where=side_rows, initial=-np.inf) - np.min(xs, axis=1)
+    side (inf if there are fewer), and that side's range of x.
+
+    Each block (see `rdbw.local_poly.slice_tiles`) gathers its side's
+    values first; its three smallest distinct distances are merged with
+    those of the tiles before it."""
+    slices = len(stack.x)
+    near = np.empty((slices, 3))
+    top, bottom = np.full(slices, -np.inf), np.full(slices, np.inf)
+    # a block's side values, their indices and their distances
+    for g, tiles in slice_tiles(slices, stack.n, 3 * stack.n):
+        for t in tiles:
+            # padding at infinite distance takes no part in a minimum
+            xs, _, side_rows = stack.part(g, t).side_values(side, np.inf)
+            three = _three_smallest(np.abs(xs - stack.c))
+            near[g] = three if t.start == 0 else _three_smallest(np.concatenate((near[g], three), axis=1))
+            top[g] = np.maximum(top[g], np.max(xs, axis=1, where=side_rows, initial=-np.inf))
+            bottom[g] = np.minimum(bottom[g], np.min(xs, axis=1, initial=np.inf))
+    return near[:, 2], top - bottom
 
 
 @stacked
@@ -519,17 +538,15 @@ def default_bounds(sample: Sample):
     The lower bound keeps the order-1 boundary fit solvable at
     estimation time; boundary hits are reported by the minimizer rather
     than silently accepted.  The 3rd-smallest distinct |x - c| comes from
-    three masked minimum passes, with no sort.  A stack gives
-    (((lo_plus, hi_plus), (lo_minus, hi_minus)) of (R,) arrays, errors).
+    three masked minimum passes over each row tile's side values, with
+    no sort.  A stack gives (((lo_plus, hi_plus), (lo_minus, hi_minus))
+    of (R,) arrays, errors).
     """
     slices = len(sample.x)
     errors = [None] * slices
     out = []
     for side in ("plus", "minus"):
-        lo, hi = np.empty(slices), np.empty(slices)
-        # a group's side values, their indices and their distances
-        for g in slice_groups(slices, 3 * sample.n):
-            lo[g], hi[g] = _support(sample.part(g), side)
+        lo, hi = _support(sample, side)
         record(errors, lo == np.inf, lambda r: InsufficientData(
             f"need at least 3 distinct support distances on the {side} side"))
         record(errors, ~(lo < hi), lambda r: DegenerateSample(

@@ -15,7 +15,8 @@ selected and estimated as one stack (see `rdbw.local_poly`): block k
 holds replications [kB, kB + B) with B = max(1, 65536 // n), so 131 at
 n = 500 and one replication per block from n = 65536 on.  Every stage
 runs its per-replication temporaries on bounded groups of a block's
-replications, so a block's memory is mostly its own (B, n) arrays.
+replications, and those of a replication longer than one row tile on
+its tiles, so a block's memory is mostly its own (B, n) arrays.
 Blocks depend only on n, and a worker pool of at most one process per
 block maps whole blocks, so summaries are bit-identical for every `jobs`
 value.  Each replication's results come from its own rows, so they do
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import AllTrimmed, RdbwError, ValidationError, failures, merge
 from .estimator import frd_estimate
 from .kernels import KernelSpec
-from .local_poly import Sample, slice_groups
+from .local_poly import Sample, slice_tiles
 from .selector import select_bandwidths
 
 DESIGNS = ("design1", "design2")
@@ -77,7 +78,7 @@ DEFAULT_ERROR_SD = 0.1295
 
 # observations per block of stacked replications.  A block pays a fixed
 # cost per stage call, so larger blocks run faster; each stage bounds the
-# temporaries it holds per replication (local_poly.slice_groups), so a
+# temporaries it holds per replication (local_poly.slice_tiles), so a
 # block's memory is mostly its own three (B, n) arrays
 _BLOCK_VALUES = 1 << 16
 
@@ -209,19 +210,13 @@ def mean_outcome(design: str, arm: str, x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _fill(spec: DgpSpec, reps, x: np.ndarray, y: np.ndarray, d: np.ndarray):
-    """Draw the replications reps into the rows of x, y and d.
+def _fill(spec: DgpSpec, x: np.ndarray, y: np.ndarray, d: np.ndarray):
+    """Turn a block's generator draws into its data, in place: the Beta
+    draws in x, the uniforms in d and the standard normal errors in y.
 
-    The uniforms are drawn in place into d and the standard normal errors
-    into y, whose values they become part of, so the fill needs no arrays
-    of its own for them.  Scaling the errors by error_sd afterwards gives
-    the bits of `rng.normal(0.0, error_sd)`, which computes 0.0 + sd * z.
+    Scaling the errors by error_sd gives the bits of
+    `rng.normal(0.0, error_sd)`, which computes 0.0 + sd * z.
     """
-    for k, rep in enumerate(reps):
-        rng = np.random.default_rng([spec.seed, rep])
-        x[k] = rng.beta(2.0, 4.0, spec.n)
-        rng.random(out=d[k])
-        rng.standard_normal(out=y[k])
     # rng.normal overflows silently too; draw_sample rejects the draws
     with np.errstate(over="ignore"):
         y *= spec.error_sd
@@ -241,11 +236,12 @@ def draw_sample(spec: DgpSpec, rep_index=0) -> Sample:
     """One replication's data, keyed deterministically by (seed, rep_index).
 
     A range of indices gives the stack of those replications: slice k
-    equals draw_sample(spec, rep_index[k]).  Each replication makes its
-    own three generator calls; the elementwise steps after them run on
-    bounded groups of rows of the (R, n) arrays (see
-    `rdbw.local_poly.slice_groups`) and act on each entry alone, so a
-    slice does not depend on the grouping.  Treatment is
+    equals draw_sample(spec, rep_index[k]).  Each replication draws its
+    Beta variates tile by tile, which is one stream, and its uniforms and
+    normal errors in place into d and y, so the draws need no arrays of
+    their own.  The elementwise steps after them run on bounded blocks of
+    the (R, n) arrays (see `rdbw.local_poly.slice_tiles`) and act on each
+    entry alone, so a slice does not depend on the blocks.  Treatment is
     uniform < treatment_prob(x), decided by a bounded approximation and,
     within 1e-6 of it, by treatment_prob itself, so d is exactly that
     comparison.  Raises ValueError for an empty range, and
@@ -257,8 +253,15 @@ def draw_sample(spec: DgpSpec, rep_index=0) -> Sample:
         raise ValueError(f"rep_index must hold at least one replication, got {rep_index!r}")
     x, y, d = (np.empty((len(reps), spec.n)) for _ in range(3))
     # the elementwise steps hold about three values per observation
-    for part in slice_groups(len(reps), 3 * spec.n):
-        _fill(spec, reps[part], x[part], y[part], d[part])
+    for g, tiles in slice_tiles(len(reps), spec.n, 3 * spec.n):
+        for k in range(g.start, g.stop):
+            rng = np.random.default_rng([spec.seed, reps[k]])
+            for t in tiles:
+                x[k, t] = rng.beta(2.0, 4.0, t.stop - t.start)
+            rng.random(out=d[k])
+            rng.standard_normal(out=y[k])
+        for t in tiles:
+            _fill(spec, x[g, t], y[g, t], d[g, t])
     if not isinstance(rep_index, range):
         x, y, d = x[0], y[0], d[0]
     try:

@@ -1,14 +1,21 @@
-"""Memory that grows with a Monte Carlo block: every stage bounds the
-temporaries it holds per slice, so a block's memory is mostly its stack."""
+"""Memory beyond the data: every stage bounds the temporaries it holds
+per slice and per row tile, so a Monte Carlo block's memory is mostly its
+stack, and one long sample's is its own arrays and a fixed working set."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from rdbw import local_poly, simlab
+from rdbw.estimator import frd_estimate
 from rdbw.kernels import KernelSpec
 from rdbw.local_poly import Sample, fit_boundary, window_rows
+from rdbw.pilot import estimate_density, estimate_derivatives, estimate_tauD, estimate_variances
+from rdbw.selector import default_bounds, select_bandwidths
 from rdbw.simlab import DgpSpec, draw_sample
+
+MIB = 1 << 20
 
 
 def traced_peak(call):
@@ -61,9 +68,9 @@ def test_a_grouped_fit_equals_its_groups_and_the_ungrouped_fit(monkeypatch):
     groups = []
     factor = local_poly._factor
 
-    def recording(sample, candidates, *args):
-        groups.append(len(candidates))
-        return factor(sample, candidates, *args)
+    def recording(sample, blocks, h, *args):
+        groups.append(len(h))
+        return factor(sample, blocks, h, *args)
 
     monkeypatch.setattr(local_poly, "_factor", recording)
     fit, _ = quartic_fit(stack)
@@ -89,19 +96,75 @@ def test_a_grouped_fit_equals_its_groups_and_the_ungrouped_fit(monkeypatch):
     np.testing.assert_array_equal(fit.effective_n, whole.effective_n)
 
 
-def test_a_fit_on_one_large_sample_holds_its_window_and_one_block():
-    # beyond 8 bytes per window row for its candidate indices and a byte per
-    # observation for the window mask, the fit holds one block's design and
-    # the QR's work, however long the sample
-    excess = []
+def test_a_fit_on_one_large_sample_holds_one_block():
+    # the fit finds its window tile by tile and holds one block's rows,
+    # design and QR work, however long the sample
+    peaks = []
     for n in (500_000, 1_000_000):
         rng = np.random.default_rng(n)
         x = rng.uniform(-1.0, 1.0, n)
         d = (rng.uniform(size=n) < np.where(x >= 0.0, 0.8, 0.2)).astype(float)
         sample = Sample(x, np.exp(x) + d + rng.normal(0.0, 0.1, n), d, 0.0)
         fit, peak = traced_peak(lambda: quartic_fit(sample))
-        window = np.count_nonzero(x < 0.0)
-        assert fit.effective_n == window
-        excess.append(peak - 8 * window - n)
-    # 8.9 MB at both sizes; it was 11.0 and 13.0 MB when the fit returned its row index
-    assert excess[1] - excess[0] < 0.5e6, excess
+        assert fit.effective_n == np.count_nonzero(x < 0.0)
+        peaks.append(peak)
+    # 1.5 MiB at both sizes; 10.9 and 13.3 MiB when the fit held its window's mask and rows whole
+    assert max(peaks) < 3 * MIB and abs(peaks[1] - peaks[0]) < MIB / 2, peaks
+
+
+@pytest.fixture(scope="module")
+def long_samples():
+    return {n: draw_sample(DgpSpec("design1", n, seed=1)) for n in (500_000, 1_000_000)}
+
+
+def select_and_estimate(sample):
+    pair = select_bandwidths(sample).bandwidths
+    return frd_estimate(sample, pair.h_plus, pair.h_minus)
+
+
+@pytest.mark.parametrize("stage", [
+    estimate_density,
+    lambda s: estimate_derivatives(s, "plus"),
+    lambda s: estimate_derivatives(s, "minus"),
+    lambda s: estimate_variances(s, "plus"),
+    lambda s: estimate_variances(s, "minus"),
+    estimate_tauD,
+    default_bounds,
+    lambda s: frd_estimate(s, 0.05, 0.1),
+    select_and_estimate,
+], ids=["density", "derivatives_plus", "derivatives_minus", "variances_plus", "variances_minus",
+        "tauD", "bounds", "estimate", "select_and_estimate"])
+def test_a_stage_on_one_long_sample_holds_a_fixed_working_set(long_samples, stage):
+    # beyond the sample's arrays: at most 1.9 MiB; when the stages made
+    # temporaries of the whole sample they held up to 22.9 MiB at n = 1e6
+    peaks = [traced_peak(lambda: stage(sample))[1] for sample in long_samples.values()]
+    assert max(peaks) < 3 * MIB and abs(peaks[1] - peaks[0]) < MIB / 2, peaks
+
+
+def test_a_long_draw_holds_a_fixed_working_set():
+    # beyond its output: 1.6 MiB at both sizes; 11.9 and 23.9 MiB when the
+    # draw and the sample's checks made temporaries of the whole sample
+    excess = []
+    for n in (500_000, 1_000_000):
+        spec = DgpSpec("design1", n, seed=1)
+        sample, peak = traced_peak(lambda: draw_sample(spec))
+        excess.append(peak - sample.x.nbytes - sample.y.nbytes - sample.d.nbytes)
+    assert max(excess) < 3 * MIB and abs(excess[1] - excess[0]) < MIB / 2, excess
+
+
+def test_a_long_fit_does_not_depend_on_its_tiles_or_pieces(monkeypatch):
+    # the window is scanned tile by tile and its design built piece by
+    # piece, but factored in chunks and blocks of its own rows
+    sample = draw_sample(DgpSpec("design2", 70_000, seed=4))
+    fits = []
+    for tile, piece in [
+        (local_poly._TILE_ROWS, local_poly._PIECE_ROWS),  # two tiles, pieces of 8 chunks
+        (1000, 1 << 10),  # 70 tiles, pieces of one chunk
+        (70_000, local_poly._BLOCK_ROWS),  # one tile, pieces of a whole block
+    ]:
+        monkeypatch.setattr(local_poly, "_TILE_ROWS", tile)
+        monkeypatch.setattr(local_poly, "_PIECE_ROWS", piece)
+        fits.append([quartic_fit(sample), fit_boundary(sample, "plus", 0.3)])
+    for fit in fits[1:]:
+        for got, want in zip(fit, fits[0]):
+            assert np.array_equal(got.coefficients, want.coefficients) and got.effective_n == want.effective_n

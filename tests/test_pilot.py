@@ -43,6 +43,20 @@ class TestEstimateDensity:
         f, _ = estimate_density(s)
         assert abs(f - 0.5) < 0.01
 
+    def test_a_long_sample_matches_the_formula(self):
+        # sums over row tiles, in sample order and with x sorted
+        s = draw_sample(DgpSpec("design1", 70_000, seed=2), 0)
+        for x in (s.x, np.sort(s.x)):
+            h0 = 1.06 * np.std(x) * x.size ** (-1 / 5)
+            h1 = h0 * x.size ** (1 / 5 - 1 / 7)
+            u0, u1 = x / h0, x / h1
+            want = (
+                np.mean(np.exp(-0.5 * u0 * u0)) / (np.sqrt(2.0 * np.pi) * h0),
+                np.mean(u1 * np.exp(-0.5 * u1 * u1)) / (np.sqrt(2.0 * np.pi) * h1 * h1),
+            )
+            got = estimate_density(Sample(x=x, y=np.zeros_like(x), d=np.zeros_like(x), c=0.0))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     def test_two_point_support_stays_finite(self):
         s = Sample(x=np.array([-1.0] * 5 + [0.0] * 5), y=np.zeros(10), d=np.zeros(10), c=0.0)
         f, f1 = estimate_density(s)
@@ -197,12 +211,16 @@ class TestEstimateVariances:
         samples = [
             draw_sample(DgpSpec(design, n, seed=4), 0)
             for design in ("design1", "design2")
-            for n in (500, 5000)
+            for n in (500, 5000, 150_000)  # 150,000 rows: three row tiles
         ]
         fuzzy = samples[0]
         sharp = Sample(fuzzy.x, fuzzy.y, (fuzzy.x >= fuzzy.c).astype(float), fuzzy.c)
         dependent = Sample(fuzzy.x, fuzzy.d, fuzzy.d, fuzzy.c)  # sigYD at the Cauchy-Schwarz bound
-        for s in samples + [sharp, dependent]:
+        # sorted by x: the first row tile holds no row of the plus side,
+        # the last none of the minus side
+        order = np.argsort(samples[2].x, kind="stable")
+        ordered = Sample(samples[2].x[order], samples[2].y[order], samples[2].d[order], 0.0)
+        for s in samples + [sharp, dependent, ordered]:
             for family in FAMILIES:
                 for side in ("plus", "minus"):
                     got = estimate_variances(s, side, KernelSpec(family))

@@ -337,6 +337,20 @@ class TestSelectBandwidths:
         assert lo_m == pytest.approx(np.sort(np.unique(np.abs(xm)))[2])
         assert hi_m == pytest.approx(np.ptp(xm))
 
+    def test_default_bounds_of_a_long_sample(self):
+        # 150,000 rows on a grid of 2001 points: ties across row tiles, and
+        # sorted, tiles that hold no row of one side
+        rng = np.random.default_rng(8)
+        x = np.round(rng.uniform(-1.0, 1.0, 150_000), 3)
+        for xs in (x, np.sort(x)):
+            s = Sample(x=xs, y=np.zeros_like(xs), d=(xs >= 0).astype(float), c=0.0)
+            xp, xm = xs[xs >= 0], xs[xs < 0]
+            want = (
+                (np.unique(np.abs(xp))[2], xp.max() - xp.min()),
+                (np.unique(np.abs(xm))[2], xm.max() - xm.min()),
+            )
+            assert default_bounds(s) == want
+
     def test_default_bounds_counts_distinct_distances(self):
         # ties count once: three distinct distances on each side
         x = np.array([0.0, 0.0, 0.1, 0.1, 0.3, 0.5, -0.2, -0.2, -0.4, -0.6, -0.6, -0.9])

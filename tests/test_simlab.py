@@ -219,6 +219,7 @@ class TestDrawSample:
             ("design1", 500, range(0, BLOCK_500)),  # a whole block
             ("design2", 500, range(1000 - 1000 % BLOCK_500, 1000)),  # the partial last block of 1000
             ("design1", 20_000, range(3, 4)),  # one replication a block
+            ("design1", 70_000, range(0, 2)),  # replications of two row tiles
         ],
     )
     def test_a_range_stacks_the_single_draws(self, design, n, reps):

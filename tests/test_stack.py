@@ -106,6 +106,22 @@ def test_every_slice_of_a_monte_carlo_block_equals_its_single_sample_calls(desig
     assert differing <= residual
 
 
+@pytest.mark.parametrize("design, mode", [("design1", "fuzzy"), ("design2", "sharp")])
+def test_a_slice_longer_than_one_tile_equals_itself_alone(design, mode):
+    # 70,000 rows: two row tiles, the second partial, and whole-side
+    # quartic windows of several fit blocks
+    spec = DgpSpec(design, 70_000, seed=3)
+    stack = draw_sample(spec, range(2))
+    sel, est, errors = stacked_pipeline(stack, mode)
+    assert errors == [None, None]
+    for r in range(2):
+        sample = draw_sample(spec, r)
+        assert all(np.array_equal(getattr(stack, a)[r], getattr(sample, a)) for a in "xyd")
+        single, single_est = single_pipeline(sample, mode)
+        got = [slice_of(sel.pilots, r), slice_of(sel.coefficients, r), slice_of(sel.bandwidths, r), slice_of(est, r)]
+        assert got == [vars(single.pilots), vars(single.coefficients), vars(single.bandwidths), vars(single_est)]
+
+
 @pytest.mark.parametrize("design", ["design1", "design2"])
 @pytest.mark.parametrize("seed", [42, 5, 9])
 def test_a_fit_in_a_stack_equals_its_fit_alone(design, seed):
