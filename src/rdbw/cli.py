@@ -30,8 +30,10 @@ from .simlab import DEFAULT_ERROR_SD, DgpSpec, draw_sample, run_monte_carlo
 _COLUMNS = ("x", "y", "d")
 
 # CSV is read and written in blocks of about this many characters or rows,
-# so the memory it takes beyond the data does not grow with the file
-_BLOCK_CHARS = 1 << 20
+# so the memory it takes beyond the data does not grow with the file; a
+# block of lines holds about twice its characters in Python strings while
+# it is parsed
+_BLOCK_CHARS = 1 << 18
 _BLOCK_ROWS = 1 << 13
 
 
@@ -151,7 +153,7 @@ def load_csv(path: str, cutoff: float) -> Sample:
         fh = open(path, encoding="utf-8-sig")
     except OSError as e:
         raise ParseError(f"cannot open {path}: {e.strerror}") from e
-    blocks = []
+    columns = [[], [], []]  # each block's x, y and d
     with fh:  # universal newlines turn \r\n and \r into \n, the line ends csv knows
         try:
             header = fh.readline()
@@ -164,20 +166,28 @@ def load_csv(path: str, cutoff: float) -> Sample:
             usecols = [names.index(col) for col in _COLUMNS]
             line_no = 2
             while lines := fh.readlines(_BLOCK_CHARS):
-                blocks.append(_parse_block(path, lines, line_no, names, usecols))
+                for blocks, values in zip(columns, _parse_block(path, lines, line_no, names, usecols)):
+                    blocks.append(values)
                 line_no += len(lines)
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not UTF-8 text") from None
 
-    x, y, d = np.concatenate(blocks, axis=1) if blocks else np.empty((3, 0))
+    for blocks in columns:  # one column at a time, its blocks let go once it is joined
+        blocks[:] = [np.concatenate(blocks or [np.empty(0)])]
+    (x,), (y,), (d,) = columns
     try:
         return Sample(x=x, y=y, d=d, c=cutoff)
     except ValueError as e:
         raise ValidationError(f"{path}: {e}") from e
 
 
-def _parse_block(path: str, lines, first_line_no: int, names, usecols) -> np.ndarray:
-    """The x, y, d columns of a block of lines as a (3, n) array, or the error of its first bad row.
+def _columns(data: np.ndarray) -> list:
+    """The columns of an (n, 3) array, each an array of its own that can be let go alone."""
+    return [np.ascontiguousarray(column) for column in data.T]
+
+
+def _parse_block(path: str, lines, first_line_no: int, names, usecols) -> list:
+    """The x, y and d columns of a block of lines, or the error of its first bad row.
 
     A block with no empty line and no quote is parsed as read, in one
     numpy call.  The two are excluded because numpy skips an empty line but
@@ -192,12 +202,12 @@ def _parse_block(path: str, lines, first_line_no: int, names, usecols) -> np.nda
     if "\n" not in lines and '"' not in "".join(lines):
         data = _clean(lines, usecols, width)
         if data is not None:
-            return data.T
+            return _columns(data)
     kept = _nonblank(path, lines, first_line_no)
     rows = [lines[i] for i in kept]
     data = _clean(rows, usecols, width)
     if data is not None:
-        return data.T
+        return _columns(data)
     k = _first_bad_row(rows, usecols, width)
     _raise_row_error(path, first_line_no + kept[k], rows[k], names, usecols)
 

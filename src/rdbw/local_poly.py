@@ -17,7 +17,8 @@ Comput. 34, 2012), which gives the R of one QR of the whole block up to
 the signs of its rows and rounding.  A block's design is built in
 pieces, one at a time, and a long sample's window is found row tile by
 row tile, so a fit holds one piece's design and rows however long the
-sample; `window_rows` lists its rows.
+sample.  `window_pieces` alone decides a window's rows and weights, for
+the fit, its rank error and the variance pilot.
 
 A `Sample` may hold a stack of R samples of one size as (R, n) arrays.
 Every function taking a Sample is written once over that leading axis
@@ -269,9 +270,9 @@ class BoundaryFit:
 
     coefficients[k] estimates m^(k)(c) / k! with one column per response,
     Y then D; coefficients[0] is the fitted value at the cutoff.
-    effective_n counts the observations with positive weight, which
-    `window_rows` lists.  The fit of a stack has a leading slice axis on
-    coefficients, h and effective_n.
+    effective_n counts the observations with positive weight, the rows
+    of its window (`window_pieces`) with w > 0.  The fit of a stack has a
+    leading slice axis on coefficients, h and effective_n.
     """
 
     coefficients: np.ndarray
@@ -285,12 +286,17 @@ class BoundaryFit:
         return self.coefficients[..., 0, :]
 
 
-def _rank_error(xs, order, sv):
+def _rank_error(stack: Sample, pieces, order: int, sv):
+    """The SingularDesign of a slice whose window is pieces (see
+    `window_pieces`): how many distinct x values carry positive weight if
+    fewer than order + 1, counted piece by piece, else its singular values."""
     p = order + 1
-    distinct = np.unique(xs).size
-    if distinct < p:
+    seen = np.empty(0)  # at most p of the distinct values, enough to tell
+    for rows, _, w in pieces:
+        seen = np.union1d(seen, stack.x.take(rows[w > 0.0]))[:p]
+    if seen.size < p:
         return SingularDesign(
-            f"{distinct} distinct x values with positive weight; order {order} needs {p}"
+            f"{seen.size} distinct x values with positive weight; order {order} needs {p}"
         )
     return SingularDesign(
         f"weighted design is rank-deficient (singular values {sv[0]:.3e}..{sv[-1]:.3e})"
@@ -310,16 +316,11 @@ def _window(stack: Sample, side: str, h: np.ndarray) -> np.ndarray:
     return near
 
 
-def _weighted_design(stack: Sample, rows: np.ndarray, h, p: int, kernel: KernelSpec):
-    """The positive-weight count per slice among one block's candidate
-    rows, and the design [sqrt(w) u^k | sqrt(w) y, sqrt(w) d] with
-    u = (x - c)/h as one C-ordered (slices, rows) plane per column.
-    Padding rows and candidates of zero weight have zero design rows."""
-    u = stack.x.take(rows)
-    u -= stack.c
-    u /= h[:, None]
-    u[rows < 0] = 2.0  # outside the kernel's support: zero weight
-    w = eval_kernel(kernel, u)
+def _weighted_design(stack: Sample, rows: np.ndarray, u: np.ndarray, w: np.ndarray, p: int):
+    """The positive-weight count per slice among one piece of a window
+    (see `window_pieces`), and its design [sqrt(w) u^k | sqrt(w) y,
+    sqrt(w) d] as one C-ordered (slices, rows) plane per column; w is
+    overwritten.  Padding rows and rows of zero weight have zero rows."""
     count = _row_counts(w > 0.0)
     sw = np.sqrt(w, out=w)
     a = np.empty((p + 2,) + rows.shape)
@@ -332,16 +333,18 @@ def _weighted_design(stack: Sample, rows: np.ndarray, h, p: int, kernel: KernelS
     return count, a
 
 
-def window_pieces(stack: Sample, side: str, h: np.ndarray, group: slice, tiles, near=None):
-    """The candidate rows of a group of a stack's slices, with the row
-    tiles `slice_tiles` gives it, as flat indices into the stack's arrays:
-    each slice's rows within reach of bandwidth h[s], in sample order,
-    left-aligned and padded with -1, in pieces of _PIECE_ROWS columns, the
-    last one partial.  They are the rows `fit_boundary` weighs, with the
-    rows of zero weight at the window's edge.  The window is read from
-    near, the stack's window mask where the caller has it, or else found
-    tile by tile, so a long slice's mask and rows are never held whole;
-    the pieces are those of its whole window all the same."""
+def window_pieces(stack: Sample, side: str, h: np.ndarray, group: slice, tiles, kernel: KernelSpec, near=None):
+    """The kernel window of a group of a stack's slices, with the row
+    tiles `slice_tiles` gives it, as (rows, u, w) in pieces of _PIECE_ROWS
+    columns, the last one partial.  rows are flat indices into the stack's
+    arrays: each slice's rows within reach of bandwidth h[s], in sample
+    order, left-aligned and padded with -1; u = (x - c)/h[s], 2 on
+    padding rows; w = K(u), zero on padding rows and at the window's edge.
+    They are the rows `fit_boundary` weighs and its weights, and those
+    with w > 0 are the rows it counts in effective_n.  The window is read
+    from near, the stack's window mask where the caller has it, or else
+    found tile by tile, so a long slice's mask and rows are never held
+    whole; the pieces are those of its whole window all the same."""
     held = None
     for t in tiles:
         mask = _window(stack.part(group, t), side, h[group]) if near is None else near[group, t]
@@ -349,11 +352,14 @@ def window_pieces(stack: Sample, side: str, h: np.ndarray, group: slice, tiles, 
         flat += group.start * stack.n + t.start
         rows = _pad(flat, _row_counts(mask), -1)
         held = rows if held is None else np.concatenate((held, rows), axis=1)
-        while held.shape[1] >= _PIECE_ROWS:
-            yield held[:, :_PIECE_ROWS]
-            held = held[:, _PIECE_ROWS:]
-    if held.shape[1]:  # a slice has at least one tile
-        yield held
+        # whole pieces as they fill, and after the last tile what is left
+        while held.shape[1] >= _PIECE_ROWS or (held.shape[1] and t is tiles[-1]):
+            rows, held = held[:, :_PIECE_ROWS], held[:, _PIECE_ROWS:]
+            u = stack.x.take(rows)
+            u -= stack.c
+            u /= h[group, None]
+            u[rows < 0] = 2.0  # outside the kernel's support: zero weight
+            yield rows, u, eval_kernel(kernel, u)
 
 
 def _reduce(r, parts, p: int):
@@ -362,13 +368,13 @@ def _reduce(r, parts, p: int):
     return np.linalg.qr(r, mode="r") if r.shape[1] > p + 2 else r  # one factor would come back unchanged
 
 
-def _factor(stack: Sample, pieces, h, p: int, kernel: KernelSpec):
+def _factor(stack: Sample, pieces, slices: int, p: int):
     """(effective_n, R) of one group of slices: the count of positive
     weights among the candidate rows per slice, and the leading p rows of
     the triangular factor of each slice's design, as a (slices, p, p + 2)
     array.
 
-    pieces holds the group's candidate rows (see `window_pieces`), whose
+    pieces holds the group's window as `window_pieces` gives it, whose
     designs are built one piece at a time.  A piece's whole 1024-row
     chunks are factorized by one stacked QR call and its partial last
     chunk by another; after every _BLOCK_ROWS rows, and after the last
@@ -378,11 +384,10 @@ def _factor(stack: Sample, pieces, h, p: int, kernel: KernelSpec):
     gets zero R factors there, which leave the reduction's triangular
     result as it is.
     """
-    slices = len(h)
     r, parts, done = None, [], 0
     effective = np.zeros(slices, dtype=int)
-    for candidates in pieces:
-        count, a = _weighted_design(stack, candidates, h, p, kernel)
+    for candidates, u, w in pieces:
+        count, a = _weighted_design(stack, candidates, u, w, p)
         effective += count
         # factor whole chunks in one stacked call; the view copies nothing
         full = a.shape[2] - a.shape[2] % _CHUNK_ROWS
@@ -400,22 +405,6 @@ def _factor(stack: Sample, pieces, h, p: int, kernel: KernelSpec):
     if r is None or r.shape[1] < p:
         r = np.zeros((slices, p, p + 2)) if r is None else np.pad(r, ((0, 0), (0, p - r.shape[1]), (0, 0)))
     return effective, r[:, :p]
-
-
-def window_rows(sample: Sample, side: str, h, kernel: KernelSpec = KernelSpec()) -> np.ndarray:
-    """The observations `fit_boundary` weighs positively, in sample order:
-    one index array for one sample; for a stack, flat indices into the
-    (R, n) arrays, left-aligned per slice and padded with -1.  h is taken
-    as the fit takes it, 1 standing in where it is not positive and finite."""
-    stack = sample.as_stack()
-    h = np.broadcast_to(np.asarray(h, dtype=float), (len(stack.x),))
-    h = np.where((h > 0.0) & (h < np.inf), h, 1.0)
-    flat = np.flatnonzero(_window(stack, side, h))
-    slice_of = flat // stack.n
-    # u as the fit computes it, so exactly the rows it counts in effective_n
-    keep = eval_kernel(kernel, (stack.x.take(flat) - stack.c) / h[slice_of]) > 0.0
-    rows = _pad(flat[keep], np.bincount(slice_of[keep], minlength=len(h)), -1)
-    return rows if sample.stacked else rows[0]
 
 
 @stacked
@@ -485,14 +474,16 @@ def fit_boundary(
     effective = np.empty(slices, dtype=int)
     r = np.empty((slices, p, p + 2))
     # a group's design, the QR's copy of it and its candidate rows
-    for g, tiles in slice_tiles(slices, n, (2 * p + 5) * width):
-        pieces = window_pieces(sample, side, h, g, tiles, near)
-        effective[g], r[g] = _factor(sample, pieces, h[g], p, kernel)
+    blocks = slice_tiles(slices, n, (2 * p + 5) * width)
+    for g, tiles in blocks:
+        pieces = window_pieces(sample, side, h, g, tiles, kernel, near)
+        effective[g], r[g] = _factor(sample, pieces, g.stop - g.start, p)
     design, rhs = r[..., :p], r[..., p:]
     sv = np.linalg.svd(design, compute_uv=False)
     singular = (effective < p) | ~(sv[:, -1] >= _SV_RTOL * sv[:, 0])
+    # the row tiles depend on n alone: every group has the same
     record(errors, singular, lambda s: _rank_error(
-        sample.x[s].take(window_rows(sample.part(slice(s, s + 1)), side, h[s], kernel)), order, sv[s]))
+        sample, window_pieces(sample, side, h, slice(s, s + 1), blocks[0][1], kernel, near), order, sv[s]))
     design[singular] = np.eye(p)  # placeholder, so the stacked solve cannot fail
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution

@@ -30,7 +30,7 @@ from .errors import (
     merge,
     record,
 )
-from .kernels import KernelSpec, eval_kernel
+from .kernels import KernelSpec
 from .local_poly import Sample, estimate_level, fit_boundary, slice_tiles, stacked, window_pieces
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -176,11 +176,11 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     Y and D residuals on its kernel window; the moments are averages of
     residual products over those positive-weight observations with a
     two-parameter degrees-of-freedom correction.  Each moment is one sum
-    in sample order over the fit's window (`rdbw.local_poly.window_pieces`),
-    running through its pieces, to which padding and rows of zero weight
-    add zeros, so neither the pieces nor the zeros that pad a slice's
-    residuals on a stack can change it, as they can a BLAS dot or numpy's
-    pairwise sum.
+    in sample order over the fit's window, whose weights pick its rows
+    (`rdbw.local_poly.window_pieces`), running through its pieces, to
+    which padding and rows of zero weight add zeros, so neither the pieces
+    nor the zeros that pad a slice's residuals on a stack can change it,
+    as they can a BLAS dot or numpy's pairwise sum.
     The covariance is shrunk into the Cauchy-Schwarz bound and a
     near-sharp side (sig2D ~ 0) zeroes both treatment moments so the
     downstream variance combination stays nonnegative.
@@ -205,10 +205,10 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     sums = np.zeros((3, slices))
     # a piece's rows, their residuals and the moments' terms and sums
     for g, tiles in slice_tiles(slices, sample.n, 13 * int(n_v.max(initial=0))):
-        for rows in window_pieces(sample, side, h, g, tiles):
+        for rows, _, w in window_pieces(sample, side, h, g, tiles, kernel):
             xc = sample.x.take(rows) - sample.c
             # the rows the fit weighs; padding and rows of zero weight add zero terms
-            drop = (rows < 0) | ~(eval_kernel(kernel, xc / h[g, None]) > 0.0)
+            drop = ~(w > 0.0)
             ey = sample.y.take(rows) - (y0[g] + y1[g] * xc)
             ed = sample.d.take(rows) - (d0[g] + d1[g] * xc)
             ey[drop] = ed[drop] = 0.0

@@ -24,7 +24,6 @@ not depend on its block either (see README, Determinism).
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -81,15 +80,6 @@ DEFAULT_ERROR_SD = 0.1295
 # temporaries it holds per replication (local_poly.slice_tiles), so a
 # block's memory is mostly its own three (B, n) arrays
 _BLOCK_VALUES = 1 << 16
-
-
-def __getattr__(name):
-    # importing the process pool loads multiprocessing: only runs with workers pay for it
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -350,8 +340,10 @@ def run_monte_carlo(
     blocks = range(-(-reps // _block_reps(spec.n)))
     workers = min(jobs or 1, len(blocks))
     if workers > 1:
-        # looked up on the module, which imports the pool on first use
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+        # importing the process pool loads multiprocessing: only runs with workers pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
     else:
         parts = [run(block) for block in blocks]

@@ -4,7 +4,7 @@ import pytest
 from rdbw import local_poly
 from rdbw.errors import SingularDesign
 from rdbw.kernels import FAMILIES, KernelSpec, eval_kernel
-from rdbw.local_poly import BoundaryFit, Sample, estimate_level, fit_boundary, window_rows
+from rdbw.local_poly import BoundaryFit, Sample, estimate_level, fit_boundary
 
 
 def make_sample(x, y, d=None, c=0.0):
@@ -12,6 +12,13 @@ def make_sample(x, y, d=None, c=0.0):
     if d is None:
         d = (x >= c).astype(float)
     return Sample(x=x, y=np.asarray(y, dtype=float), d=np.asarray(d, dtype=float), c=c)
+
+
+def weighed_rows(s, side, h, kernel=KernelSpec()):
+    """The rows of one sample that `window_pieces` gives positive weight, in order."""
+    [(group, tiles)] = local_poly.slice_tiles(1, s.n, s.n)
+    pieces = local_poly.window_pieces(s.as_stack(), side, np.array([float(h)]), group, tiles, kernel)
+    return np.concatenate([np.empty(0, dtype=np.intp)] + [rows[w > 0.0] for rows, _, w in pieces])
 
 
 class TestSampleValidation:
@@ -187,7 +194,7 @@ class TestWindow:
             for side in ("plus", "minus"):
                 want = np.flatnonzero(s.side_mask(side) & (w > 0.0))
                 fit = fit_boundary(s, side, h, order=1, kernel=kernel)
-                np.testing.assert_array_equal(window_rows(s, side, h, kernel), want)
+                np.testing.assert_array_equal(weighed_rows(s, side, h, kernel), want)
                 assert fit.effective_n == want.size
 
 
@@ -207,7 +214,7 @@ class TestJointResponses:
                 for side in ("plus", "minus"):
                     fit = fit_boundary(s, side, 0.4, order=order, kernel=kernel)
                     rows = np.flatnonzero(s.side_mask(side) & (w > 0.0))
-                    np.testing.assert_array_equal(window_rows(s, side, 0.4, kernel), rows)
+                    np.testing.assert_array_equal(weighed_rows(s, side, 0.4, kernel), rows)
                     assert fit.effective_n == rows.size
                     design = np.vander(x[rows], order + 1, increasing=True)
                     gram = design.T @ (w[rows, None] * design)
@@ -226,7 +233,7 @@ class TestJointResponses:
         y = np.exp(x) + d + rng.normal(0.0, 0.1, x.size)
         s = make_sample(x, y, d=d)
         fit = fit_boundary(s, "plus", 0.75, order=3)
-        rows = window_rows(s, "plus", 0.75)
+        rows = np.flatnonzero(s.side_mask("plus") & (eval_kernel(KernelSpec(), x / 0.75) > 0.0))
         xs = x[rows]
         assert xs.size > 140_000 and fit.effective_n == xs.size
         w = eval_kernel(KernelSpec(), xs / 0.75)
@@ -266,7 +273,7 @@ class TestChunkedQR:
                     fit = fit_boundary(s, side, 1.0, order=order, kernel=kernel)
                     rows = np.flatnonzero(s.side_mask(side) & (w > 0.0))
                     assert rows.size == m == fit.effective_n
-                    np.testing.assert_array_equal(window_rows(s, side, 1.0, kernel), rows)
+                    np.testing.assert_array_equal(weighed_rows(s, side, 1.0, kernel), rows)
                     lstsq = np.polynomial.Polynomial.fit
                     sw = np.sqrt(w[rows])
                     ref = np.column_stack(

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rdbw import local_poly, simlab
+from rdbw import cli, local_poly, simlab
 from rdbw.estimator import frd_estimate
-from rdbw.kernels import KernelSpec
-from rdbw.local_poly import Sample, fit_boundary, window_rows
+from rdbw.errors import SingularDesign
+from rdbw.kernels import KernelSpec, eval_kernel
+from rdbw.local_poly import Sample, fit_boundary
 from rdbw.pilot import estimate_density, estimate_derivatives, estimate_tauD, estimate_variances
 from rdbw.selector import default_bounds, select_bandwidths
 from rdbw.simlab import DgpSpec, draw_sample
@@ -36,7 +37,14 @@ def quartic_fit(stack):
 
 
 def quartic_rows(stack):
-    return window_rows(stack, "minus", stack.c - stack.x.min(axis=-1), KernelSpec("uniform"))
+    """The rows the quartic fit weighs, from numpy alone: side_mask &
+    (K((x - c)/h) > 0), as flat indices, left-aligned per slice and padded with -1."""
+    h = (stack.c - stack.x.min(axis=-1))[:, None]
+    mask = stack.side_mask("minus") & (eval_kernel(KernelSpec("uniform"), (stack.x - stack.c) / h) > 0.0)
+    counts = np.count_nonzero(mask, axis=1)
+    rows = np.full((len(mask), counts.max()), -1)
+    rows[np.arange(rows.shape[1]) < counts[:, None]] = np.flatnonzero(mask)
+    return rows
 
 
 def test_a_block_at_n_500_peaks_near_its_stack():
@@ -68,9 +76,9 @@ def test_a_grouped_fit_equals_its_groups_and_the_ungrouped_fit(monkeypatch):
     groups = []
     factor = local_poly._factor
 
-    def recording(sample, blocks, h, *args):
-        groups.append(len(h))
-        return factor(sample, blocks, h, *args)
+    def recording(sample, pieces, slices, *args):
+        groups.append(slices)
+        return factor(sample, pieces, slices, *args)
 
     monkeypatch.setattr(local_poly, "_factor", recording)
     fit, _ = quartic_fit(stack)
@@ -168,3 +176,48 @@ def test_a_long_fit_does_not_depend_on_its_tiles_or_pieces(monkeypatch):
     for fit in fits[1:]:
         for got, want in zip(fit, fits[0]):
             assert np.array_equal(got.coefficients, want.coefficients) and got.effective_n == want.effective_n
+
+
+@pytest.fixture(scope="module")
+def heaped_samples():
+    # x heaped on the integers -50..50: each minus-side fit near the cutoff
+    # weighs fewer distinct values than a line needs
+    samples = {}
+    for n in (1_000_000, 2_000_000):
+        rng = np.random.default_rng(n)
+        x = rng.integers(-50, 51, n).astype(float)
+        d = (rng.uniform(size=n) < np.where(x >= 0.0, 0.8, 0.2)).astype(float)
+        samples[n] = Sample(x, x + d + rng.normal(0.0, 0.1, n), d, 0.0)
+    return samples
+
+
+@pytest.mark.parametrize("stage, distinct", [
+    (lambda s: fit_boundary(s, "minus", 0.9), 0),
+    (lambda s: estimate_variances(s, "minus"), 1),
+    (select_bandwidths, 1),
+], ids=["fit", "variances_minus", "select"])
+def test_a_failing_fit_on_one_long_sample_holds_a_fixed_working_set(heaped_samples, stage, distinct):
+    # the rank error counts the window's distinct values piece by piece:
+    # at most 1.7 MiB at both sizes; 1.9 and 3.8 MiB when it held masks of the whole sample
+    def message(sample):
+        try:
+            stage(sample)
+        except SingularDesign as e:
+            return str(e)
+
+    peaks = []
+    for sample in heaped_samples.values():
+        got, peak = traced_peak(lambda: message(sample))
+        assert got == f"{distinct} distinct x values with positive weight; order 1 needs 2"
+        peaks.append(peak)
+    assert max(peaks) < 3 * MIB and abs(peaks[1] - peaks[0]) < MIB / 2, peaks
+
+
+def test_reading_a_csv_holds_one_column_twice_at_most(tmp_path):
+    path = str(tmp_path / "s.csv")
+    assert cli.main(["dgp-sample", "--design", "1", "--n", "200000", "--seed", "3", "--output", path]) == 0
+    sample, peak = traced_peak(lambda: cli.load_csv(path, 0.0))
+    columns = sample.x.nbytes + sample.y.nbytes + sample.d.nbytes
+    # 1.34 times the columns; 2.04 times when the blocks of all three
+    # columns were alive with the joined copy, read 1 MB at a time
+    assert peak < 1.5 * columns, (peak, columns)

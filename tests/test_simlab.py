@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import subprocess
@@ -317,12 +318,12 @@ class TestRunMonteCarlo:
     def test_pool_never_exceeds_the_replications(self, monkeypatch):
         seen = []
 
-        class RecordingPool(simlab.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 seen.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(simlab, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         # 2 replications of n = 200 are one block: no pool at all
         spec = DgpSpec(design="design1", n=200, seed=4)
         parallel = run_monte_carlo(spec, "mmse_f", 2, jobs=6)

@@ -9,8 +9,8 @@ import pytest
 from rdbw import selector, simlab
 from rdbw.errors import DegenerateSample, InsufficientData, RdbwError, SingularDesign, WeakDiscontinuity, merge
 from rdbw.estimator import frd_estimate
-from rdbw.kernels import KernelSpec, compute_moments
-from rdbw.local_poly import Sample, estimate_level, fit_boundary, window_rows
+from rdbw.kernels import KernelSpec, compute_moments, eval_kernel
+from rdbw.local_poly import Sample, estimate_level, fit_boundary
 from rdbw.pilot import (
     PilotEstimates,
     assemble_pilots,
@@ -27,6 +27,19 @@ from rdbw.selector import (
     select_bandwidths,
 )
 from rdbw.simlab import DgpSpec, draw_sample, run_monte_carlo
+
+
+def positive_weight_rows(sample, side, h, kernel=KernelSpec()):
+    """The rows a fit weighs, from numpy alone: side_mask & (K((x - c)/h) > 0),
+    as indices for one sample, and for a stack as flat indices, left-aligned
+    per slice and padded with -1."""
+    x = np.atleast_2d(sample.x)
+    h = np.broadcast_to(np.asarray(h, dtype=float), (len(x),))[:, None]
+    mask = np.atleast_2d(sample.side_mask(side)) & (eval_kernel(kernel, (x - sample.c) / h) > 0.0)
+    counts = np.count_nonzero(mask, axis=1)
+    rows = np.full((len(x), counts.max()), -1)
+    rows[np.arange(rows.shape[1]) < counts[:, None]] = np.flatnonzero(mask)
+    return rows if sample.stacked else rows[0]
 
 
 def single_pipeline(sample, mode):
@@ -293,16 +306,17 @@ def test_a_bad_bandwidth_fails_its_slice_only():
     with pytest.raises(ValueError) as single:
         fit_boundary(samples[1], "plus", np.nan)
     assert_same_error(errors[1], single.value)
-    rows = window_rows(stack, "plus", h)
+    # the failed slice is weighed with the fit's placeholder bandwidth 1
+    rows = positive_weight_rows(stack, "plus", np.where(np.isnan(h), 1.0, h))
     for r in (0, 2):
         want = fit_boundary(samples[r], "plus", h[r])
         np.testing.assert_allclose(fit.coefficients[r], want.coefficients, rtol=1e-12, atol=1e-14)
         assert fit.effective_n[r] == want.effective_n
         got = rows[r, : fit.effective_n[r]] - r * samples[r].n
-        np.testing.assert_array_equal(got, window_rows(samples[r], "plus", h[r]))
+        np.testing.assert_array_equal(got, positive_weight_rows(samples[r], "plus", h[r]))
     # the failed slice keeps the window of the placeholder bandwidth 1, in the fit as in its rows
     np.testing.assert_array_equal(np.count_nonzero(rows >= 0, axis=1), fit.effective_n)
-    assert fit.effective_n[1] == window_rows(samples[1], "plus", 1.0).size
+    assert fit.effective_n[1] == positive_weight_rows(samples[1], "plus", 1.0).size
 
 
 def test_a_slice_with_too_few_distinct_values_keeps_its_message():
