@@ -34,7 +34,7 @@ _COLUMNS = ("x", "y", "d")
 # block of lines holds about twice its characters in Python strings while
 # it is parsed
 _BLOCK_CHARS = 1 << 18
-_BLOCK_ROWS = 1 << 13
+_BLOCK_ROWS = 1 << 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -405,19 +405,157 @@ def _cmd_simulate(ns: argparse.Namespace) -> None:
 
 
 def _cmd_dgp_sample(ns: argparse.Namespace) -> None:
-    """Write the sample as CSV, each block of rows with one `%` format:
-    the row format, repeated once per row, applied to the block's cells
-    interleaved row by row."""
+    """Write the sample as CSV, `_BLOCK_ROWS` rows at a time, each row the
+    text of ``"%.17g,%.17g,%d\\n" % (x, y, d)`` as numpy makes it (`_csv_rows`)."""
     sample = draw_sample(ns.spec, ns.rep_index)
-    x, y, d = sample.x, sample.y, sample.d
     with _output(ns.output) as fh:
         fh.write("x,y,d\n")
         for i in range(0, sample.n, _BLOCK_ROWS):
             part = slice(i, i + _BLOCK_ROWS)
-            size = len(x[part])
-            cells = [None] * (3 * size)
-            cells[0::3], cells[1::3], cells[2::3] = x[part].tolist(), y[part].tolist(), d[part].astype(int).tolist()
-            fh.write("%.17g,%.17g,%d\n" * size % tuple(cells))
+            fh.write(_csv_rows(sample.x[part], sample.y[part], sample.d[part]))
+
+
+# Python's "%.17g" of a float, from integer arithmetic in numpy.  A value v
+# with 1e-4 <= |v| < 1e16 is printed in fixed notation: its 17 significant
+# digits N, rounded half to even, placed by its decimal exponent
+# k = floor(log10 |v|) in [-4, 15], with the fraction's trailing zeros and
+# then a bare point stripped.  With q = 16 - k, N = round(|v| 10^q), and
+# 10^q = 5^q 2^q with 5^q < 2^49.
+_U = np.uint64
+_POW10 = 10.0 ** np.arange(22)  # each exact in a float
+_POW5 = 5 ** np.arange(22, dtype=_U)
+
+
+def _layouts():
+    """The words that lay out the digits, one column per (k, sign) class
+    2 (k + 4) + sign, and per text length.
+
+    A class keeps the bytes of its `low` mask in place (the k + 1 digits
+    before the point when k >= 0), moves the others `shift` bits up (past
+    the point, or past "0." and -k - 1 zeros when k < 0) and adds its
+    `fill` (the sign, the point and those zeros).  `prefix[L]` keeps a
+    text's first L bytes and `comma[L]` puts a comma after them.
+    """
+
+    def words(text_bytes):  # (rows, 24) byte values as (3, rows) words, the first byte lowest
+        return np.ascontiguousarray(np.asarray(text_bytes, dtype=np.uint8).view("<u8").astype(_U).T)
+
+    k = np.repeat(np.arange(-4, 16), 2)[:, None]
+    sign = np.tile([0, 1], 20)[:, None]
+    col = np.arange(24)
+    point = sign + np.maximum(k + 1, 1)
+    low = (k >= 0) & (col >= sign) & (col < point)
+    zeros = (k < 0) & (col >= sign) & (col < sign + 1 - k)
+    fill = np.where(col == point, ord("."), np.where(zeros, ord("0"), np.where(col < sign, ord("-"), 0)))
+    shift = (8 * np.maximum(1, 1 - k[:, 0])).astype(_U)
+    length = np.arange(25)[:, None]
+    prefix, comma = 255 * (col < length), np.where(col == length, ord(","), 0)
+    return words(255 * low), words(fill), shift, words(prefix), words(comma)
+
+
+_LOW, _FILL, _SHIFT, _PREFIX, _COMMA = _layouts()
+
+
+def _significand(a, m, r0, k):
+    """N = round(a 10^(16 - k)), half to even, exactly, for a = m / 2^r0.
+
+    a 10^q = m 5^q / 2^r, with r = r0 - q between 5 and 55 on the range,
+    k off by one included.  The float product gives N within a few units,
+    and m 5^q mod 2^64 (uint64 products wrap) the exact difference
+    (N - estimate) 2^r + remainder, which int64 holds.
+    """
+    q = 16 - k
+    r = r0 - q
+    estimate = (a * _POW10[q]).astype(_U)
+    diff = ((m * _POW5[q]) - (estimate << r.astype(_U))).view(np.int64)
+    n = estimate.view(np.int64) + (diff >> r)
+    rem, half = diff & ((1 << r) - 1), 1 << (r - 1)
+    n += (rem > half) | ((rem == half) & (n & 1).astype(bool))
+    return n
+
+
+def _decimal(a):
+    """(N, k): a = N 10^(k - 16) to 17 significant digits, 10^16 <= N < 10^17."""
+    bits = a.view(_U)
+    m = ((bits & _U((1 << 52) - 1)) | _U(1 << 52)) << _U(8)  # a = m / 2^r0, m < 2^61
+    r0 = 1083 - (bits >> _U(52)).astype(np.int64)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n = _significand(a, m, r0, k)
+    off = np.flatnonzero((n < 10 ** 16) | (n > 10 ** 17))  # where the float log10 missed k by one
+    k[off] += np.where(n[off] > 10 ** 17, 1, -1)
+    n[off] = _significand(a[off], m[off], r0[off], k[off])
+    carry = n == 10 ** 17  # rounded up to 10^17: 10^16 at k + 1
+    n[carry] = 10 ** 16
+    k[carry] += 1
+    return n, k
+
+
+def _digit_bytes(x):
+    """The eight decimal digits of each x < 10^8 (uint64) as byte values
+    0-9, the first digit in the lowest byte: x splits into two four-digit
+    lanes, each lane into two two-digit ones and each of those into two
+    digits, every division a multiply and a shift."""
+    hi = (x * _U(109951163)) >> _U(40)
+    v = hi | ((x - hi * _U(10000)) << _U(32))
+    hi = ((v * _U(10486)) >> _U(20)) & _U(0x0000007F0000007F)
+    v = hi | ((v - hi * _U(100)) << _U(16))
+    hi = ((v * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
+    return hi | ((v - hi * _U(10)) << _U(8))
+
+
+def _fixed_text(v):
+    """``"%.17g," % v`` of each v with 1e-4 <= |v| < 1e16: (3, len(v))
+    uint64 words, a text's first byte the lowest of its first word, zero
+    bytes after the comma."""
+    sign = np.signbit(v)
+    n, k = _decimal(np.abs(v))
+    lead, rest = np.divmod(n, 10 ** 8)
+    first, lead = np.divmod(lead, 10 ** 8)
+    digits = _digit_bytes(np.stack((lead, rest)).astype(_U))  # N's digits 2-9 and 10-17
+    # the last nonzero digit, from the bit length of a word's highest nonzero byte
+    bits = np.frexp(digits.astype(float))[1]
+    last = np.where(digits[1] != 0, 9 + ((bits[1] - 1) >> 3), 1 + ((bits[0] - 1) >> 3))
+    digits |= _U(0x3030303030303030)
+    # the 17 digits from byte `sign` on, then moved by the layout of their class
+    up = sign.astype(_U) << _U(3)
+    text = np.empty((3, len(v)), _U)
+    text[0] = ((first.astype(_U) | _U(0x30)) << up) | (digits[0] << (up + _U(8)))
+    text[1] = (digits[0] >> (_U(56) - up)) | (digits[1] << (up + _U(8)))
+    text[2] = digits[1] >> (_U(56) - up)
+    layout = 2 * k + 8 + sign
+    shift = _SHIFT.take(layout)
+    out = text & _LOW.take(layout, axis=1)
+    text ^= out
+    out |= _FILL.take(layout, axis=1)
+    out |= text << shift
+    out[1:] |= text[:2] >> (_U(64) - shift)
+    # the sign, then the k + 1 digits before the point if no digit after it
+    # is nonzero, else up to the last nonzero one past "0." and -k - 1 zeros
+    # when k < 0, or past the point
+    length = sign + np.where(last <= k, k + 1, last + 2 + np.maximum(-k, 0))
+    out &= _PREFIX.take(length, axis=1)
+    out |= _COMMA.take(length, axis=1)
+    return out
+
+
+def _csv_rows(x, y, d) -> str:
+    """The lines ``"%.17g,%.17g,%d\\n" % (x, y, d)`` of a block of rows, joined.
+
+    Each line is laid out in seven words, x's text and comma, y's, then d
+    and the newline, padded with zero bytes, and one compress of the
+    block's bytes drops the padding.  A row whose x or y is 0 or outside
+    1e-4 <= |v| < 1e16 is formatted by Python.
+    """
+    magnitude = np.abs(np.stack((x, y)))
+    fixed = ((magnitude >= 1e-4) & (magnitude < 1e16)).all(axis=0)
+    fast, other = np.flatnonzero(fixed), np.flatnonzero(~fixed)
+    words = np.split(_fixed_text(np.concatenate((x[fast], y[fast]))), 2, axis=1)
+    rows = np.empty((len(x), 7), _U)
+    rows[fast] = np.concatenate((*words, [d[fast].astype(_U) | _U(0x0A30)])).T  # "0" + d, then "\n"
+    lines = ["%.17g,%.17g,%d\n" % row for row in zip(x[other].tolist(), y[other].tolist(), d[other].astype(int).tolist())]
+    rows[other] = np.array(lines, dtype="S56").view("<u8").reshape(-1, 7)
+    text = rows.astype("<u8", copy=False).view(np.uint8)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def main(argv=None) -> int:

@@ -103,6 +103,16 @@ def _spread(sample: Sample, side=None):
     return size, np.sqrt(m2 / size)
 
 
+def _whole_sd(sample: Sample):
+    """sd(x) of each slice over all its rows (see `_spread`), computed once
+    per stack and kept on it, whose arrays are read-only: the density and
+    jump pilots that `assemble_pilots` runs on one stack share one pass."""
+    kept = vars(sample)
+    if "_whole_sd" not in kept:
+        kept["_whole_sd"] = _spread(sample)[1]
+    return kept["_whole_sd"]
+
+
 def _checked_sd(errors, sd, pilot):
     """sd, with 1 in place of a zero or non-finite value (x beyond about
     1e154 overflows it), whose slice records DegenerateSample."""
@@ -127,7 +137,7 @@ def estimate_density(sample: Sample):
     errors = [None] * len(x)
     record(errors, np.full(len(x), n < 10), lambda r: InsufficientData(
         f"density pilot needs n >= 10, got {n}"))
-    sd = _checked_sd(errors, _spread(sample)[1], "density")
+    sd = _checked_sd(errors, _whole_sd(sample), "density")
     h0 = 1.06 * sd * n ** (-1 / 5)
     h1 = h0 * n ** (1 / 5 - 1 / 7)
     f, f1 = np.zeros(len(x)), np.zeros(len(x))
@@ -233,7 +243,7 @@ def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
     Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
     """
     errors = [None] * len(sample.x)
-    h = _pilot_bandwidth(_checked_sd(errors, _spread(sample)[1], "jump"), sample.n)
+    h = _pilot_bandwidth(_checked_sd(errors, _whole_sd(sample), "jump"), sample.n)
     plus, later = estimate_level(sample, "plus", h, kernel)
     merge(errors, later)
     minus, later = estimate_level(sample, "minus", h, kernel)

@@ -435,6 +435,53 @@ def test_load_csv_matches_the_reference_parser(tmp_path, monkeypatch, seed, bloc
     assert 0 < accepted < 100
 
 
+def format_corpus():
+    """Finite floats that reach every branch of the CSV writer's "%.17g",
+    and their negatives."""
+    rng = np.random.default_rng(26)
+    bit_patterns = rng.integers(0, 1 << 63, 40_000, dtype=np.uint64).view(float)  # every finite exponent
+    fixed_range = np.ldexp(rng.uniform(0.5, 1.0, 40_000), rng.integers(-13, 55, 40_000))
+    subnormals = rng.integers(1, 1 << 52, 1000, dtype=np.uint64).view(float)
+    ties = (2 * rng.integers(4 * 10**14, 4 * 10**15, 2000) + 1) / 8  # 15 digits, then .125 to .875: 17-digit ties
+    edges = np.concatenate([10.0 ** np.arange(-5, 18), [1e-4, 1e16]])
+    values = np.concatenate([
+        bit_patterns[np.isfinite(bit_patterns)], fixed_range, subnormals, ties,
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max],
+    ])
+    return np.concatenate([values, -values])
+
+
+def wrong_csv_rows(x):
+    """The lines of `cli._csv_rows` on rows (x, x reversed, 0 or 1) that differ
+    from Python's "%.17g,%.17g,%d", as (got, want) pairs."""
+    y, d = x[::-1], np.arange(len(x)) % 2.0
+    blocks = [slice(i, i + cli._BLOCK_ROWS) for i in range(0, len(x), cli._BLOCK_ROWS)]
+    got = "".join(cli._csv_rows(x[b], y[b], d[b]) for b in blocks).split("\n")
+    want = ["%.17g,%.17g,%d" % row for row in zip(x.tolist(), y.tolist(), d.astype(int).tolist())] + [""]
+    assert len(got) == len(want)
+    return [(g, w) for g, w in zip(got, want) if g != w]
+
+
+def test_csv_rows_print_each_float_as_python_does():
+    x = format_corpus()
+    magnitude = np.abs(x)
+    assert np.count_nonzero((magnitude >= 1e-4) & (magnitude < 1e16)) > len(x) / 2  # numpy's own digits
+    wrong = wrong_csv_rows(x)
+    assert not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("error", [-0.3, 0.3])
+def test_csv_rows_do_not_rest_on_the_float_log10(monkeypatch, error):
+    # the writer takes each decimal exponent from floor(log10 |v|) first; where
+    # that is one too high or too low (at 10^k itself the 17 digits then round
+    # to 10^17) it must still print Python's digits
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    wrong = wrong_csv_rows(format_corpus())
+    assert not wrong, wrong[:5]
+
+
 class TestCommands:
     def make_data(self, tmp_path, n=400, design="design2"):
         out = tmp_path / "data.csv"
@@ -463,15 +510,24 @@ class TestCommands:
         np.testing.assert_array_equal(loaded.d, direct.d)
 
     # 1000 rows: one block, one-row blocks, partial last blocks of 6 and
-    # 100 rows, and four whole blocks
+    # 100 rows, and four whole blocks; at an error sd of 1e-12 y is the
+    # design's mean to about 12 digits, and at 1e17 919 of the 1000 |y|
+    # are 1e16 or more, so rows that numpy formats and rows that Python
+    # formats alternate
     @pytest.mark.parametrize("block_rows", [None, 1, 7, 300, 250])
-    @pytest.mark.parametrize("design", ["design1", "design2"])
-    def test_dgp_sample_matches_per_row_format(self, tmp_path, monkeypatch, design, block_rows):
+    @pytest.mark.parametrize("design, error_sd", [
+        pytest.param("design1", DEFAULT_ERROR_SD, id="design1"),
+        pytest.param("design2", DEFAULT_ERROR_SD, id="design2"),
+        pytest.param("design1", 1e-12, id="design1-sd1e-12"),
+        pytest.param("design2", 1e17, id="design2-sd1e17"),
+    ])
+    def test_dgp_sample_matches_per_row_format(self, tmp_path, monkeypatch, design, error_sd, block_rows):
         if block_rows:
             monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
         out = tmp_path / "data.csv"
-        assert main(["dgp-sample", "--design", design[-1], "--n", "1000", "--seed", "9", "--output", str(out)]) == 0
-        s = draw_sample(DgpSpec(design=design, n=1000, seed=9), 0)
+        argv = ["dgp-sample", "--design", design[-1], "--n", "1000", "--seed", "9", "--error-sd", repr(error_sd)]
+        assert main(argv + ["--output", str(out)]) == 0
+        s = draw_sample(DgpSpec(design=design, n=1000, seed=9, error_sd=error_sd), 0)
         lines = ["x,y,d"] + [f"{xi:.17g},{yi:.17g},{di:.0f}" for xi, yi, di in zip(s.x, s.y, s.d)]
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 

@@ -221,3 +221,14 @@ def test_reading_a_csv_holds_one_column_twice_at_most(tmp_path):
     # 1.34 times the columns; 2.04 times when the blocks of all three
     # columns were alive with the joined copy, read 1 MB at a time
     assert peak < 1.5 * columns, (peak, columns)
+
+
+def test_writing_a_csv_holds_the_sample_and_one_block(tmp_path):
+    path = str(tmp_path / "s.csv")
+    argv = ["dgp-sample", "--design", "1", "--n", "200000", "--seed", "3", "--output", path]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    columns = 3 * 8 * 200_000
+    # 1.35 times the columns, the draw's own peak; 1.68 times when the
+    # writer's blocks of numpy text were 8192 rows
+    assert peak < 1.6 * columns, (peak, columns)

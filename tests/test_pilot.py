@@ -4,6 +4,7 @@ import pytest
 from rdbw.errors import InsufficientData, SingularDesign, WeakDiscontinuity
 from rdbw.estimator import frd_estimate
 from rdbw.kernels import FAMILIES, KernelSpec
+from rdbw import pilot
 from rdbw.local_poly import Sample
 from rdbw.pilot import (
     PILOT_BANDWIDTH_SCALE,
@@ -331,3 +332,12 @@ class TestAssemblePilots:
             assert abs(p.sigYD_plus) <= np.sqrt(p.sig2Y_plus * p.sig2D_plus) + 1e-12
             assert abs(p.sigYD_minus) <= np.sqrt(p.sig2Y_minus * p.sig2D_minus) + 1e-12
             assert abs(p.tauD) >= 0.05
+
+    def test_the_density_and_jump_pilots_share_one_pass_for_sd_x(self, monkeypatch):
+        # both use sd(x) over all rows; on one stack it is computed once
+        passes = []
+        spread = pilot._spread
+        monkeypatch.setattr(pilot, "_spread", lambda s, side=None: passes.append(side) or spread(s, side))
+        stack = draw_sample(DgpSpec(design="design1", n=500, seed=3), range(4))
+        _, errors = assemble_pilots(stack)
+        assert passes.count(None) == 1 and errors == [None] * 4
