@@ -421,7 +421,8 @@ def fit_boundary(
     outside the bandwidth have no influence at all.  The design holds the
     powers of (x - c)/h, built by repeated multiplication, so its
     conditioning does not depend on the units of x; the coefficients are
-    rescaled by h^-k afterwards.  No row index is returned.
+    rescaled by h^-k afterwards (by k divisions where h^k is not a
+    finite nonzero float).  No row index is returned.
 
     Y and D are two right-hand sides of one design: R of the QR
     factorization of [sqrt(w) powers | sqrt(w) Y, sqrt(w) D] is
@@ -487,8 +488,15 @@ def fit_boundary(
     design[singular] = np.eye(p)  # placeholder, so the stacked solve cannot fail
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
-    # from h ~ 1e+-78 on, h^4 leaves the floats: only the quartic's top coefficient, which no pilot reads, is lost
-    coef = np.linalg.solve(design, rhs) / h[:, None, None] ** np.arange(p)[:, None]
+    coef = np.linalg.solve(design, rhs)
+    power = h[:, None, None] ** np.arange(p)[:, None]
+    # h^k leaves the floats for extreme h (h^4 from h ~ 1e77, h^3 from 5.6e102):
+    # there the coefficient is divided by h k times, which keeps the quartic's
+    # curvature terms for x in units up to about 1e103
+    stepwise = coef.copy()
+    for k in range(1, p):
+        stepwise[:, k:] /= h[:, None, None]
+    coef = np.where((power > 0.0) & (power < np.inf), coef / power, stepwise)
     return BoundaryFit(coef, side, h_given, effective), errors
 
 

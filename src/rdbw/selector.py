@@ -46,8 +46,6 @@ _ROOT_STEPS = 4
 # the refinement stops once its step in log(h_minus / h_plus) is this small
 _STEP_TOL = 1e-13
 _REFINE_MAXITER = 30
-# relative slack when deciding whether the optimum sits on the bound box
-_EDGE_RTOL = 1e-8
 _LOG4, _LOG6 = math.log(4.0), math.log(6.0)
 
 
@@ -87,6 +85,8 @@ class AmseCoefficients:
 
 @dataclass(frozen=True)
 class BandwidthPair:
+    """regime boundary_clamped: the minimum on the pair's ray was clipped by the box."""
+
     h_plus: float
     h_minus: float
     regime: str
@@ -247,17 +247,17 @@ def _profile(prob, ell):
     ray's part of the box.  In (u, w) = (log h_plus, log h_minus), the
     envelope theorem gives the profile's slope F_w where the root is
     inside or h_plus is clipped, and -F_u where h_minus is clipped.
-    Which bound clips is read from the unclipped root; at a corner ray
-    (l = w_hi - u_hi or w_lo - u_lo), where the clipping bound changes
-    sides, it is the bound that clips the rays just above.  Arrays of
-    prob broadcast against ell.
+    Which bound clips is read from the unclipped root.  At a corner ray
+    (l = w_hi - u_hi or w_lo - u_lo) the clipping bound changes sides:
+    `slope` takes the bound that clips the rays just above, `below` the
+    one that clips the rays just below, and elsewhere the two are equal.
+    Arrays of prob broadcast against ell.
     """
     lam = np.exp(ell)
     a = prob.p_plus - prob.p_minus * (lam * lam)
     b = prob.q_plus - prob.q_minus * (lam * lam * lam)
     kappa = prob.k_plus + prob.k_minus / lam
-    plus_hi = ell < prob.w_hi - prob.u_hi
-    plus_lo = ell >= prob.w_lo - prob.u_lo
+    corner_hi, corner_lo = prob.w_hi - prob.u_hi, prob.w_lo - prob.u_lo
     t_hi = np.minimum(prob.u_hi, prob.w_hi - ell)
     t_lo = np.maximum(prob.u_lo, prob.w_lo - ell)
     alpha = _LOG4 + 2.0 * np.log(np.abs(a))
@@ -271,7 +271,9 @@ def _profile(prob, ell):
     # coefficients, which make the value NaN anyway): there the criterion
     # falls all the way to the upper clip
     upper, lower = ~(t <= t_hi), t < t_lo
-    minus = np.where(upper, ~plus_hi, lower & ~plus_lo)
+    # whether h_minus is clipped, on the rays just above and just below
+    minus = np.where(upper, ell >= corner_hi, lower & (ell < corner_lo))
+    minus_below = np.where(upper, ell > corner_hi, lower & (ell <= corner_lo))
     t = np.fmax(np.fmin(t, t_hi), t_lo)
     hu = np.exp(t)
     hw = hu * lam
@@ -291,6 +293,7 @@ def _profile(prob, ell):
         t=t, ell=ell, upper=upper, clipped=upper | lower, minus=minus,
         value=e1 * e1 + e2 * e2 + var_p + var_m,
         slope=np.where(minus, -f_u, f_w),
+        below=np.where(minus_below, -f_u, f_w),
         curvature=np.where(minus, f_uu, inner),
     )
 
@@ -298,12 +301,12 @@ def _profile(prob, ell):
 def _node_profile(prob, points):
     """_profile on each slice's row of points, without its curvature.
 
-    The profile holds some 35 temporaries of one row of points per slice,
+    The profile holds some 40 temporaries of one row of points per slice,
     so it runs on groups of slices (see `rdbw.local_poly.slice_groups`).
     """
-    fields = ("t", "upper", "clipped", "minus", "value", "slope")
+    fields = ("t", "upper", "clipped", "minus", "value", "slope", "below")
     parts = []
-    for g in slice_groups(len(points), 35 * points.shape[1]):
+    for g in slice_groups(len(points), 40 * points.shape[1]):
         at = _profile(_take(prob, g), points[g])
         parts.append([getattr(at, name) for name in fields])
     return SimpleNamespace(ell=points, **{name: np.concatenate(column) for name, column in zip(fields, zip(*parts))})
@@ -349,13 +352,15 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     B = (psi_+ - psi_- lambda^3)^2, C = omega_+ + omega_- / lambda and
     K = v / (n f).  Its one minimum in h, clipped to the part of the ray
     inside the box, gives a profile g(lambda), and every point of the box
-    lies on one ray, so the box minimum is the minimum of g.  g is
-    evaluated with its slope on 64 log-spaced rays across the box and on
-    the analytic rays where A = 0, where B = 0 and at the two corners
-    where the clipping bound changes sides; every node interval where
-    the slope turns from negative to positive is refined to its root.
-    The best of those roots and of the nodes that end no refined
-    interval wins, the one on the lowest ray if they tie.
+    lies on one ray, so the box minimum is the minimum of g.  It is
+    profiled once, in ray order, on 64 log-spaced rays across the box, the
+    analytic rays where A = 0 and B = 0 and the two corners where the
+    clipping bound changes sides, with its slope on both sides of each
+    ray (they differ only at a corner).  Every node interval whose slope
+    is negative just above its left end and positive just below its right
+    end is refined to its root.  The best of those roots and of the nodes
+    that end no refined interval wins, the one on the lowest ray if they
+    tie; it is boundary_clamped if the box clipped it on its ray.
 
     The profile is computed with bandwidths in units of
     sqrt(lo_plus hi_plus) and the criterion in units of
@@ -395,31 +400,24 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     analytic = np.hstack((0.5 * np.log(prob.p_plus / prob.p_minus),
                           np.log(prob.q_plus / prob.q_minus) / 3.0))
     first, last = prob.w_lo - prob.u_hi, prob.w_hi - prob.u_lo
-    nodes = np.hstack((
+    # every slice's nodes in ray order, NaN last
+    nodes = np.sort(np.hstack((
         np.linspace(first[:, 0], last[:, 0], PROFILE_NODES, axis=1),
         np.where((first < analytic) & (analytic < last), analytic, np.nan),
         prob.w_lo - prob.u_lo,
         prob.w_hi - prob.u_hi,
-    ))
-    # the corners once more, a float below: the profile's slope just
-    # below a corner, where it may differ from the slope just above
-    at = _node_profile(prob, np.hstack((nodes, np.nextafter(nodes[:, -2:], -np.inf))))
-    m = nodes.shape[1]
-    order = np.argsort(nodes, axis=1)
-    left = np.take_along_axis(np.hstack((at.slope[:, : m - 2], at.slope[:, m:])), order, axis=1)
-    # the nodes' columns of every field in ray order, in place
-    for column in vars(at).values():
-        column[:, :m] = np.take_along_axis(column[:, :m], order, axis=1)
-    undefined = np.isnan(at.value[:, :m]).all(axis=1)
-    rows, cols = np.nonzero((at.slope[:, : m - 1] < 0.0) & (left[:, 1:] > 0.0))
+    )), axis=1)
+    at = _node_profile(prob, nodes)
+    undefined = np.isnan(at.value).all(axis=1)
+    rows, cols = np.nonzero((at.slope[:, :-1] < 0.0) & (at.below[:, 1:] > 0.0))
     refined = _refine(_take(prob, rows), at.ell[rows, cols, None], at.ell[rows, cols + 1, None],
-                      at.slope[rows, cols, None], left[rows, cols + 1, None])
+                      at.slope[rows, cols, None], at.below[rows, cols + 1, None])
     # an interval's ends lie above its root, which takes its left end's
     # place (a right end that starts the next interval takes that one's root)
     at.value[rows, cols + 1] = np.inf
     for name, column in vars(at).items():
         column[rows, cols] = getattr(refined, name)[:, 0]
-    best = np.where(np.isnan(at.value[:, :m]), np.inf, at.value[:, :m]).argmin(axis=1)[:, None]
+    best = np.where(np.isnan(at.value), np.inf, at.value).argmin(axis=1)[:, None]
     t, ell, upper, clipped, minus = (np.take_along_axis(getattr(at, name), best, axis=1)[:, 0]
                                      for name in ("t", "ell", "upper", "clipped", "minus"))
 
@@ -432,15 +430,9 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     # a failed slice takes a placeholder pair, at which the criterion is defined
     failed = failures(errors)
     h_p, h_m = np.where(failed, 1.0, h_p), np.where(failed, 1.0, h_m)
-    on_edge = (
-        (h_p <= lo_p * (1 + _EDGE_RTOL))
-        | (h_p >= hi_p * (1 - _EDGE_RTOL))
-        | (h_m <= lo_m * (1 + _EDGE_RTOL))
-        | (h_m >= hi_m * (1 - _EDGE_RTOL))
-    )
     # by the signs: the product of the phi underflows or overflows for x in extreme units
     opposite = np.sign(coeffs.phi_plus) * np.sign(coeffs.phi_minus) < 0.0
-    regime = np.where(on_edge, "boundary_clamped", np.where(opposite, "opposite_sign", "same_sign"))
+    regime = np.where(clipped, "boundary_clamped", np.where(opposite, "opposite_sign", "same_sign"))
     value = mmse_objective(h_p, h_m, coeffs)
     record(errors, ~np.isfinite(value), lambda r: DegenerateObjective(
         "the criterion is not finite at the selected pair"))

@@ -158,3 +158,19 @@ def test_y_in_extreme_units_keeps_the_pair_or_fails_typed(unit_stacks, b):
                     assert isinstance(got, DegenerateObjective), got
                 else:
                     assert got == pytest.approx(want, rel=RTOL)
+
+
+def test_x_in_units_of_1e103_keeps_the_pair_or_fails_typed(unit_stacks):
+    # the whole-side quartic fits' h^3 overflows there: the curvature pilots
+    # m3Y and m3D came out 0, and 9 of these 10 samples returned a pair up to
+    # 59% away from 1e103 times the unit pair with no error
+    a = 1e103
+    selected = 0
+    for stack in unit_stacks:
+        unit = _outcomes(stack)[1]
+        for outcomes in _outcomes(Sample(a * stack.x, stack.y, stack.d, a * stack.c)):
+            for want, got in zip(unit, outcomes):
+                if not isinstance(got, RdbwError):
+                    assert got == pytest.approx((a * want[0], a * want[1]), rel=RTOL)
+                    selected += 1
+    assert selected

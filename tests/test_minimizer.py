@@ -13,7 +13,10 @@ import pytest
 from rdbw.errors import DegenerateObjective, RdbwError
 from rdbw.local_poly import Sample
 from rdbw.selector import (
+    PROFILE_NODES,
     AmseCoefficients,
+    _profile,
+    _unit_free,
     afo_bandwidths,
     default_bounds,
     minimize_mmse,
@@ -21,6 +24,7 @@ from rdbw.selector import (
     select_bandwidths,
 )
 from rdbw.simlab import DgpSpec, draw_sample
+from test_equivariance import _fuzzed_sample
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "minimizer_corpus.json").read_text())["sets"]
 
@@ -78,14 +82,16 @@ def test_a_criterion_that_is_nan_on_the_whole_grid_is_a_typed_error():
 
 
 def test_a_criterion_beyond_the_floats_at_the_selected_pair_is_a_typed_error():
-    # x in units of 1e104: the criterion overflows at the selected pair; its
-    # powers once raised a bare OverflowError on one sample and on a stack
-    sample = draw_sample(DgpSpec("design1", 500, seed=1), 0)
-    far = Sample(sample.x * 1e104, sample.y, sample.d, 0.0)
-    with pytest.raises(DegenerateObjective, match="not finite at the selected pair"):
-        select_bandwidths(far)
-    _, errors = select_bandwidths(far.as_stack())
-    assert isinstance(errors[0], DegenerateObjective)
+    # x in units of 1e104: on rep 1 the criterion overflows at the selected
+    # pair, and on rep 0 it is not a number on the whole profile; its powers
+    # once raised a bare OverflowError on one sample and on a stack
+    for rep, message in ((1, "not finite at the selected pair"), (0, "not a number anywhere on the profile")):
+        sample = draw_sample(DgpSpec("design1", 500, seed=1), rep)
+        far = Sample(sample.x * 1e104, sample.y, sample.d, 0.0)
+        with pytest.raises(DegenerateObjective, match=message):
+            select_bandwidths(far)
+        _, errors = select_bandwidths(far.as_stack())
+        assert isinstance(errors[0], DegenerateObjective) and message in str(errors[0])
 
 
 @pytest.mark.parametrize("scale", [1e-102, 1e-105, 1e-110])
@@ -219,13 +225,18 @@ def fuzz_sets(count, seed):
     return sets
 
 
-def assert_never_above_brute_force(sets):
+def stacked_problem(sets):
+    """(coefficients, bounds) of (R,) arrays from R (coefficients, bounds) pairs."""
     coeffs, boxes = zip(*sets)
     stack = AmseCoefficients(
         **{f.name: np.array([getattr(c, f.name) for c in coeffs]) for f in fields(AmseCoefficients)}
     )
-    bounds = tuple((np.array([b[i][0] for b in boxes]), np.array([b[i][1] for b in boxes])) for i in (0, 1))
-    pair, errors = minimize_mmse(stack, bounds)
+    return stack, tuple((np.array([b[i][0] for b in boxes]), np.array([b[i][1] for b in boxes])) for i in (0, 1))
+
+
+def assert_never_above_brute_force(sets):
+    coeffs, boxes = zip(*sets)
+    pair, errors = minimize_mmse(*stacked_problem(sets))
     assert errors == [None] * len(sets)
     value = pair.objective_value
     brute = np.concatenate([profile_brute_force(coeffs[i:i + 50], boxes[i:i + 50]) for i in range(0, len(sets), 50)])
@@ -289,3 +300,63 @@ def test_a_minimum_just_inside_the_clipped_region_at_a_clip_transition():
     lam = pair.h_minus / pair.h_plus
     brute = profile_brute_force([coeffs], [bounds], rays=(np.array([lam / 1.01]), np.array([lam * 1.01])))
     assert pair.objective_value <= brute[0] * (1.0 + 1e-12)
+
+
+def _on_a_bound(pairs, bounds):
+    (lo_p, hi_p), (lo_m, hi_m) = bounds
+    return (pairs.h_plus == lo_p) | (pairs.h_plus == hi_p) | (pairs.h_minus == lo_m) | (pairs.h_minus == hi_m)
+
+
+def test_a_pair_is_labelled_clamped_exactly_when_it_sits_on_a_bound():
+    # the label is the profile's own clipping at the winning ray: it must
+    # agree with the pair itself, on the corpus, the selection fuzz and one
+    # Monte Carlo block per design and mode
+    labelled, on_bound = [], []
+    pairs, errors = minimize_mmse(*stacked_problem([_problem(entry) for entry in CORPUS]))
+    assert errors == [None] * len(CORPUS)
+    labelled.append(pairs.regime == "boundary_clamped")
+    on_bound.append(_on_a_bound(pairs, stacked_problem([_problem(entry) for entry in CORPUS])[1]))
+    rng = np.random.default_rng(20150921)
+    for _ in range(300):
+        sample = _fuzzed_sample(rng)
+        for mode in ("fuzzy", "sharp") if sample is not None else ():
+            try:
+                pair = select_bandwidths(sample, mode=mode).bandwidths
+            except RdbwError:
+                continue
+            labelled.append([pair.regime == "boundary_clamped"])
+            on_bound.append([_on_a_bound(pair, default_bounds(sample))])
+    for design in ("design1", "design2"):
+        stack = draw_sample(DgpSpec(design, 500, seed=42), range(131))
+        bounds = default_bounds(stack)[0]
+        for mode in ("fuzzy", "sharp"):
+            sel, errors = select_bandwidths(stack, mode=mode)
+            ok = np.array([e is None for e in errors])
+            labelled.append((sel.bandwidths.regime == "boundary_clamped")[ok])
+            on_bound.append(_on_a_bound(sel.bandwidths, bounds)[ok])
+    labelled, on_bound = np.concatenate(labelled), np.concatenate(on_bound)
+    assert len(labelled) > 1600 and 0 < labelled.sum() < len(labelled)
+    np.testing.assert_array_equal(labelled, on_bound)
+
+
+@pytest.mark.parametrize("source", ["corpus", "fuzz"])
+def test_the_slope_below_a_ray_differs_from_the_slope_above_only_at_the_corners(source):
+    # below a corner ray the other bound clips the rays: the profile's
+    # slope there is its slope a float below the corner, and at every other
+    # node the slope above
+    sets = [_problem(entry) for entry in CORPUS] if source == "corpus" else fuzz_sets(3000, seed=20150921)
+    prob = _unit_free(*stacked_problem(sets))
+    first, last = prob.w_lo - prob.u_hi, prob.w_hi - prob.u_lo
+    corners = np.hstack((prob.w_lo - prob.u_lo, prob.w_hi - prob.u_hi))
+    with np.errstate(all="ignore"):
+        analytic = np.hstack((0.5 * np.log(prob.p_plus / prob.p_minus), np.log(prob.q_plus / prob.q_minus) / 3.0))
+        others = np.hstack((np.linspace(first[:, 0], last[:, 0], PROFILE_NODES, axis=1),
+                            np.where((first < analytic) & (analytic < last), analytic, np.nan)))
+        inside, at, just_below = (_profile(prob, ell) for ell in (others, corners, np.nextafter(corners, -np.inf)))
+    np.testing.assert_array_equal(inside.below, inside.slope)
+    scale = np.nanmax(np.abs(np.hstack((inside.slope, at.slope))), axis=1, keepdims=True)
+    assert np.all(np.abs(at.below - just_below.slope) <= 1e-12 * scale)
+    assert np.array_equal(np.sign(at.below), np.sign(just_below.slope))
+    if source == "fuzz":
+        # no corpus problem is clipped at a corner; in the fuzz, some corners are kinks
+        assert np.count_nonzero(np.sign(at.below) != np.sign(at.slope)) > 100
