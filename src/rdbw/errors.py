@@ -12,7 +12,8 @@ raises the error of its slice, if any.
 values leave the floats, as for data in extreme units, computes through
 inf and NaN until a check records its error (`DegenerateSample` for an
 sd(x) that is not finite, `DegenerateObjective` for a criterion that is
-not), so only `RdbwError` subclasses leave a stage.
+not or for a subnormal variance numerator), so only `RdbwError`
+subclasses leave a stage.
 """
 
 import numpy as np
@@ -44,7 +45,9 @@ class DenominatorNearZero(RdbwError):
 
 class DegenerateObjective(RdbwError):
     """Bandwidth objective has no interior minimum (both variance terms
-    zero), or is not finite at the selected pair or anywhere on the profile."""
+    zero), has a subnormal variance numerator (y in units too small to
+    keep its digits), or is not finite at the selected pair or anywhere
+    on the profile."""
 
 
 class ZeroCurvature(RdbwError):

@@ -40,7 +40,7 @@ REGIMES = ("opposite_sign", "same_sign", "boundary_clamped")
 
 # log-spaced rays of the profile; the analytic rays come on top of them
 PROFILE_NODES = 64
-# Newton steps on the inner root: each one squares a log-error that
+# Newton steps on the root along a ray: each one squares a log-error that
 # starts below log(2) / 5 and shrinks it at least tenfold
 _ROOT_STEPS = 4
 # the refinement stops once its step in log(h_minus / h_plus) is this small
@@ -236,8 +236,7 @@ def _take(prob, index):
 
 
 def _profile(prob, ell):
-    """The criterion's minimum along the rays l = ell, and its first two
-    derivatives in l.
+    """The criterion's minimum along the rays l = ell, and its slope in l.
 
     On a ray, h^2 dF/dh = 4 a^2 h^5 + 6 b^2 h^7 - kappa grows with h, so
     the criterion has one minimum there.  Newton on
@@ -283,33 +282,22 @@ def _profile(prob, ell):
     var_p, var_m = prob.k_plus / hu, prob.k_minus / hw
     f_u = 4.0 * x * e1 + 6.0 * p * e2 - var_p
     f_w = -4.0 * y * e1 - 6.0 * q * e2 - var_m
-    f_uu = 8.0 * (x * e1 + x * x) + 18.0 * (p * e2 + p * p) + var_p
-    f_ww = 8.0 * (y * y - y * e1) + 18.0 * (q * q - q * e2) + var_m
-    # d/dt of F_u + F_w on the ray, and its cross-derivative with l
-    f_tt = 16.0 * e1 * e1 + 36.0 * e2 * e2 + var_p + var_m
-    f_tl = f_ww - 8.0 * x * y - 18.0 * p * q
-    inner = np.where(upper | lower, f_ww, f_ww - f_tl * (f_tl / f_tt))
     return SimpleNamespace(
         t=t, ell=ell, upper=upper, clipped=upper | lower, minus=minus,
         value=e1 * e1 + e2 * e2 + var_p + var_m,
         slope=np.where(minus, -f_u, f_w),
         below=np.where(minus_below, -f_u, f_w),
-        curvature=np.where(minus, f_uu, inner),
     )
 
 
 def _node_profile(prob, points):
-    """_profile on each slice's row of points, without its curvature.
+    """_profile on each slice's row of points.
 
-    The profile holds some 40 temporaries of one row of points per slice,
+    The profile holds some 30 temporaries of one row of points per slice,
     so it runs on groups of slices (see `rdbw.local_poly.slice_groups`).
     """
-    fields = ("t", "upper", "clipped", "minus", "value", "slope", "below")
-    parts = []
-    for g in slice_groups(len(points), 40 * points.shape[1]):
-        at = _profile(_take(prob, g), points[g])
-        parts.append([getattr(at, name) for name in fields])
-    return SimpleNamespace(ell=points, **{name: np.concatenate(column) for name, column in zip(fields, zip(*parts))})
+    parts = [vars(_profile(_take(prob, g), points[g])) for g in slice_groups(len(points), 30 * points.shape[1])]
+    return SimpleNamespace(**{name: np.concatenate([part[name] for part in parts]) for name in parts[0]})
 
 
 def _refine(prob, lo, hi, f_lo, f_hi):
@@ -317,15 +305,17 @@ def _refine(prob, lo, hi, f_lo, f_hi):
 
     The slope is f_lo < 0 just above lo and f_hi > 0 just below hi.  All
     brackets start where the chord between those slopes crosses zero and
-    step in lockstep by the safeguarded Newton rule of rtsafe (Press et
-    al., Numerical Recipes, 9.4): a Newton step is taken only if it stays
-    in the bracket and is at most half the step before last, otherwise
-    the bracket is bisected, because the curvature jumps where the inner
-    root meets the box.  A bracket stops once its step is below
-    _STEP_TOL or its slope is zero.
+    step in lockstep by secant steps inside the safeguard of rtsafe (Press
+    et al., Numerical Recipes, 9.4), as in Brent's zero finder (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).  The
+    secant runs through the last two iterates, the first one through
+    (hi, f_hi).  Its step is taken only if it stays in the bracket and is
+    at most half the step before last; otherwise the bracket is bisected.
+    A bracket stops once its step is below _STEP_TOL or its slope is zero.
     """
     x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     last = older = hi - lo
+    prev, f_prev = hi, f_hi
     active = np.ones(x.shape, dtype=bool)
     for _ in range(_REFINE_MAXITER + 1):
         at = _profile(prob, x)
@@ -334,12 +324,16 @@ def _refine(prob, lo, hi, f_lo, f_hi):
         active &= (last >= _STEP_TOL) & (at.slope != 0.0)
         if not active.any():
             break
-        f, df = at.slope, at.curvature
-        newton = x - f / df
-        bisect = ~((lo <= newton) & (newton <= hi) & (np.abs(2.0 * f) <= np.abs(older * df)))
+        f = at.slope
+        # a secant through one point twice, or a flat one, is NaN or
+        # infinite, and the safeguard bisects
+        df = (f - f_prev) / (x - prev)
+        secant = x - f / df
+        bisect = ~((lo <= secant) & (secant <= hi) & (np.abs(2.0 * f) <= np.abs(older * df)))
         older = last
-        last = np.where(bisect, 0.5 * (hi - lo), np.abs(newton - x))
-        x = np.where(active, np.where(bisect, 0.5 * (lo + hi), newton), x)
+        last = np.where(bisect, 0.5 * (hi - lo), np.abs(secant - x))
+        prev, f_prev = x, f
+        x = np.where(active, np.where(bisect, 0.5 * (lo + hi), secant), x)
     return at
 
 
@@ -358,7 +352,8 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     clipping bound changes sides, with its slope on both sides of each
     ray (they differ only at a corner).  Every node interval whose slope
     is negative just above its left end and positive just below its right
-    end is refined to its root.  The best of those roots and of the nodes
+    end is refined to its root by safeguarded secant steps on the slope
+    (see `_refine`).  The best of those roots and of the nodes
     that end no refined interval wins, the one on the lowest ray if they
     tie; it is boundary_clamped if the box clipped it on its ray.
 
@@ -368,7 +363,7 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     Restating x in units of a x (phi / a^2, psi / a^3, f / a, a * bounds)
     or y in units of b y (phi, psi times b, omega times b^2) leaves the
     profile's numbers unchanged up to rounding, so the pair scales by a
-    and does not move with b.
+    and does not move with b, as long as omega is a normal float.
 
     Parameters
     ----------
@@ -381,9 +376,11 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     a slice that failed holds a finite placeholder pair.  Every slice
     is profiled on the nodes in groups of bounded size (see
     `rdbw.local_poly.slice_groups`), and the intervals of all slices are
-    refined together.  A slice whose profile is not a number on any
-    node, or whose criterion is not finite at its pair, as where x is
-    in units beyond about 1e+-100, fails with DegenerateObjective.
+    refined together.  A slice fails with DegenerateObjective where a
+    variance numerator is subnormal, as for y in units below about
+    1e-152, since its lost digits would move the pair; where its profile
+    is not a number on any node; or where its criterion is not finite at
+    its pair, as for x in units below about 1e-100 or above 1e103.
     """
     slices = len(coeffs.f)
     (lo_p, hi_p), (lo_m, hi_m) = bounds = tuple(
@@ -395,6 +392,11 @@ def minimize_mmse(coeffs: AmseCoefficients, bounds):
     record(errors, (coeffs.omega_plus == 0.0) & (coeffs.omega_minus == 0.0),
            lambda r: DegenerateObjective(
                "both variance numerators are zero; the criterion has no interior minimum"))
+    # a subnormal numerator has lost digits and moves the pair: omega scales as
+    # y^2, so this is y in units below about 1e-152
+    tiny = np.finfo(float).tiny
+    record(errors, np.any([(0.0 < w) & (w < tiny) for w in (coeffs.omega_plus, coeffs.omega_minus)], axis=0),
+           lambda r: DegenerateObjective("a variance numerator is subnormal: y is in units too small"))
     # a coefficient that is not finite makes its slice's profile NaN: a DegenerateObjective below
     prob = _unit_free(coeffs, bounds)
     analytic = np.hstack((0.5 * np.log(prob.p_plus / prob.p_minus),

@@ -148,7 +148,9 @@ def test_x_in_units_where_its_sd_underflows_is_a_typed_error(unit_stacks, a):
             assert isinstance(outcome, RdbwError), outcome
 
 
-@pytest.mark.parametrize("b", [1e154, 1e200, 1e307])
+# below about 1e-152 a variance numerator, which scales as b^2, is subnormal:
+# at 1e-160 these samples once moved by up to 7.5e-3 with no error
+@pytest.mark.parametrize("b", [1e-160, 1e-158, 1e-155, 1e-153, 1e154, 1e200, 1e307])
 def test_y_in_extreme_units_keeps_the_pair_or_fails_typed(unit_stacks, b):
     for stack in unit_stacks:
         unit = _outcomes(stack)[1]

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from rdbw.errors import DegenerateObjective, RdbwError
+from rdbw import selector
 from rdbw.local_poly import Sample
 from rdbw.selector import (
+    _REFINE_MAXITER,
     PROFILE_NODES,
     AmseCoefficients,
     _profile,
@@ -360,3 +362,22 @@ def test_the_slope_below_a_ray_differs_from_the_slope_above_only_at_the_corners(
     if source == "fuzz":
         # no corpus problem is clipped at a corner; in the fuzz, some corners are kinks
         assert np.count_nonzero(np.sign(at.below) != np.sign(at.slope)) > 100
+
+
+@pytest.mark.parametrize("source", ["corpus", "fuzz"])
+def test_the_refinement_stops_on_its_own(monkeypatch, source):
+    # every bracket ends on its step or its slope, not on the iteration cap:
+    # the secant steps take 9 profiles on the corpus and 19 on the fuzz
+    sets = [_problem(entry) for entry in CORPUS] if source == "corpus" else fuzz_sets(3000, seed=20150921)
+    profile, refine, calls = selector._profile, selector._refine, []
+
+    def counted(*args):
+        monkeypatch.setattr(selector, "_profile", lambda *a: calls.append(a) or profile(*a))
+        try:
+            return refine(*args)
+        finally:
+            monkeypatch.setattr(selector, "_profile", profile)
+
+    monkeypatch.setattr(selector, "_refine", counted)
+    minimize_mmse(*stacked_problem(sets))
+    assert 0 < len(calls) <= _REFINE_MAXITER
