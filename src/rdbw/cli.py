@@ -7,6 +7,11 @@ computes the jump ratio (with given or auto-selected bandwidths),
 success, 1 on a domain error or an output that cannot be written and 2
 on a usage error, the last two with a single-line error; all randomness
 flows from an explicit seed.
+
+CSV goes both ways through numpy in blocks: the writer prints each float
+as Python's "%.17g" does from exact integer arithmetic, and the reader
+turns plain decimal cells back into the nearest doubles the same way,
+leaving every other spelling to numpy's own parser.
 """
 
 import argparse
@@ -31,9 +36,9 @@ _COLUMNS = ("x", "y", "d")
 
 # CSV is read and written in blocks of about this many characters or rows,
 # so the memory it takes beyond the data does not grow with the file; a
-# block of lines holds about twice its characters in Python strings while
-# it is parsed
-_BLOCK_CHARS = 1 << 18
+# block being read holds about 13 bytes a character in its text and the
+# arrays made from it
+_BLOCK_CHARS = 1 << 17
 _BLOCK_ROWS = 1 << 12
 
 
@@ -143,11 +148,13 @@ def load_csv(path: str, cutoff: float) -> Sample:
     carry 1-based file line numbers and name the first bad row in file
     order.
 
-    The file is read in blocks of about `_BLOCK_CHARS` characters.  A
-    block of plain data rows, the usual case, goes to numpy as read, and
-    only a block that holds an empty line or a quote, or that fails, is
-    filtered for blank rows row by row; the rules above hold for every
-    block alike.
+    The file is read in blocks of about `_BLOCK_CHARS` characters, cut
+    at a line end.  A block of plain data rows, the usual case, is read in
+    numpy (`_plain_columns`): a plain decimal cell becomes the nearest
+    double exactly, and the rows holding other spellings go to numpy's
+    parser.  Only a block that holds a quote, an empty line or lines of
+    different lengths, or that fails, is filtered for blank rows row by
+    row; the rules above hold for every block alike.
     """
     try:
         fh = open(path, encoding="utf-8-sig")
@@ -165,10 +172,12 @@ def load_csv(path: str, cutoff: float) -> Sample:
                 raise ParseError(f"{path}: header lacks column(s) {', '.join(missing)}")
             usecols = [names.index(col) for col in _COLUMNS]
             line_no = 2
-            while lines := fh.readlines(_BLOCK_CHARS):
-                for blocks, values in zip(columns, _parse_block(path, lines, line_no, names, usecols)):
-                    blocks.append(values)
-                line_no += len(lines)
+            while block := fh.read(_BLOCK_CHARS):
+                block += fh.readline()  # to the end of its last line
+                values, lines = _parse_block(path, block, line_no, names, usecols)
+                for blocks, column in zip(columns, values):
+                    blocks.append(column)
+                line_no += lines
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not UTF-8 text") from None
 
@@ -186,30 +195,90 @@ def _columns(data: np.ndarray) -> list:
     return [np.ascontiguousarray(column) for column in data.T]
 
 
-def _parse_block(path: str, lines, first_line_no: int, names, usecols) -> list:
-    """The x, y and d columns of a block of lines, or the error of its first bad row.
+def _parse_block(path: str, block: str, first_line_no: int, names, usecols):
+    """The x, y and d columns of a block of lines and its number of lines,
+    or the error of its first bad row.
 
-    A block with no empty line and no quote is parsed as read, in one
-    numpy call.  The two are excluded because numpy skips an empty line but
-    warns on a block of nothing else, and because a quoted line must pass
-    the csv module too, which rejects a field longer than
-    `csv.field_size_limit()` that numpy would read.  Any other block, and
-    one that numpy rejects or where a check fails, has its blank rows
-    dropped and is parsed again; if that fails too, it is bisected to its
-    first bad row.
+    A block of plain rows is read in numpy (`_plain_columns`).  Any other
+    block, and one where a cell fails or a check does, is split into its
+    lines, has its blank rows dropped and is parsed again; if that fails
+    too, it is bisected to its first bad row.
     """
     width = len(names)
-    if "\n" not in lines and '"' not in "".join(lines):
-        data = _clean(lines, usecols, width)
-        if data is not None:
-            return _columns(data)
+    columns = _plain_columns(block, usecols, width)
+    if columns is not None:
+        return columns, len(columns[0])  # one row a line
+    lines = block.split("\n")
+    if not lines[-1]:  # the end of the block's last line
+        lines.pop()
     kept = _nonblank(path, lines, first_line_no)
     rows = [lines[i] for i in kept]
     data = _clean(rows, usecols, width)
     if data is not None:
-        return _columns(data)
+        return _columns(data), len(lines)
     k = _first_bad_row(rows, usecols, width)
     _raise_row_error(path, first_line_no + kept[k], rows[k], names, usecols)
+
+
+def _plain_columns(block: str, usecols, width: int):
+    """The used columns of a block of plain rows, each its own array, or None.
+
+    A block is plain when it holds no quote and all its lines have as
+    many fields as its first, at least `width`, none of them empty in a
+    used column.  A column of lone digits is read as those digits, and
+    the other used cells by `_decimal_cells`; the rows holding a cell it
+    leaves go to numpy's parser (`_clean`), and so do all rows when a
+    used cell of the first is not a plain decimal, which foretells a file
+    of other spellings.  None means a cell or a check fails, which the
+    caller finds row by row.
+    """
+    first_row = block.partition("\n")[0].split(",")
+    fields = len(first_row)
+    if '"' in block or fields < width:
+        return None
+    raw = _PAD + block.encode() + (b"" if block.endswith("\n") else b"\n")
+    text = np.frombuffer(raw, np.uint8)
+    separators = text == ord("\n")
+    rows = np.count_nonzero(separators)
+    separators |= text == ord(",")
+    ends = np.flatnonzero(separators)
+    del separators
+    if len(ends) != rows * fields or not (text[ends[fields - 1 :: fields]] == ord("\n")).all():
+        return None
+    starts = np.empty_like(ends)  # each cell starts after the separator before it
+    starts[0] = len(_PAD)
+    np.add(ends[:-1], 1, out=starts[1:])
+    starts, ends = (a.reshape(rows, fields).T[usecols] for a in (starts, ends))
+    lengths = ends - starts
+    if not lengths.all():
+        return None
+
+    columns, decimals = [None] * len(usecols), []
+    for c in range(len(usecols)):
+        if (lengths[c] == 1).all():
+            digits = text[starts[c]] - np.uint8(ord("0"))
+            if (digits <= 9).all():
+                columns[c] = digits.astype(float)
+                continue
+        decimals.append(c)
+    left = np.arange(rows if decimals else 0)  # the rows numpy's parser reads
+    if decimals and not any(first_row[usecols[c]].strip("-.0123456789") for c in decimals):
+        values, unread = _decimal_cells(raw, starts[decimals].ravel(), ends[decimals].ravel())
+        for c, part in zip(decimals, values.reshape(len(decimals), -1)):
+            columns[c] = part.copy()  # each column let go alone once joined
+        left = np.flatnonzero(unread.reshape(len(decimals), -1).any(axis=0))
+    if len(left):
+        lines = block.split("\n")
+        data = _clean(lines[:rows] if len(left) == rows else [lines[i] for i in left.tolist()], usecols, width)
+        if data is None:
+            return None
+        for c, values in enumerate(data.T):
+            if columns[c] is None:
+                columns[c] = np.ascontiguousarray(values)
+            else:
+                columns[c][left] = values
+    d = columns[-1]
+    return columns if ((d == 0.0) | (d == 1.0)).all() else None
 
 
 def _nonblank(path: str, lines, first_line_no: int) -> list:
@@ -426,6 +495,11 @@ _POW10 = 10.0 ** np.arange(22)  # each exact in a float
 _POW5 = 5 ** np.arange(22, dtype=_U)
 
 
+def _byte_words(text_bytes):
+    """(rows, 24) byte values as (3, rows) words, the first byte lowest."""
+    return np.ascontiguousarray(np.asarray(text_bytes, dtype=np.uint8).view("<u8").astype(_U).T)
+
+
 def _layouts():
     """The words that lay out the digits, one column per (k, sign) class
     2 (k + 4) + sign, and per text length.
@@ -437,9 +511,6 @@ def _layouts():
     text's first L bytes and `comma[L]` puts a comma after them.
     """
 
-    def words(text_bytes):  # (rows, 24) byte values as (3, rows) words, the first byte lowest
-        return np.ascontiguousarray(np.asarray(text_bytes, dtype=np.uint8).view("<u8").astype(_U).T)
-
     k = np.repeat(np.arange(-4, 16), 2)[:, None]
     sign = np.tile([0, 1], 20)[:, None]
     col = np.arange(24)
@@ -450,7 +521,7 @@ def _layouts():
     shift = (8 * np.maximum(1, 1 - k[:, 0])).astype(_U)
     length = np.arange(25)[:, None]
     prefix, comma = 255 * (col < length), np.where(col == length, ord(","), 0)
-    return words(255 * low), words(fill), shift, words(prefix), words(comma)
+    return _byte_words(255 * low), _byte_words(fill), shift, _byte_words(prefix), _byte_words(comma)
 
 
 _LOW, _FILL, _SHIFT, _PREFIX, _COMMA = _layouts()
@@ -556,6 +627,131 @@ def _csv_rows(x, y, d) -> str:
     rows[other] = np.array(lines, dtype="S56").view("<u8").reshape(-1, 7)
     text = rows.astype("<u8", copy=False).view(np.uint8)
     return text[text != 0].tobytes().decode("ascii")
+
+
+# A plain decimal cell, a "-" or none, then digits with at most one point,
+# is read exactly in numpy: the writer above run backwards.  The 24 bytes
+# that end where the cell ends are three little-endian words.  The bytes
+# before the cell and its "-" become 0 digits, the point is dropped by
+# moving the digits before it one byte on, and the words fold, eight
+# digits each, into N, the cell's digits.  With q digits after the point,
+# N < 2^63 and q <= 21, est = float(N) / 10^q is within 2 units in the
+# last place of N / 10^q.  With est = M 2^E and s = -q - E >= 0,
+# N / 10^q - est is D / 5^q such units, D = N 2^s - M 5^q, exact in int64
+# though its terms wrap, as in `_significand`.  2 D = 2^(s+1) N - 2 M 5^q
+# is even, never an odd multiple of 5^q, so D / 5^q is never a half and
+# lies at least 5^-q / 2 > 2^-50 from one, while its float quotient, below
+# 3, is within 2^-51: the quotient rounded is the step k from est to the
+# nearest float, unless that lies below est's binade, where the floats
+# are twice as dense.
+_PAD = b"0" * 24  # before a block's bytes, so that every cell has 24 bytes up to its end
+
+
+def _every_byte(value):
+    return _U(value * 0x0101010101010101)
+
+
+_ZEROS, _POINTS, _ONES, _HIGH, _SIX, _HIGH_NIBBLE = map(_every_byte, (0x30, 0x1E, 0x01, 0x80, 0x06, 0xF0))
+_PLACES = np.arange(24)
+_R = np.arange(25)[:, None]
+# by cell length L: the last L bytes
+_KEEP = _byte_words(255 * (_PLACES >= 24 - _R))
+# by r = 24 - the point's place, 0 without a point: the bytes before and after it
+_BEFORE = _byte_words(255 * ((_PLACES < 24 - _R) & (_R > 0)))
+_AFTER = _byte_words(255 * ((_PLACES > 24 - _R) | (_R == 0)))
+_Q = np.clip(_R[:, 0] - 1, 0, 21)  # q, where it is read
+# the lowest byte of a word holding a point, 1 << 8 i, times _PLACE has
+# its r in the top byte
+_PLACE = _byte_words([(24 - _PLACES).reshape(3, 8)[:, ::-1].ravel()])
+
+
+def _fold(w):
+    """Each word of eight digit bytes 0-9, the first lowest, as the number
+    they spell, in place: pairs, then fours, then eights, each a multiply
+    and a shift (`_digit_bytes` backwards)."""
+    w *= _U(10 << 8 | 1)
+    w >>= _U(8)
+    w &= _U(0x00FF00FF00FF00FF)
+    w *= _U(100 << 16 | 1)
+    w >>= _U(16)
+    w &= _U(0x0000FFFF0000FFFF)
+    w *= _U(10000 << 32 | 1)
+    w >>= _U(32)
+    return w
+
+
+def _decimal_cells(raw: bytes, starts, ends):
+    """The values of the cells raw[starts[i]:ends[i]], and a mask of the
+    cells it leaves unread, whose values are then meaningless.
+
+    It reads a plain decimal of at most 24 characters besides its "-",
+    with a digit, N < 2^63, q <= 21 and s >= 0 (fewer than about 16
+    digits before the point), unless its value lies below est's binade or
+    its nearest float above it.  `raw` starts with `_PAD`.
+    """
+    windows = np.ndarray((len(raw) - 23,), "V24", raw, strides=(1,))  # the 24 bytes from each place
+    w = np.ascontiguousarray(windows[ends - 24].view("<u8").reshape(-1, 3).T)
+    z, t = np.empty_like(w), np.empty_like(w)
+    sign = np.frombuffer(raw, np.uint8)[starts] == ord("-")
+    length = ends - starts - sign
+    w ^= _ZEROS  # a digit is now its value, a point 0x1E
+    w &= _KEEP.take(np.minimum(length, 24), axis=1, out=z)
+    # a byte of z has its high bit where w has a point or a byte that is
+    # not ASCII, or above one by a borrow: the lowest in each word is one
+    # of the two.  The first, in the first word holding one, has the
+    # largest r and is dropped; a character that is not ASCII is two bytes
+    # or more, so the cell keeps one and fails the digit test below
+    np.bitwise_xor(w, _POINTS, out=z)
+    z -= _ONES
+    z &= _HIGH
+    np.negative(z, out=t)
+    t &= z
+    t >>= _U(7)
+    t *= _PLACE
+    t >>= _U(56)
+    r = np.maximum(np.maximum(t[0], t[1], out=t[0]), t[2], out=t[0]).astype(np.intp)
+    np.bitwise_and(w, _BEFORE.take(r, axis=1, out=z), out=t)
+    w &= _AFTER.take(r, axis=1, out=z)
+    w[1:] |= np.right_shift(t[:2], _U(56), out=z[:2])
+    t <<= _U(8)
+    w |= t
+    np.add(w, _SIX, out=z)  # a byte that is not a digit sets a high bit here
+    z |= w
+    z[0] |= z[1]
+    z[0] |= z[2]
+    unread = (z[0] & _HIGH_NIBBLE) != 0
+    unread |= (length > 24) | (length <= (r > 0)) | (r > 22)  # too long, no digit, q > 21
+    n = _fold(w)[0]
+    unread |= n >= 922  # N >= 922 10^16 may reach 2^63
+    n *= _U(10 ** 16)
+    w[1] *= _U(10 ** 8)
+    n += w[1]
+    n += w[2]
+    n &= _U((1 << 63) - 1)  # an unread cell's N too is read as a float
+    zero = n == 0
+    n += zero  # and made positive, its value set to 0 at the end
+
+    q = _Q.take(r)
+    est = n.view(np.int64).astype(float)
+    est /= _POW10.take(q)
+    bits = est.view(_U)
+    m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
+    s = 1075 - q - (bits >> _U(52)).view(np.int64)
+    unread |= s < 0
+    s = np.maximum(s, 0).view(_U)
+    half = s >> _U(1)  # two shifts, each below 64
+    s -= half
+    pow5 = _POW5.take(q)
+    diff = (((n << half) << s) - m * pow5).view(np.int64)
+    pow5 = pow5.view(np.int64)
+    k = np.rint(diff / pow5).astype(np.int64)
+    m = m.view(np.int64) + k
+    # a value below est's binade, or a result past its end, is left unread
+    unread |= (m < 1 << 52) | (m > 1 << 53) | ((m == 1 << 52) & (diff < k * pow5))
+    bits += k.view(_U)
+    est[zero] = 0.0
+    bits |= sign.astype(_U) << _U(63)
+    return est, unread
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import json
 import os
 import subprocess
@@ -274,6 +275,8 @@ class TestLoadCsv:
             (" , ", 3000),
             ("\n" * 120, 3000),  # at 40 characters, blocks of nothing but empty lines
             ('"0.5","1",1', 3001),
+            ("0.5,1,1,7", 3001),  # a long row
+            ("0.5,1,1,", 3001),
             ("oops,1,0", "row 2502 column x is not a number: 'oops'"),
             ("0.5,nan,1", "row 2502 column y is not finite"),
             ("0.5,1,2", "row 2502: d must be 0 or 1, got 2"),
@@ -281,8 +284,8 @@ class TestLoadCsv:
         ],
     )
     def test_a_later_block_alone_holding_a_blank_or_bad_row(self, tmp_path, monkeypatch, block_chars, injected, expected):
-        # every other block is parsed as read; the one holding the row must
-        # load, or fail on its file line, as the row-by-row reference does
+        # every other block is plain; the one holding the row must load, or
+        # fail on its file line, as the row-by-row reference does
         monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
         rows = long_rows()
         rows.insert(2500, injected)
@@ -435,6 +438,116 @@ def test_load_csv_matches_the_reference_parser(tmp_path, monkeypatch, seed, bloc
     assert 0 < accepted < 100
 
 
+def misread(tmp_path, cells):
+    """(cell, read, float(cell)) of each cell that load_csv reads to other
+    bits than float() does, from rows whose x is each cell and y each cell
+    in reverse order."""
+    rows = [f"{a},{b},{k % 2}" for k, (a, b) in enumerate(zip(cells, cells[::-1]))]
+    path = write(tmp_path / "cells.csv", "x,y,d\n" + "\n".join(rows) + "\n")
+    sample = load_csv(path, max(map(float, cells)))
+    want = np.array([float(cell) for cell in cells]).view(np.uint64)
+    return [
+        (cell, got, float(cell))
+        for read in (sample.x, sample.y[::-1])
+        for cell, got, ok in zip(cells, read.tolist(), read.view(np.uint64) == want)
+        if not ok
+    ]
+
+
+def midpoint_cells():
+    """Decimals at and next to the midpoints between adjacent floats, and
+    next to powers of two, where the floats below are twice as dense."""
+    rng = np.random.default_rng(29)
+    odd = 2 * rng.integers(1 << 52, 1 << 53, 400) + 1  # exact ties: odd integers in (2^53, 2^54)
+    halves = rng.integers(1 << 52, 1 << 53, 400)  # and n + 0.5 in (2^52, 2^53)
+    cells = [str(v) for v in odd.tolist()] + [f"{v}.5" for v in halves.tolist()]
+    powers = np.ldexp(1.0, np.arange(-13, 60))
+    below = np.concatenate([np.nextafter(powers, 0.0), np.nextafter(np.nextafter(powers, 0.0), 0.0)])
+    cells += [spelling % a for a in below.tolist() for spelling in ("%.16g", "%.17g", "%.18g")]
+    for a in (10.0 ** rng.uniform(-4, 16, 400)).tolist() + below.tolist():
+        with decimal.localcontext() as ctx:
+            ctx.prec = 1000  # the midpoint exactly
+            mid = (decimal.Decimal(a) + decimal.Decimal(float(np.nextafter(a, np.inf)))) / 2
+            for digits in (17, 18, 19):  # rounded down and up, in fixed notation
+                ctx.prec = digits
+                for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+                    ctx.rounding = rounding
+                    cells.append(format(+mid, "f"))
+    return cells
+
+
+@pytest.mark.parametrize("block_chars", [None, 40])
+def test_decimals_at_and_next_to_midpoints_read_as_float_does(tmp_path, monkeypatch, block_chars):
+    # the reader steps its float estimate to the nearest float by an exact
+    # integer difference, and leaves exact ties, which need 16 digits before
+    # the point, to numpy's parser
+    if block_chars:
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
+    wrong = misread(tmp_path, midpoint_cells())
+    assert not wrong, wrong[:5]
+
+
+# spellings at the edges of what load_csv reads without numpy's parser
+EDGE_NUMBERS = [
+    ".5", "-.5", "5.", "-5.", "007", "-007", "-0", "0", "0.0", "-0.0", "0.", ".0",
+    "1234567890123456789", "-1234567890123456789", "12345678901234567890", "9223372036854775807",
+    "1.234567890123456789", "0.12345678901234567890", "123456789.0123456789012",
+    "0." + "0" * 21 + "1", "." + "0" * 21 + "1", "0." + "0" * 22 + "1", "-." + "0" * 21 + "1",
+    "1" * 12 + "." + "2" * 11, "1" * 12 + "." + "2" * 12, "-" + "1" * 12 + "." + "2" * 11,
+    "-" + "1" * 12 + "." + "2" * 12, "1" * 24, "1" * 25, "9007199254740993", "4503599627370497.5",
+    "+1", " 1", "1 ", "1e-05", "-1.5E+3", "0.1", "0.30000000000000004", "179769313486231570" + "0" * 291,
+]
+EDGE_ERRORS = [
+    "1.2.3", "1.2.34567890123456789", "1.234567.8", "1.2345678901234.5", "1./5", "12345.6/789",
+    "--1", "1-2", "-", ".", "-.", "1..", "0x1", "1\u00e9", "\u00e9.5", "0.5\u00bd",
+]
+
+
+@pytest.mark.parametrize("block_chars", [None, 40])
+def test_edge_spellings_read_as_float_does(tmp_path, monkeypatch, block_chars):
+    if block_chars:
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
+    wrong = misread(tmp_path, EDGE_NUMBERS)
+    assert not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("block_chars", [None, 40])
+@pytest.mark.parametrize("cell", EDGE_ERRORS)
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_edge_spellings_that_are_not_numbers_fail_as_the_reference_does(
+    tmp_path, monkeypatch, block_chars, cell, column
+):
+    # the reader's words hold 8 bytes each: 1.2.3 has both points in its
+    # last word, 1.2.34567890123456789 both in its first, 1.234567.8 one in
+    # each of two; after the point of 1./5 a borrow marks the "/" as a
+    # point too, and a character that is not ASCII is marked like a point.
+    # The bad row sits among plain ones
+    if block_chars:
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
+    rows = long_rows()
+    rows[1500] = f"{cell},1,0" if column == "x" else f"0.5,{cell},0"
+    path = write(tmp_path / "bad.csv", "x,y,d\n" + "\n".join(rows) + "\n")
+    want = outcome(reference_load_csv, path)
+    assert want[1].endswith(f"row 1502 column {column} is not a number: {cell!r}")
+    assert outcome(load_csv, path) == want
+
+
+@pytest.mark.parametrize("block_chars", [None, 4096, 40])
+@pytest.mark.parametrize("header, tail", [("x,y,d", ","), ("x,y,d,name", ",Zo\u00eb"), ("x,y,d", ",\u00e9,7")])
+def test_rows_longer_than_the_header_or_not_ascii_read_as_the_reference_does(
+    tmp_path, monkeypatch, block_chars, header, tail
+):
+    # every line has one number of fields, at least the header's, and the
+    # used cells are plain, whatever the text in the others
+    if block_chars:
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
+    path = write(tmp_path / "f.csv", header + "\n" + "".join(row + tail + "\n" for row in long_rows()))
+    want = outcome(reference_load_csv, path)
+    assert len(want[0]) == 3000
+    for a, b in zip(outcome(load_csv, path), want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def format_corpus():
     """Finite floats that reach every branch of the CSV writer's "%.17g",
     and their negatives."""
@@ -480,6 +593,22 @@ def test_csv_rows_do_not_rest_on_the_float_log10(monkeypatch, error):
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
     wrong = wrong_csv_rows(format_corpus())
     assert not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("block_chars, stride", [(None, 1), (4096, 1), (40, 41)])
+def test_the_writers_corpus_reads_back_bitwise(tmp_path, monkeypatch, block_chars, stride):
+    # every exponent, subnormals, +-0 and the 17-digit ties, as the writer
+    # prints them; one-row blocks read every 41st row of it
+    if block_chars:
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", block_chars)
+    x = format_corpus()[::stride]
+    y, d = x[::-1], np.arange(len(x)) % 2.0
+    blocks = [slice(i, i + cli._BLOCK_ROWS) for i in range(0, len(x), cli._BLOCK_ROWS)]
+    path = tmp_path / "corpus.csv"
+    path.write_text("x,y,d\n" + "".join(cli._csv_rows(x[b], y[b], d[b]) for b in blocks), encoding="utf-8")
+    sample = load_csv(str(path), 0.0)
+    for got, want in zip((sample.x, sample.y, sample.d), (x, y, d)):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestCommands:
