@@ -152,9 +152,10 @@ def load_csv(path: str, cutoff: float) -> Sample:
     at a line end.  A block of plain data rows, the usual case, is read in
     numpy (`_plain_columns`): a plain decimal cell becomes the nearest
     double exactly, and the rows holding other spellings go to numpy's
-    parser.  Only a block that holds a quote, an empty line or lines of
-    different lengths, or that fails, is filtered for blank rows row by
-    row; the rules above hold for every block alike.
+    parser, as do all rows of a block whose first row is not plain.  Only
+    a block that holds a quote or an empty line, or that fails, is
+    filtered for blank rows row by row; the rules above hold for every
+    block alike.
     """
     try:
         fh = open(path, encoding="utf-8-sig")
@@ -200,9 +201,10 @@ def _parse_block(path: str, block: str, first_line_no: int, names, usecols):
     or the error of its first bad row.
 
     A block of plain rows is read in numpy (`_plain_columns`).  Any other
-    block, and one where a cell fails or a check does, is split into its
-    lines, has its blank rows dropped and is parsed again; if that fails
-    too, it is bisected to its first bad row.
+    block is split into its lines and parsed by numpy's parser as read,
+    unless it holds a quote or an empty line; one that does, or where a
+    cell fails or a check does, has its blank rows dropped and is parsed
+    again; if that fails too, it is bisected to its first bad row.
     """
     width = len(names)
     columns = _plain_columns(block, usecols, width)
@@ -211,9 +213,12 @@ def _parse_block(path: str, block: str, first_line_no: int, names, usecols):
     lines = block.split("\n")
     if not lines[-1]:  # the end of the block's last line
         lines.pop()
-    kept = _nonblank(path, lines, first_line_no)
-    rows = [lines[i] for i in kept]
-    data = _clean(rows, usecols, width)
+    # a quote is left to the csv module, and an empty line, which numpy's parser skips, to the blank-row filter
+    data = None if '"' in block or "" in lines else _clean(lines, usecols, width)
+    if data is None:
+        kept = _nonblank(path, lines, first_line_no)
+        rows = [lines[i] for i in kept]
+        data = _clean(rows, usecols, width)
     if data is not None:
         return _columns(data), len(lines)
     k = _first_bad_row(rows, usecols, width)
@@ -223,18 +228,19 @@ def _parse_block(path: str, block: str, first_line_no: int, names, usecols):
 def _plain_columns(block: str, usecols, width: int):
     """The used columns of a block of plain rows, each its own array, or None.
 
-    A block is plain when it holds no quote and all its lines have as
-    many fields as its first, at least `width`, none of them empty in a
-    used column.  A column of lone digits is read as those digits, and
-    the other used cells by `_decimal_cells`; the rows holding a cell it
-    leaves go to numpy's parser (`_clean`), and so do all rows when a
-    used cell of the first is not a plain decimal, which foretells a file
-    of other spellings.  None means a cell or a check fails, which the
-    caller finds row by row.
+    A block is plain when it holds no quote, the used cells of its first
+    row are spelled with digits, `-` and `.` alone (other spellings
+    foretell a file of them, which numpy's parser reads faster than this
+    scan can sort it), and all its lines have as many fields as its
+    first, at least `width`, none of them empty in a used column.  A
+    column of lone digits is read as those digits, and the other used
+    cells by `_decimal_cells`; the rows holding a cell it leaves go to
+    numpy's parser (`_clean`).  None means the block is not plain, or a
+    cell or a check fails, which the caller sorts out.
     """
     first_row = block.partition("\n")[0].split(",")
     fields = len(first_row)
-    if '"' in block or fields < width:
+    if '"' in block or fields < width or any(first_row[j].strip("-.0123456789") for j in usecols):
         return None
     raw = _PAD + block.encode() + (b"" if block.endswith("\n") else b"\n")
     text = np.frombuffer(raw, np.uint8)
@@ -261,22 +267,18 @@ def _plain_columns(block: str, usecols, width: int):
                 columns[c] = digits.astype(float)
                 continue
         decimals.append(c)
-    left = np.arange(rows if decimals else 0)  # the rows numpy's parser reads
-    if decimals and not any(first_row[usecols[c]].strip("-.0123456789") for c in decimals):
+    if decimals:
         values, unread = _decimal_cells(raw, starts[decimals].ravel(), ends[decimals].ravel())
         for c, part in zip(decimals, values.reshape(len(decimals), -1)):
             columns[c] = part.copy()  # each column let go alone once joined
-        left = np.flatnonzero(unread.reshape(len(decimals), -1).any(axis=0))
-    if len(left):
-        lines = block.split("\n")
-        data = _clean(lines[:rows] if len(left) == rows else [lines[i] for i in left.tolist()], usecols, width)
-        if data is None:
-            return None
-        for c, values in enumerate(data.T):
-            if columns[c] is None:
-                columns[c] = np.ascontiguousarray(values)
-            else:
-                columns[c][left] = values
+        left = np.flatnonzero(unread.reshape(len(decimals), -1).any(axis=0))  # the rows numpy's parser reads
+        if len(left):
+            lines = block.split("\n")
+            data = _clean([lines[i] for i in left.tolist()], usecols, width)
+            if data is None:
+                return None
+            for column, values in zip(columns, data.T):
+                column[left] = values
     d = columns[-1]
     return columns if ((d == 0.0) | (d == 1.0)).all() else None
 

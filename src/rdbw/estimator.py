@@ -59,4 +59,4 @@ def frd_estimate(
     record(errors, np.abs(tau_d) < _MIN_TAU_D, lambda r: DenominatorNearZero(
         f"|tauD| = {abs(tau_d[r]):.2e} < {_MIN_TAU_D:.0e}"))
     tau = tau_y / np.where(tau_d == 0.0, 1.0, tau_d)  # zero only where the slice failed
-    return FrdEstimate(tau, tau_y, tau_d, h_plus, h_minus, plus.effective_n, minus.effective_n), errors
+    return FrdEstimate(tau, tau_y, tau_d, plus.h, minus.h, plus.effective_n, minus.effective_n), errors

@@ -269,14 +269,14 @@ class BoundaryFit:
     """Result of a one-sided weighted polynomial fit.
 
     coefficients[k] estimates m^(k)(c) / k! with one column per response,
-    Y then D; coefficients[0] is the fitted value at the cutoff.
-    effective_n counts the observations with positive weight, the rows
-    of its window (`window_pieces`) with w > 0.  The fit of a stack has a
-    leading slice axis on coefficients, h and effective_n.
+    Y then D; coefficients[0] is the fitted value at the cutoff.  h is
+    the bandwidth the fit was given.  effective_n counts the observations
+    with positive weight, the rows of its window (`window_pieces`) with
+    w > 0.  The fit of a stack has a leading slice axis on coefficients,
+    h and effective_n.
     """
 
     coefficients: np.ndarray
-    side: str
     h: float
     effective_n: int
 
@@ -421,8 +421,8 @@ def fit_boundary(
     outside the bandwidth have no influence at all.  The design holds the
     powers of (x - c)/h, built by repeated multiplication, so its
     conditioning does not depend on the units of x; the coefficients are
-    rescaled by h^-k afterwards (by k divisions where h^k is not a
-    finite nonzero float).  No row index is returned.
+    rescaled by h^-k afterwards, by k divisions.  No row index is
+    returned.
 
     Y and D are two right-hand sides of one design: R of the QR
     factorization of [sqrt(w) powers | sqrt(w) Y, sqrt(w) D] is
@@ -489,15 +489,10 @@ def fit_boundary(
 
     # LU of an upper-triangular matrix needs no pivoting, so this is back substitution
     coef = np.linalg.solve(design, rhs)
-    power = h[:, None, None] ** np.arange(p)[:, None]
-    # h^k leaves the floats for extreme h (h^4 from h ~ 1e77, h^3 from 5.6e102):
-    # there the coefficient is divided by h k times, which keeps the quartic's
-    # curvature terms for x in units up to about 1e103
-    stepwise = coef.copy()
+    # h^k leaves the floats for x in units from about 1e77; k divisions by h do not
     for k in range(1, p):
-        stepwise[:, k:] /= h[:, None, None]
-    coef = np.where((power > 0.0) & (power < np.inf), coef / power, stepwise)
-    return BoundaryFit(coef, side, h_given, effective), errors
+        coef[:, k:] /= h[:, None, None]
+    return BoundaryFit(coef, h_given, effective), errors
 
 
 @stacked

@@ -352,11 +352,8 @@ def run_monte_carlo(
     if not len(err):
         raise AllTrimmed(f"all {reps} replications failed")
 
-    try:
-        bias, rmse = trimmed_stats(err)
-    except AllTrimmed:
-        # single-replication runs: ceil trimming would empty the sample
-        bias, rmse = trimmed_stats(err, 0.0)
+    # ceil trimming empties a sample of one replication alone
+    bias, rmse = trimmed_stats(err) if len(err) > 1 else trimmed_stats(err, 0.0)
 
     thresholds = np.linspace(0.0, _CDF_TOP[spec.design], CDF_POINTS)
     abs_err = np.abs(err)

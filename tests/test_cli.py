@@ -832,6 +832,20 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: cannot write {missing}: No such file or directory\n"
         assert ran == [] and list(out_dir.iterdir()) == []
 
+    def test_simulate_to_a_device_skips_the_output_check(self, tmp_path, capsys, monkeypatch):
+        # a path that exists and is no regular file is left to the write itself
+        opened = []
+
+        def recording_open(path, mode, **kwargs):
+            opened.append((path, mode))
+            return open(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        code = main(["simulate", "--design", "2", "--n", "200", "--reps", "2", "--seed", "3",
+                     "--out-dir", str(tmp_path / "sim"), "--output", os.devnull])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert [mode for path, mode in opened if path == os.devnull] == ["w"]
+
     def test_the_output_check_leaves_no_trace(self, tmp_path, capsys):
         # a run that fails after the check keeps an existing output and creates none
         kept, fresh = write(tmp_path / "kept.json", "old"), tmp_path / "fresh.json"

@@ -74,3 +74,21 @@ class TestFrdEstimate:
         assert est.h_plus == 0.9
         assert est.h_minus == 0.8
 
+    @pytest.mark.parametrize(
+        "h", [0.3, np.float64(0.3), np.array(0.3), np.array([0.3])], ids=["float", "float64", "0-d", "(1,)"])
+    def test_one_sample_reports_python_floats(self, h):
+        s = draw_sample(DgpSpec(design="design1", n=500, seed=3), 0)
+        est = frd_estimate(s, h, 0.4)
+        assert type(est.h_plus) is float and type(est.h_minus) is float
+        assert (est.h_plus, est.h_minus) == (0.3, 0.4)
+        assert est == frd_estimate(s, 0.3, 0.4)
+
+    @pytest.mark.parametrize(
+        "h", [0.3, np.float64(0.3), np.array(0.3), np.full(3, 0.3)], ids=["float", "float64", "0-d", "(R,)"])
+    def test_a_stack_reports_one_entry_per_slice_in_every_field(self, h):
+        stack = draw_sample(DgpSpec(design="design1", n=500, seed=3), range(3))
+        est, errors = frd_estimate(stack, h, 0.4)
+        assert errors == [None] * 3
+        for name, value in vars(est).items():
+            assert isinstance(value, np.ndarray) and value.shape == (3,), name
+        assert est.h_plus.tolist() == [0.3] * 3 and est.h_minus.tolist() == [0.4] * 3

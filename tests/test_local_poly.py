@@ -26,6 +26,10 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             Sample(x=np.zeros(3), y=np.zeros(2), d=np.zeros(3), c=0.0)
 
+    def test_three_dimensional_arrays_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional, or \\(R, n\\) stacks"):
+            Sample(x=np.zeros((2, 2, 3)), y=np.zeros((2, 2, 3)), d=np.zeros((2, 2, 3)), c=0.0)
+
     def test_non_binary_d(self):
         with pytest.raises(ValueError):
             make_sample([-1.0, 1.0], [0.0, 1.0], d=[0.0, 2.0])
@@ -165,7 +169,6 @@ class TestFitBoundary:
         assert isinstance(fit, BoundaryFit)
         assert fit.coefficients.shape == (2, 2)
         assert fit.value.shape == (2,)
-        assert fit.side == "plus"
         assert fit.h == 1.0
 
 

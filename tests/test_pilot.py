@@ -14,6 +14,7 @@ from rdbw.pilot import (
     estimate_tauD,
     estimate_variances,
 )
+from rdbw.selector import select_bandwidths
 from rdbw.simlab import DgpSpec, draw_sample
 
 # design-1 outcome slope polynomial on the plus side
@@ -129,6 +130,13 @@ class TestEstimateDerivatives:
         s = two_sided(x, np.zeros_like(x))
         with pytest.raises(SingularDesign):
             estimate_derivatives(s, "plus")
+
+    def test_a_side_all_at_the_cutoff_is_singular_through_the_selector(self):
+        # every plus-side x at the cutoff: the side spans nothing
+        x = np.concatenate([np.zeros(8), -np.linspace(0.01, 1.0, 60)])
+        y = np.random.default_rng(0).normal(size=x.size)
+        with pytest.raises(SingularDesign, match="^derivative pilot needs 5 distinct x values on the plus side$"):
+            select_bandwidths(two_sided(x, y))
 
 
 class TestEstimateVariances:

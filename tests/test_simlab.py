@@ -287,6 +287,11 @@ class TestTrimmedStats:
         with pytest.raises(ValueError):
             trimmed_stats(np.array([]), 0.05)
 
+    @pytest.mark.parametrize("fraction", [-0.01, 1.01, np.nan])
+    def test_fraction_outside_the_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"trim_fraction must be in \[0, 1\]"):
+            trimmed_stats(np.array([1.0, 2.0]), fraction)
+
     def test_ceil_rule(self):
         # 10 entries at 5% trim still drop one
         errs = np.concatenate([np.zeros(9), [7.0]])
