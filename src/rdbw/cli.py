@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 from typing import NoReturn, Optional
 
@@ -43,6 +44,11 @@ _BLOCK_ROWS = 1 << 12
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in exponent notation, which argparse takes for an option, is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse wants to print-and-exit; surface a typed error instead
     def error(self, message):
         raise UsageError(message)

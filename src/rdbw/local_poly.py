@@ -45,6 +45,7 @@ last bits otherwise than one pass over the slice would.
 
 import functools
 from dataclasses import dataclass, fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -211,6 +212,65 @@ def slice_tiles(slices: int, n: int, per_slice: int):
         groups = [slice(s, s + 1) for s in range(slices)]
     rows = [slice(i, min(i + _TILE_ROWS, n)) for i in range(0, n, _TILE_ROWS)]
     return [(g, rows) for g in groups]
+
+
+def side_stats(stack: Sample, side=None) -> SimpleNamespace:
+    """Per slice of a stack, as read-only (R,) arrays, the summaries of x
+    over one side's rows: size, sd, near (the 3rd-smallest distinct
+    |x - c|, inf if there are fewer), top and bottom (the largest and
+    smallest x).  For side None, size and sd over all rows alone.
+
+    Each block (see `slice_tiles`) gathers its side's values once.  The
+    sd takes np.std's two steps, the mean of a block's values and then
+    the mean of their squared deviations from it, so a slice of one tile
+    gets np.std of its values; a longer slice's tiles are merged in order
+    by the pairwise update of Chan, Golub and LeVeque (Amer. Statist. 37,
+    1983).  A block's three smallest distinct distances and its extremes
+    are merged with those of the tiles before it, exactly.  The result is
+    kept on the stack, so the stages one stack runs through share one
+    pass per side.
+    """
+    kept = vars(stack)
+    key = f"_side_stats_{side}"
+    if key in kept:
+        return kept[key]
+    slices = len(stack.x)
+    size, mean, m2 = np.zeros(slices, dtype=int), np.zeros(slices), np.zeros(slices)
+    near = np.full((slices, 3), np.inf)
+    top, bottom = np.full(slices, -np.inf), np.full(slices, np.inf)
+    # a block's values and their indices, then their distances and deviations
+    for g, tiles in slice_tiles(slices, stack.n, 3 * stack.n):
+        for t in tiles:
+            part = stack.part(g, t)
+            if side is None:
+                xs, k, where = part.x, t.stop - t.start, True
+            else:
+                # padding at infinite distance takes no part in a minimum or, masked, in a sum
+                xs, k, where = part.side_values(side, np.inf)
+                # the three smallest distinct distances so far, by three masked minima
+                dist = np.concatenate((near[g], np.abs(xs - stack.c)), axis=1)
+                for j in range(3):
+                    floor = near[g, j - 1, None] if j else -np.inf
+                    near[g, j] = np.min(dist, axis=1, where=dist > floor, initial=np.inf)
+                top[g] = np.maximum(top[g], np.max(xs, axis=1, where=where, initial=-np.inf))
+                bottom[g] = np.minimum(bottom[g], np.min(xs, axis=1, initial=np.inf))
+            mu = np.sum(xs, axis=1, where=where) / np.maximum(k, 1)  # a tile may hold no row of the side
+            dev = xs - mu[:, None]
+            q = np.sum(np.multiply(dev, dev, out=dev), axis=1, where=where)
+            if t.start == 0:
+                size[g], mean[g], m2[g] = k, mu, q
+            else:
+                delta = mu - mean[g]
+                share = k / np.maximum(size[g] + k, 1)
+                mean[g] += delta * share
+                m2[g] += q + delta * size[g] * (delta * share)
+                size[g] += k
+    sd = np.sqrt(m2 / size)
+    for v in (size, sd, near, top, bottom):
+        v.setflags(write=False)  # every stage run on the stack reads them
+    kept[key] = SimpleNamespace(size=size, sd=sd) if side is None else SimpleNamespace(
+        size=size, sd=sd, near=near[:, 2], top=top, bottom=bottom)
+    return kept[key]
 
 
 def _first(result):

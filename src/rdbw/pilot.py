@@ -12,6 +12,10 @@ Every regression is a `fit_boundary` call on powers of the unit-free
 for Y and D at once: one quartic, one variance and one level fit per
 side serve both responses.
 
+The summaries of x they read (sd(x) over all rows, each side's size, sd
+and span) come from `rdbw.local_poly.side_stats`: one pass per side that
+a stack keeps, shared by its pilots and its bandwidth box.
+
 Each estimator runs on a stack of samples as on one (see
 `rdbw.local_poly`): on a stack it returns (values, errors) with one entry
 per slice, and `assemble_pilots` returns (PilotEstimates of (R,) arrays,
@@ -31,7 +35,7 @@ from .errors import (
     record,
 )
 from .kernels import KernelSpec
-from .local_poly import Sample, estimate_level, fit_boundary, slice_tiles, stacked, window_pieces
+from .local_poly import Sample, estimate_level, fit_boundary, side_stats, slice_tiles, stacked, window_pieces
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -68,51 +72,6 @@ class PilotEstimates:
     tau: float
 
 
-def _spread(sample: Sample, side=None):
-    """(size, sd) of x per slice of a stack: over one side's rows, or over
-    all rows for side None.
-
-    Each block (see `slice_tiles`) takes np.std's two steps: the mean of
-    its values, then the mean of their squared deviations from it.  A
-    slice of one tile therefore gets np.std of its values; a longer
-    slice's tiles are merged in order by the pairwise update of Chan,
-    Golub and LeVeque (Amer. Statist. 37, 1983).
-    """
-    slices = len(sample.x)
-    size, mean, m2 = np.zeros(slices, dtype=int), np.zeros(slices), np.zeros(slices)
-    # a block's values, their indices and their deviations
-    for g, tiles in slice_tiles(slices, sample.n, 3 * sample.n):
-        for t in tiles:
-            part = sample.part(g, t)
-            if side is None:
-                xs, k, where = part.x, t.stop - t.start, True
-            else:
-                xs, k, where = part.side_values(side, 0.0)
-            mu = np.sum(xs, axis=1, where=where) / np.maximum(k, 1)  # a tile may hold no row of the side
-            dev = xs - mu[:, None]
-            q = np.sum(np.multiply(dev, dev, out=dev), axis=1, where=where)
-            if t.start == 0:
-                size[g], mean[g], m2[g] = k, mu, q
-            else:
-                total = size[g] + k
-                delta = mu - mean[g]
-                share = k / np.maximum(total, 1)
-                mean[g] += delta * share
-                m2[g] += q + delta * size[g] * (delta * share)
-                size[g] = total
-    return size, np.sqrt(m2 / size)
-
-
-def _whole_sd(sample: Sample):
-    """sd(x) of each slice over all its rows (see `_spread`), computed once
-    per stack and kept on it, whose arrays are read-only: the density and
-    jump pilots that `assemble_pilots` runs on one stack share one pass."""
-    kept = vars(sample)
-    if "_whole_sd" not in kept:
-        kept["_whole_sd"] = _spread(sample)[1]
-    return kept["_whole_sd"]
-
-
 def _checked_sd(errors, sd, pilot):
     """sd, with 1 in place of a zero or non-finite value (x beyond about
     1e154 overflows it), whose slice records DegenerateSample."""
@@ -137,7 +96,7 @@ def estimate_density(sample: Sample):
     errors = [None] * len(x)
     record(errors, np.full(len(x), n < 10), lambda r: InsufficientData(
         f"density pilot needs n >= 10, got {n}"))
-    sd = _checked_sd(errors, _whole_sd(sample), "density")
+    sd = _checked_sd(errors, side_stats(sample).sd, "density")
     h0 = 1.06 * sd * n ** (-1 / 5)
     h1 = h0 * n ** (1 / 5 - 1 / 7)
     f, f1 = np.zeros(len(x)), np.zeros(len(x))
@@ -158,11 +117,13 @@ def estimate_derivatives(sample: Sample, side: str):
 
     Ordinary least squares of Y and D on a quartic in (x - c) over every
     observation of the side: `fit_boundary` at order 4 under the uniform
-    kernel with h the side's largest |x - c|, which gives every
-    observation of the side the same weight.  Returns (2 b2, 6 b3), each
-    a (Y, D) array; the fit's effective_n is the side's size.
+    kernel with h the side's largest |x - c|, read off the side's pass
+    (`rdbw.local_poly.side_stats`), which gives every observation of the
+    side the same weight.  Returns (2 b2, 6 b3), each a (Y, D) array; the
+    fit's effective_n is the side's size.
     """
-    span = sample.x.max(axis=1) - sample.c if side == "plus" else sample.c - sample.x.min(axis=1)
+    stats = side_stats(sample, side)
+    span = stats.top - sample.c if side == "plus" else sample.c - stats.bottom
     # 1 in place of a zero span, whose slice fails below
     fit, later = fit_boundary(sample, side, np.where(span == 0.0, 1.0, span), order=4, kernel=KernelSpec("uniform"))
     errors = [None] * len(span)
@@ -182,8 +143,9 @@ def _pilot_bandwidth(sd, size):
 def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpec()):
     """Conditional variance and covariance pilots at the cutoff, one side.
 
-    One local linear fit under a rule-of-thumb bandwidth gives the
-    Y and D residuals on its kernel window; the moments are averages of
+    One local linear fit under a rule-of-thumb bandwidth, from the side's
+    size and sd(x) (`rdbw.local_poly.side_stats`), gives the Y and D
+    residuals on its kernel window; the moments are averages of
     residual products over those positive-weight observations with a
     two-parameter degrees-of-freedom correction.  Each moment is one sum
     in sample order over the fit's window, whose weights pick its rows
@@ -200,11 +162,11 @@ def estimate_variances(sample: Sample, side: str, kernel: KernelSpec = KernelSpe
     (sig2Y, sig2D, sigYD) : tuple of floats
     """
     slices = len(sample.x)
-    size, sd = _spread(sample, side)
+    stats = side_stats(sample, side)
     errors = [None] * slices
-    record(errors, size < 10, lambda r: InsufficientData(
-        f"variance pilot needs >= 10 observations on the {side} side, got {size[r]}"))
-    h = _pilot_bandwidth(_checked_sd(errors, sd, f"{side}-side variance"), size)
+    record(errors, stats.size < 10, lambda r: InsufficientData(
+        f"variance pilot needs >= 10 observations on the {side} side, got {stats.size[r]}"))
+    h = _pilot_bandwidth(_checked_sd(errors, stats.sd, f"{side}-side variance"), stats.size)
     fit, later = fit_boundary(sample, side, h, order=1, kernel=kernel)
     merge(errors, later)
     n_v = fit.effective_n
@@ -243,7 +205,7 @@ def estimate_tauD(sample: Sample, kernel: KernelSpec = KernelSpec()):
     Raises WeakDiscontinuity if |tauD| < 0.05, where the ratio is unstable.
     """
     errors = [None] * len(sample.x)
-    h = _pilot_bandwidth(_checked_sd(errors, _whole_sd(sample), "jump"), sample.n)
+    h = _pilot_bandwidth(_checked_sd(errors, side_stats(sample).sd, "jump"), sample.n)
     plus, later = estimate_level(sample, "plus", h, kernel)
     merge(errors, later)
     minus, later = estimate_level(sample, "minus", h, kernel)

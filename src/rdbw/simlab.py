@@ -356,10 +356,9 @@ def run_monte_carlo(
     bias, rmse = trimmed_stats(err) if len(err) > 1 else trimmed_stats(err, 0.0)
 
     thresholds = np.linspace(0.0, _CDF_TOP[spec.design], CDF_POINTS)
-    abs_err = np.abs(err)
-    cdf = tuple(
-        (float(t), float(np.mean(abs_err <= t))) for t in thresholds
-    )
+    # the share of errors at or below each threshold
+    below = np.searchsorted(np.sort(np.abs(err)), thresholds, side="right") / len(err)
+    cdf = tuple(zip(thresholds.tolist(), below.tolist()))
     return McSummary(
         method=method,
         h_plus_mean=float(np.mean(hp)),

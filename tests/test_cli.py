@@ -101,6 +101,24 @@ class TestParseArgs:
         with pytest.raises(UsageError, match="--rep-index must be at least 0"):
             parse_args(["dgp-sample", "--design", "1", "--rep-index", "-1"])
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E2", "-.5e+1", "-2."])
+    def test_a_negative_number_in_exponent_notation_is_a_value(self, value):
+        # argparse alone takes such a token for an option and reports a missing argument
+        ns = parse_args(["select", "--input", "a.csv", "--cutoff", value])
+        assert ns.cutoff == float(value) == parse_args(["select", "--input", "a.csv", f"--cutoff={value}"]).cutoff
+
+    def test_a_negative_exponent_value_selects_and_is_validated(self, tmp_path, capsys):
+        data = str(tmp_path / "s.csv")
+        assert main(["dgp-sample", "--design", "1", "--n", "600", "--seed", "2", "--output", data]) == 0
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["select", "--input", data, "--cutoff", "-1e-3", "--output", str(spaced)]) == 0
+        assert main(["select", "--input", data, "--cutoff=-1e-3", "--output", str(joined)]) == 0
+        assert json.loads(spaced.read_text()) == json.loads(joined.read_text())
+        capsys.readouterr()
+        assert main(["dgp-sample", "--design", "1", "--error-sd", "-1e-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: error_sd must be positive and finite") and err.count("\n") == 1, err
+
 
 class TestLoadCsv:
     def test_well_formed(self, tmp_path):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from rdbw import local_poly
-from rdbw.errors import SingularDesign
+from rdbw.errors import InsufficientData, SingularDesign
 from rdbw.kernels import FAMILIES, KernelSpec, eval_kernel
-from rdbw.local_poly import BoundaryFit, Sample, estimate_level, fit_boundary
+from rdbw.local_poly import BoundaryFit, Sample, estimate_level, fit_boundary, side_stats
+from rdbw.selector import default_bounds
+from rdbw.simlab import DgpSpec, draw_sample
 
 
 def make_sample(x, y, d=None, c=0.0):
@@ -70,6 +72,54 @@ class TestSampleValidation:
         for side in ("plus", "minus"):
             values, _, _ = s.as_stack().side_values(side, np.nan)
             np.testing.assert_array_equal(values[0], x[s.side_mask(side)])
+
+
+def gathered(x, c, side):
+    """One slice's side from numpy alone: size, np.std, the 3rd-smallest
+    distinct |x - c| (inf if there are fewer), the largest and smallest x."""
+    xs = x[x >= c] if side == "plus" else x[x < c]
+    dist = np.unique(np.abs(xs - c))
+    return xs.size, np.std(xs), dist[2] if dist.size > 2 else np.inf, xs.max(), xs.min()
+
+
+class TestSideStats:
+    def check(self, stack, rtol=0.0):
+        for side in ("plus", "minus"):
+            got = side_stats(stack, side)
+            for r, x in enumerate(stack.x):
+                size, sd, near, top, bottom = gathered(x, stack.c, side)
+                assert (got.size[r], got.near[r], got.top[r], got.bottom[r]) == (size, near, top, bottom)
+                np.testing.assert_allclose(got.sd[r], sd, rtol=rtol, atol=0.0)
+        whole = side_stats(stack)
+        np.testing.assert_array_equal(whole.size, stack.n)
+        np.testing.assert_allclose(whole.sd, np.std(stack.x, axis=1), rtol=rtol, atol=0.0)
+        assert not hasattr(whole, "near")
+
+    def test_a_stack_with_repeated_values_is_numpy_on_each_gathered_side(self):
+        stack = draw_sample(DgpSpec("design1", 500, seed=4), range(131))
+        # x on a grid of 0.02: every side holds ties, and each slice's sides differ in size
+        heaped = np.round(stack.x * 50.0) / 50.0
+        self.check(Sample(heaped, stack.y, stack.d, 0.0))
+
+    def test_two_distinct_distances_give_inf_and_an_empty_box(self):
+        stack = draw_sample(DgpSpec("design1", 60, seed=2), range(3))
+        x = np.array(stack.x)
+        plus = x[1] >= 0.0
+        x[1, plus] = np.where(np.arange(plus.sum()) % 2, 0.1, 0.2)  # two distances on slice 1's plus side
+        stack = Sample(x, stack.y, stack.d, 0.0)
+        self.check(stack)
+        assert side_stats(stack, "plus").near[1] == np.inf
+        _, errors = default_bounds(stack)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], InsufficientData)
+        assert str(errors[1]) == "need at least 3 distinct support distances on the plus side"
+
+    @pytest.mark.parametrize("n", [70_000, 200_001])
+    def test_a_sample_of_several_row_tiles_merges_them(self, n):
+        assert n > local_poly._TILE_ROWS
+        s = draw_sample(DgpSpec("design2", n, seed=1), 0)
+        # the sd merges its tiles' moments, in another order than np.std's one pass
+        self.check(s.as_stack(), rtol=1e-14)
 
 
 class TestFitBoundary:

@@ -4,7 +4,7 @@ import pytest
 from rdbw.errors import InsufficientData, SingularDesign, WeakDiscontinuity
 from rdbw.estimator import frd_estimate
 from rdbw.kernels import FAMILIES, KernelSpec
-from rdbw import pilot
+from rdbw import local_poly, pilot, selector
 from rdbw.local_poly import Sample
 from rdbw.pilot import (
     PILOT_BANDWIDTH_SCALE,
@@ -341,11 +341,29 @@ class TestAssemblePilots:
             assert abs(p.sigYD_minus) <= np.sqrt(p.sig2Y_minus * p.sig2D_minus) + 1e-12
             assert abs(p.tauD) >= 0.05
 
-    def test_the_density_and_jump_pilots_share_one_pass_for_sd_x(self, monkeypatch):
-        # both use sd(x) over all rows; on one stack it is computed once
-        passes = []
-        spread = pilot._spread
-        monkeypatch.setattr(pilot, "_spread", lambda s, side=None: passes.append(side) or spread(s, side))
+    def test_a_selection_makes_one_pass_over_all_rows_and_one_per_side(self, monkeypatch):
+        # the pilots and the bandwidth box of one stack share its passes; a pass
+        # is a new result, which the stack keeps and hands to every later call
+        results = []
+        real = local_poly.side_stats
+
+        def spy(stack, side=None):
+            results.append((side, real(stack, side)))
+            return results[-1][1]
+
+        for module in (pilot, selector):
+            monkeypatch.setattr(module, "side_stats", spy)
+
+        def passes():
+            made = {(side, id(stats)) for side, stats in results}
+            return sorted((side or "all" for side, _ in made))
+
         stack = draw_sample(DgpSpec(design="design1", n=500, seed=3), range(4))
-        _, errors = assemble_pilots(stack)
-        assert passes.count(None) == 1 and errors == [None] * 4
+        _, errors = select_bandwidths(stack)
+        assert errors == [None] * 4
+        assert passes() == ["all", "minus", "plus"]
+        # a single sample runs as a new stack of one on each call, which makes its own passes
+        results.clear()
+        one = draw_sample(DgpSpec(design="design1", n=500, seed=3), 0)
+        assert select_bandwidths(one) == select_bandwidths(one)
+        assert passes() == ["all", "all", "minus", "minus", "plus", "plus"]

@@ -389,3 +389,20 @@ class TestRunMonteCarlo:
             spec = DgpSpec(design=design, n=500, seed=0)
             summary = run_monte_carlo(spec, "mmse_f", 100)
             assert summary.reps_failed / summary.reps_total < 0.02
+
+    @pytest.mark.parametrize("design", ["design1", "design2"])
+    def test_the_cdf_is_the_share_of_errors_at_or_below_each_threshold(self, design, monkeypatch):
+        # blocks of made-up errors, many of them on a threshold or its negative
+        rng = np.random.default_rng(11)
+        thresholds = np.linspace(0.0, simlab._CDF_TOP[design], simlab.CDF_POINTS)
+        for _ in range(60):
+            reps = int(rng.integers(1, simlab._block_reps(100) + 1))
+            err = rng.normal(0.0, thresholds[-1] / 2, reps)
+            ties = rng.random(reps) < rng.random()
+            err[ties] = rng.choice([-1.0, 1.0], ties.sum()) * rng.choice(thresholds, ties.sum())
+            ones = np.ones(reps)
+            monkeypatch.setattr(simlab, "_run_block", lambda *args: (ones, ones, err))
+            # at n = 100 the replications are one block
+            summary = run_monte_carlo(DgpSpec(design=design, n=100), "mmse_f", reps)
+            want = tuple((float(t), float(np.mean(np.abs(err) <= t))) for t in thresholds)
+            assert summary.cdf == want
